@@ -229,24 +229,28 @@ def kmodels_partition_stage(dataset: Dataset, graph: AdjacencyGraph, config: Sol
 class _RegionPool:
     """Mutable region bookkeeping for the merge stage.
 
-    Regions too small for a unique fit carry no model and contribute no
-    residuals to merge comparisons; they only ever shrink in number.
+    Each region's members are a sorted int64 array, so a union is one
+    concatenate-and-sort, its first entry is the region's smallest member,
+    and the fits read the member rows in ascending unit order. Regions too
+    small for a unique fit carry no model and contribute no residuals to
+    merge comparisons; they only ever shrink in number. Region ids are
+    never reused: a merge retires both inputs and adds a new id.
     """
 
     def __init__(self, dataset: Dataset, n: int):
         self.dataset = dataset
         self.min_fit = dataset.m + 1
-        self.members: dict[int, set[int]] = {}
+        self.members: dict[int, np.ndarray] = {}
         self.ssr: dict[int, float] = {}
         self.model: dict[int, RegionModel | None] = {}
         self.region_of = np.empty(n, dtype=np.int64)
         self.next_id = 0
 
-    def add(self, units: set[int]) -> int:
+    def add(self, units: np.ndarray) -> int:
         rid = self.next_id
         self.next_id += 1
         self.members[rid] = units
-        self.region_of[list(units)] = rid
+        self.region_of[units] = rid
         if len(units) >= self.min_fit:
             model = fit_ols(self.dataset, units)
             self.model[rid] = model
@@ -256,21 +260,27 @@ class _RegionPool:
             self.ssr[rid] = 0.0
         return rid
 
+    def smallest(self, rid: int) -> int:
+        return int(self.members[rid][0])
+
+    def union(self, a: int, b: int) -> np.ndarray:
+        return np.sort(np.concatenate((self.members[a], self.members[b])))
+
     def merge(self, a: int, b: int) -> int:
-        units = self.members.pop(a) | self.members.pop(b)
+        units = self.union(a, b)
         for rid in (a, b):
-            del self.ssr[rid], self.model[rid]
+            del self.members[rid], self.ssr[rid], self.model[rid]
         return self.add(units)
 
     def union_ssr(self, a: int, b: int) -> float:
-        units = self.members[a] | self.members[b]
+        units = self.union(a, b)
         if len(units) < self.min_fit:
             return 0.0
         return region_ssr(fit_ols(self.dataset, units), self.dataset, units)
 
     def neighbor_regions(self, graph: AdjacencyGraph, rid: int) -> set[int]:
         out: set[int] = set()
-        for u in self.members[rid]:
+        for u in self.members[rid].tolist():
             for v in graph.neighbors[u]:
                 w = int(self.region_of[v])
                 if w != rid:
@@ -283,11 +293,14 @@ def kmodels_merge_stage(dataset: Dataset, graph: AdjacencyGraph,
     """Second K-Models stage: enforce connectivity, region size, and count.
 
     Disconnected micro-clusters are split into their connected components.
-    Regions below ``min_obs`` are then absorbed, smallest first, by the
-    neighboring region that minimizes the total SSR after the merge; a
-    merge result still below ``min_obs`` re-enters the queue. Finally,
-    while more than ``p`` regions remain, the neighboring pair whose merge
-    increases the total SSR the least is fused.
+    Regions below ``min_obs`` are then repaired one at a time, in order of
+    (size, smallest member), from a heap: the region is absorbed by the
+    neighboring region that minimizes the total SSR after the merge, with
+    neighbors tried in order of their smallest member and the first strict
+    minimum of the SSR change winning; a merge result still below
+    ``min_obs`` re-enters the heap. Finally, while more than ``p`` regions
+    remain, the neighboring pair whose merge increases the total SSR the
+    least is fused.
 
     Returns ``(partition, models)`` with regions relabeled 0..p-1 by their
     smallest member. Raises MergeInfeasibleError if fewer than ``p``
@@ -296,21 +309,25 @@ def kmodels_merge_stage(dataset: Dataset, graph: AdjacencyGraph,
     pool = _RegionPool(dataset, graph.n)
     for j in range(micro_partition.p):
         for comp in connected_components(graph, micro_partition.members(j)):
-            pool.add(set(comp))
+            pool.add(np.asarray(comp, dtype=np.int64))
 
-    # absorb undersized regions, smallest first
-    while True:
-        undersized = [rid for rid, ms in pool.members.items() if len(ms) < config.min_obs]
-        if not undersized:
-            break
-        rid = min(undersized, key=lambda r: (len(pool.members[r]), min(pool.members[r])))
+    # absorb undersized regions, smallest first; smallest members are
+    # distinct, so (size, smallest) orders live regions without ties
+    repair = [(len(ms), pool.smallest(rid), rid) for rid, ms in pool.members.items()
+              if len(ms) < config.min_obs]
+    heapq.heapify(repair)
+    while repair:
+        rid = heapq.heappop(repair)[2]
+        if rid not in pool.members:
+            continue  # merged away since it was queued
         best_nb, best_delta = -1, np.inf
-        for nb in sorted(pool.neighbor_regions(graph, rid),
-                         key=lambda r: min(pool.members[r])):
+        for nb in sorted(pool.neighbor_regions(graph, rid), key=pool.smallest):
             delta = pool.union_ssr(rid, nb) - pool.ssr[rid] - pool.ssr[nb]
             if delta < best_delta:
                 best_nb, best_delta = nb, delta
-        pool.merge(rid, best_nb)
+        new = pool.merge(rid, best_nb)
+        if len(pool.members[new]) < config.min_obs:
+            heapq.heappush(repair, (len(pool.members[new]), pool.smallest(new), new))
 
     if len(pool.members) < config.p:
         raise MergeInfeasibleError(
@@ -338,11 +355,11 @@ def kmodels_merge_stage(dataset: Dataset, graph: AdjacencyGraph,
             lo, hi = min(new, x), max(new, x)
             heapq.heappush(heap, (pool.union_ssr(lo, hi) - pool.ssr[lo] - pool.ssr[hi], lo, hi))
 
-    ordered = sorted(pool.members, key=lambda r: min(pool.members[r]))
+    ordered = sorted(pool.members, key=pool.smallest)
     assignment = np.empty(graph.n, dtype=np.int64)
     models: list[RegionModel] = []
     for label, rid in enumerate(ordered):
-        assignment[list(pool.members[rid])] = label
+        assignment[pool.members[rid]] = label
         models.append(pool.model[rid])
     return Partition(assignment, len(ordered)), models
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import SchemeInfeasibleError
+from .exceptions import InitializationFailedError, SchemeInfeasibleError
 from .graph import AdjacencyGraph, Partition, build_grid_graph, is_connected_subset
 from .linreg import Dataset
 from .solvers import grow_initial_partition
@@ -61,6 +61,8 @@ class SimulationSpec:
             raise ValueError("grid must have at least one row and one column")
         if self.region_count < 1:
             raise ValueError("region_count must be >= 1")
+        if self.min_region_units < 1:
+            raise ValueError("min_region_units must be >= 1")
         if self.coefficient_pool is None:
             pool = np.linspace(-2.0, 2.0, self.region_count) if self.region_count > 1 else [2.0]
             object.__setattr__(self, "coefficient_pool", tuple(float(v) for v in pool))
@@ -155,7 +157,7 @@ def generate_scheme(spec: SimulationSpec, rng: np.random.Generator,
             graph, spec.region_count, spec.min_region_units, rng,
             restart_limit=SCHEME_RETRY_LIMIT,
         )
-    except Exception as exc:
+    except InitializationFailedError as exc:
         raise SchemeInfeasibleError(str(exc)) from exc
 
 

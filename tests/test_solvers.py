@@ -1,14 +1,19 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from spregimes import (
     Dataset,
+    DisconnectedGraphError,
     InitializationFailedError,
     MergeInfeasibleError,
     Partition,
     SolverConfig,
     build_edge_list_graph,
     build_grid_graph,
+    build_knn_graph,
+    connected_components,
     evaluate,
     fit_ols,
     generate_suite,
@@ -154,6 +159,75 @@ class TestMergeStage:
         cfg = SolverConfig(p=3, min_obs=2, seed=0)
         with pytest.raises(MergeInfeasibleError, match="min_obs"):
             kmodels_merge_stage(ds, g, micro, cfg)
+
+
+def holey_grid(rows, cols, holes):
+    """Largest connected piece of a grid with the ``holes`` cells removed."""
+    grid = build_grid_graph(rows, cols)
+    kept = max(connected_components(grid, set(range(rows * cols)) - set(holes)), key=len)
+    index = {cell: i for i, cell in enumerate(kept)}
+    edges = [(index[u], index[v]) for u in kept for v in grid.neighbors[u] if v in index]
+    return build_edge_list_graph(len(kept), edges)
+
+
+@st.composite
+def merge_cases(draw):
+    """Graph, data and a scattered micro partition with many tiny components.
+
+    The micro partition grows K connected clusters and then relabels a
+    random share of units at random, which splits most clusters into
+    undersized pieces. ``min_obs`` is drawn up to n / 2p, and the case is
+    kept only when at least p split components already reach it, since
+    the size repair never merges two such components and so cannot leave
+    fewer than p regions.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        rows, cols = draw(st.integers(5, 10)), draw(st.integers(5, 10))
+        holes = rng.choice(rows * cols, size=draw(st.integers(0, rows * cols // 5)),
+                           replace=False)
+        graph = holey_grid(rows, cols, holes.tolist())
+    else:
+        try:
+            graph = build_knn_graph(rng.random((draw(st.integers(30, 120)), 2)), 5)
+        except DisconnectedGraphError:
+            assume(False)
+    n, m = graph.n, draw(st.integers(1, 2))
+    p = draw(st.integers(1, 3))
+    k = draw(st.integers(p + 1, 4 * p + 4))
+    assume(n >= 2 * p * (m + 1) and n >= k)
+    labels = grow_initial_partition(graph, k, 1, rng).assignment
+    scattered = rng.random(n) < draw(st.floats(0.2, 0.6))
+    labels[scattered] = rng.integers(k, size=int(scattered.sum()))
+    _, labels = np.unique(labels, return_inverse=True)
+    micro = Partition(labels, int(labels.max()) + 1)
+    min_obs = draw(st.integers(m + 1, n // (2 * p)))
+    big = sum(
+        len(comp) >= min_obs
+        for j in range(micro.p)
+        for comp in connected_components(graph, micro.members(j))
+    )
+    assume(big >= p)
+    dataset = Dataset(X=rng.random((n, m)), y=rng.normal(size=n))
+    return dataset, graph, micro, SolverConfig(p=p, min_obs=min_obs)
+
+
+class TestMergeStageProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(merge_cases())
+    def test_merge_stage_invariants(self, case):
+        dataset, graph, micro, cfg = case
+        part, models = kmodels_merge_stage(dataset, graph, micro, cfg)
+        assert part.p == cfg.p and len(models) == cfg.p
+        assert part.sizes().min() >= cfg.min_obs
+        for j in range(cfg.p):
+            members = part.members(j)
+            assert is_connected_subset(graph, members)
+            assert np.array_equal(models[j].beta, fit_ols(dataset, members).beta)
+        again, again_models = kmodels_merge_stage(dataset, graph, micro, cfg)
+        assert np.array_equal(again.assignment, part.assignment)
+        for a, b in zip(models, again_models):
+            assert np.array_equal(a.beta, b.beta)
 
 
 class TestSolveKmodels:

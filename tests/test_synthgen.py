@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from spregimes import (
+    SchemeInfeasibleError,
+    build_edge_list_graph,
     build_grid_graph,
     fit_ols,
     generate_suite,
@@ -43,6 +45,10 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="scheme"):
             SimulationSpec(scheme="hexagons")
 
+    def test_min_units_must_be_positive(self):
+        with pytest.raises(ValueError, match="min_region_units"):
+            SimulationSpec(rows=2, cols=2, region_count=5, min_region_units=0)
+
 
 class TestSchemes:
     def test_rectangular_is_five_equal_stripes(self, rng):
@@ -63,6 +69,13 @@ class TestSchemes:
         d_last = ((centers - centers[35]) ** 2).sum(axis=1)
         expected = np.where(d_first <= d_last, 0, 1)  # ties to the lower seed
         assert np.array_equal(part.assignment, expected)
+
+    def test_arbitrary_growth_failure_is_scheme_infeasible(self, rng):
+        star = build_edge_list_graph(5, [(0, 1), (0, 2), (0, 3), (0, 4)])
+        spec = SimulationSpec(rows=1, cols=5, scheme="arbitrary", region_count=2,
+                              min_region_units=2, coefficient_pool=(-1.0, 1.0))
+        with pytest.raises(SchemeInfeasibleError, match="attempts"):
+            generate_scheme(spec, rng, star)
 
     @pytest.mark.parametrize("kind", ["rectangular", "voronoi", "arbitrary"])
     def test_every_region_connected_and_large_enough(self, kind):
