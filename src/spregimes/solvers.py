@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import heapq
 import time
-from collections import deque
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -226,15 +225,22 @@ def kmodels_partition_stage(dataset: Dataset, graph: AdjacencyGraph, config: Sol
     return Partition(assign, k), models, trace
 
 
+# a region's sorted members, its model (None when too small to fit) and SSR
+_Fit = tuple[np.ndarray, RegionModel | None, float]
+
+
 class _RegionPool:
     """Mutable region bookkeeping for the merge stage.
 
     Each region's members are a sorted int64 array, so a union is one
     concatenate-and-sort, its first entry is the region's smallest member,
-    and the fits read the member rows in ascending unit order. Regions too
-    small for a unique fit carry no model and contribute no residuals to
-    merge comparisons; they only ever shrink in number. Region ids are
-    never reused: a merge retires both inputs and adds a new id.
+    and the fits read the member rows in ascending unit order. A fit is a
+    ``(units, model, ssr)`` triple; ``union_fit`` scores a candidate merge
+    with one, and ``merge`` installs a scored union's triple as is, so the
+    winning union is not fitted again. Regions too small for a unique fit
+    carry no model and contribute no residuals to merge comparisons; they
+    only ever shrink in number. Region ids are never reused: a merge
+    retires both inputs and adds a new id.
     """
 
     def __init__(self, dataset: Dataset, n: int):
@@ -246,37 +252,33 @@ class _RegionPool:
         self.region_of = np.empty(n, dtype=np.int64)
         self.next_id = 0
 
-    def add(self, units: np.ndarray) -> int:
+    def fit(self, units: np.ndarray) -> _Fit:
+        if len(units) < self.min_fit:
+            return units, None, 0.0
+        model = fit_ols(self.dataset, units)
+        return units, model, region_ssr(model, self.dataset, units)
+
+    def add(self, fitted: _Fit) -> int:
+        units, model, ssr = fitted
         rid = self.next_id
         self.next_id += 1
         self.members[rid] = units
         self.region_of[units] = rid
-        if len(units) >= self.min_fit:
-            model = fit_ols(self.dataset, units)
-            self.model[rid] = model
-            self.ssr[rid] = region_ssr(model, self.dataset, units)
-        else:
-            self.model[rid] = None
-            self.ssr[rid] = 0.0
+        self.model[rid] = model
+        self.ssr[rid] = ssr
         return rid
 
     def smallest(self, rid: int) -> int:
         return int(self.members[rid][0])
 
-    def union(self, a: int, b: int) -> np.ndarray:
-        return np.sort(np.concatenate((self.members[a], self.members[b])))
+    def union_fit(self, a: int, b: int) -> _Fit:
+        return self.fit(np.sort(np.concatenate((self.members[a], self.members[b]))))
 
-    def merge(self, a: int, b: int) -> int:
-        units = self.union(a, b)
+    def merge(self, a: int, b: int, fitted: _Fit) -> int:
+        """Replace regions ``a`` and ``b`` by their union, fitted as ``union_fit(a, b)``."""
         for rid in (a, b):
             del self.members[rid], self.ssr[rid], self.model[rid]
-        return self.add(units)
-
-    def union_ssr(self, a: int, b: int) -> float:
-        units = self.union(a, b)
-        if len(units) < self.min_fit:
-            return 0.0
-        return region_ssr(fit_ols(self.dataset, units), self.dataset, units)
+        return self.add(fitted)
 
     def neighbor_regions(self, graph: AdjacencyGraph, rid: int) -> set[int]:
         out: set[int] = set()
@@ -297,19 +299,22 @@ def kmodels_merge_stage(dataset: Dataset, graph: AdjacencyGraph,
     (size, smallest member), from a heap: the region is absorbed by the
     neighboring region that minimizes the total SSR after the merge, with
     neighbors tried in order of their smallest member and the first strict
-    minimum of the SSR change winning; a merge result still below
-    ``min_obs`` re-enters the heap. Finally, while more than ``p`` regions
-    remain, the neighboring pair whose merge increases the total SSR the
-    least is fused.
+    minimum of the SSR change winning. The fit that scored the winning
+    union becomes the merged region's fit, so no union is fitted twice; a
+    merge result still below ``min_obs`` re-enters the heap. Finally, while
+    more than ``p`` regions remain, the neighboring pair whose merge
+    increases the total SSR the least is fused; the fusion heap keeps only
+    SSR changes, so each fused pair is fitted again when it is merged.
 
     Returns ``(partition, models)`` with regions relabeled 0..p-1 by their
-    smallest member. Raises MergeInfeasibleError if fewer than ``p``
-    regions remain after the size repair.
+    smallest member. Raises MergeInfeasibleError if an undersized region
+    has no neighboring region with a finite SSR change, or if fewer than
+    ``p`` regions remain after the size repair.
     """
     pool = _RegionPool(dataset, graph.n)
     for j in range(micro_partition.p):
         for comp in connected_components(graph, micro_partition.members(j)):
-            pool.add(np.asarray(comp, dtype=np.int64))
+            pool.add(pool.fit(np.asarray(comp, dtype=np.int64)))
 
     # absorb undersized regions, smallest first; smallest members are
     # distinct, so (size, smallest) orders live regions without ties
@@ -320,12 +325,19 @@ def kmodels_merge_stage(dataset: Dataset, graph: AdjacencyGraph,
         rid = heapq.heappop(repair)[2]
         if rid not in pool.members:
             continue  # merged away since it was queued
-        best_nb, best_delta = -1, np.inf
+        best_nb, best_fit, best_delta = -1, None, np.inf
         for nb in sorted(pool.neighbor_regions(graph, rid), key=pool.smallest):
-            delta = pool.union_ssr(rid, nb) - pool.ssr[rid] - pool.ssr[nb]
+            fitted = pool.union_fit(rid, nb)
+            delta = fitted[2] - pool.ssr[rid] - pool.ssr[nb]
             if delta < best_delta:
-                best_nb, best_delta = nb, delta
-        new = pool.merge(rid, best_nb)
+                best_nb, best_fit, best_delta = nb, fitted, delta
+        if best_fit is None:
+            raise MergeInfeasibleError(
+                f"undersized region (size {len(pool.members[rid])}, smallest member "
+                f"{pool.smallest(rid)}) has no neighboring region with a finite SSR "
+                "change to merge into"
+            )
+        new = pool.merge(rid, best_nb, best_fit)
         if len(pool.members[new]) < config.min_obs:
             heapq.heappush(repair, (len(pool.members[new]), pool.smallest(new), new))
 
@@ -341,19 +353,20 @@ def kmodels_merge_stage(dataset: Dataset, graph: AdjacencyGraph,
     for a in sorted(pool.members):
         for b in sorted(adjacency[a]):
             if a < b:
-                heapq.heappush(heap, (pool.union_ssr(a, b) - pool.ssr[a] - pool.ssr[b], a, b))
+                heapq.heappush(heap, (pool.union_fit(a, b)[2] - pool.ssr[a] - pool.ssr[b], a, b))
     while len(pool.members) > config.p:
         delta, a, b = heapq.heappop(heap)
         if a not in pool.members or b not in pool.members:
             continue  # one side already merged away
-        new = pool.merge(a, b)
+        new = pool.merge(a, b, pool.union_fit(a, b))
         adjacency[new] = (adjacency.pop(a) | adjacency.pop(b)) - {a, b}
         for x in sorted(adjacency[new]):
             adjacency[x].discard(a)
             adjacency[x].discard(b)
             adjacency[x].add(new)
             lo, hi = min(new, x), max(new, x)
-            heapq.heappush(heap, (pool.union_ssr(lo, hi) - pool.ssr[lo] - pool.ssr[hi], lo, hi))
+            heapq.heappush(heap, (pool.union_fit(lo, hi)[2] - pool.ssr[lo] - pool.ssr[hi],
+                                  lo, hi))
 
     ordered = sorted(pool.members, key=pool.smallest)
     assignment = np.empty(graph.n, dtype=np.int64)
@@ -383,20 +396,54 @@ def solve_kmodels(dataset: Dataset, graph: AdjacencyGraph, config: SolverConfig)
     )
 
 
-def _connected_without(graph: AdjacencyGraph, member_set: set[int], v: int) -> bool:
-    """Whether ``member_set`` minus ``v`` stays connected (BFS)."""
-    inside = [w for w in graph.neighbors[v] if w in member_set]
-    if len(inside) <= 1:
-        return True  # v is a leaf of the region; the rest is untouched
-    seen = {inside[0]}
-    queue = deque([inside[0]])
-    while queue:
-        u = queue.popleft()
-        for w in graph.neighbors[u]:
-            if w != v and w in member_set and w not in seen:
-                seen.add(w)
-                queue.append(w)
-    return len(seen) == len(member_set) - 1
+def _articulation_points(graph: AdjacencyGraph, member_set: set[int]) -> set[int]:
+    """Cut vertices of the subgraph that ``member_set`` induces.
+
+    Iterative Hopcroft-Tarjan DFS (Hopcroft & Tarjan 1973, CACM 16(6)), so
+    region size is not bounded by the recursion limit. Units are numbered
+    in discovery order; ``low`` and the parent's number are lists indexed
+    by that number, and each stack entry carries its unit's number. For a
+    connected region of at least two units, the region minus ``v`` is
+    connected exactly when ``v`` is not returned.
+    """
+    neighbors = graph.neighbors
+    root = next(iter(member_set))
+    disc = {root: 0}
+    low = [0]
+    parent = [-1]
+    root_children = 0
+    cuts: set[int] = set()
+    stack = [(root, 0, iter(neighbors[root]))]
+    while stack:
+        u, du, it = stack[-1]
+        for w in it:
+            if w in member_set:
+                dw = disc.get(w)
+                if dw is None:
+                    dw = len(low)
+                    disc[w] = dw
+                    low.append(dw)
+                    parent.append(du)
+                    stack.append((w, dw, iter(neighbors[w])))
+                    break
+                # the tree edge back to the parent lands here too; it
+                # lowers low[du] at most to the parent's number, which
+                # the cut test below (low >= parent's number) allows
+                if dw < low[du]:
+                    low[du] = dw
+        else:  # u is finished: fold its low into its parent's
+            stack.pop()
+            dp = parent[du]
+            if dp == 0:
+                root_children += 1
+            elif dp > 0:
+                if low[du] < low[dp]:
+                    low[dp] = low[du]
+                if low[du] >= dp:
+                    cuts.add(stack[-1][0])
+    if root_children > 1:
+        cuts.add(root)
+    return cuts
 
 
 def _assert_state_feasible(graph: AdjacencyGraph, members: list[set[int]], min_obs: int):
@@ -435,10 +482,12 @@ def solve_azp(dataset: Dataset, graph: AdjacencyGraph, config: SolverConfig,
     adjacent to it may move in when (a) its donor stays at or above
     ``min_obs``, (b) the donor stays connected without it, and (c) the
     move strictly lowers the total SSR; the checks run in that order,
-    cheapest first. One uniformly random valid unit is moved per region
-    per pass and both affected models are refit immediately, so later
-    regions in the same pass see the updated state. Terminates when a full
-    pass moves nothing.
+    cheapest first. Check (b) is a set lookup: each region's cut vertices
+    (``_articulation_points``) are computed the first time one of its
+    units is tested as a donor and cached until a move touches the region.
+    One uniformly random valid unit is moved per region per pass and both
+    affected models are refit immediately, so later regions in the same
+    pass see the updated state. Terminates when a full pass moves nothing.
 
     ``check_invariants`` asserts connectivity and size of every region
     after every accepted move (debug instrumentation).
@@ -453,6 +502,7 @@ def solve_azp(dataset: Dataset, graph: AdjacencyGraph, config: SolverConfig,
     models = [fit_ols(dataset, members[j]) for j in range(config.p)]
     ssrs = [region_ssr(models[j], dataset, members[j]) for j in range(config.p)]
     trace = [float(sum(ssrs))]
+    cuts: list[set[int] | None] = [None] * config.p
     iterations = 0
     for _ in range(config.max_iter):
         stable = True
@@ -470,7 +520,9 @@ def solve_azp(dataset: Dataset, graph: AdjacencyGraph, config: SolverConfig,
                 d = int(assign[v])
                 if len(members[d]) <= config.min_obs:
                     continue
-                if not _connected_without(graph, members[d], v):
+                if cuts[d] is None:
+                    cuts[d] = _articulation_points(graph, members[d])
+                if v in cuts[d]:
                     continue
                 if _move_delta(dataset, models, ssrs, members, j, d, v) < -config.ssr_tolerance:
                     chosen, donor = v, d
@@ -481,6 +533,7 @@ def solve_azp(dataset: Dataset, graph: AdjacencyGraph, config: SolverConfig,
                 members[j].add(chosen)
                 assign[chosen] = j
                 for r in (j, donor):
+                    cuts[r] = None
                     models[r] = fit_ols(dataset, members[r])
                     ssrs[r] = region_ssr(models[r], dataset, members[r])
                 if check_invariants:
@@ -512,6 +565,10 @@ def solve_regional_kmodels(dataset: Dataset, graph: AdjacencyGraph, config: Solv
     stays connected without it. Exactly one uniformly random candidate is
     moved (simultaneous moves could break donor contiguity) and the two
     affected models are refit. Terminates when no candidate exists.
+
+    The connectivity check is a lookup in the donor's cut vertices
+    (``_articulation_points``), computed the first time one of the
+    region's units is tested and cached until a move touches the region.
     """
     start = time.perf_counter()
     config = _resolve_config(dataset, graph, config, needs_k=False)
@@ -523,6 +580,7 @@ def solve_regional_kmodels(dataset: Dataset, graph: AdjacencyGraph, config: Solv
     models = [fit_ols(dataset, members[j]) for j in range(config.p)]
     ssrs = [region_ssr(models[j], dataset, members[j]) for j in range(config.p)]
     trace = [float(sum(ssrs))]
+    cuts: list[set[int] | None] = [None] * config.p
     xa, y = dataset.augmented, dataset.y
     n = dataset.n
     iterations = 0
@@ -553,7 +611,10 @@ def solve_regional_kmodels(dataset: Dataset, graph: AdjacencyGraph, config: Solv
             # uniform draw from the valid set via a shuffled first-hit scan
             for pos in rng.permutation(len(precandidates)):
                 i = precandidates[pos]
-                if _connected_without(graph, members[labels[i]], i):
+                d = labels[i]
+                if cuts[d] is None:
+                    cuts[d] = _articulation_points(graph, members[d])
+                if i not in cuts[d]:
                     chosen = i
                     break
         if chosen < 0:
@@ -564,6 +625,7 @@ def solve_regional_kmodels(dataset: Dataset, graph: AdjacencyGraph, config: Solv
         members[target].add(chosen)
         assign[chosen] = target
         for r in (donor, target):
+            cuts[r] = None
             models[r] = fit_ols(dataset, members[r])
             ssrs[r] = region_ssr(models[r], dataset, members[r])
         if check_invariants:

@@ -27,6 +27,8 @@ from spregimes import (
     solve_regional_kmodels,
     solve_with_restarts,
 )
+from spregimes import solvers
+from spregimes.solvers import _articulation_points
 from spregimes.synthgen import SimulationSpec
 
 
@@ -151,6 +153,16 @@ class TestMergeStage:
         for j in range(5):
             assert is_connected_subset(grid25, part.members(j))
 
+    def test_region_without_finite_merge_raises_named_error(self, rng, monkeypatch):
+        g = build_grid_graph(4, 4)
+        ds = Dataset(X=rng.random((16, 1)), y=rng.random(16))
+        labels = np.ones(16, dtype=int)
+        labels[5] = 0  # an undersized region of one unit
+        monkeypatch.setattr(solvers._RegionPool, "union_fit",
+                            lambda pool, a, b: (pool.members[a], None, float("nan")))
+        with pytest.raises(MergeInfeasibleError, match=r"size 1, smallest member 5"):
+            kmodels_merge_stage(ds, g, Partition(labels, 2), SolverConfig(p=2, min_obs=2))
+
     def test_too_few_components_is_infeasible(self, rng):
         g = build_grid_graph(4, 4)
         ds = Dataset(X=rng.random((16, 1)), y=rng.random(16))
@@ -170,6 +182,19 @@ def holey_grid(rows, cols, holes):
     return build_edge_list_graph(len(kept), edges)
 
 
+def draw_graph(draw, rng, sides, points, k):
+    """A grid with up to a fifth of its cells removed, or a knn graph."""
+    if draw(st.booleans()):
+        rows, cols = draw(st.integers(*sides)), draw(st.integers(*sides))
+        holes = rng.choice(rows * cols, size=draw(st.integers(0, rows * cols // 5)),
+                           replace=False)
+        return holey_grid(rows, cols, holes.tolist())
+    try:
+        return build_knn_graph(rng.random((draw(st.integers(*points)), 2)), k)
+    except DisconnectedGraphError:
+        assume(False)
+
+
 @st.composite
 def merge_cases(draw):
     """Graph, data and a scattered micro partition with many tiny components.
@@ -182,16 +207,7 @@ def merge_cases(draw):
     fewer than p regions.
     """
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    if draw(st.booleans()):
-        rows, cols = draw(st.integers(5, 10)), draw(st.integers(5, 10))
-        holes = rng.choice(rows * cols, size=draw(st.integers(0, rows * cols // 5)),
-                           replace=False)
-        graph = holey_grid(rows, cols, holes.tolist())
-    else:
-        try:
-            graph = build_knn_graph(rng.random((draw(st.integers(30, 120)), 2)), 5)
-        except DisconnectedGraphError:
-            assume(False)
+    graph = draw_graph(draw, rng, (5, 10), (30, 120), 5)
     n, m = graph.n, draw(st.integers(1, 2))
     p = draw(st.integers(1, 3))
     k = draw(st.integers(p + 1, 4 * p + 4))
@@ -228,6 +244,82 @@ class TestMergeStageProperties:
         assert np.array_equal(again.assignment, part.assignment)
         for a, b in zip(models, again_models):
             assert np.array_equal(a.beta, b.beta)
+
+
+def grown_subset(graph, size, rng):
+    """Connected set of up to ``size`` units grown from a random unit."""
+    start = int(rng.integers(graph.n))
+    members, frontier = {start}, set(graph.neighbors[start])
+    while len(members) < size and frontier:
+        v = sorted(frontier)[int(rng.integers(len(frontier)))]
+        members.add(v)
+        frontier |= set(graph.neighbors[v])
+        frontier -= members
+    return members
+
+
+@st.composite
+def cut_cases(draw):
+    """A holey grid, knn or path graph and a connected subset of 1 to n units."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        n = draw(st.integers(2, 40))
+        graph = build_edge_list_graph(n, [(i, i + 1) for i in range(n - 1)])
+    else:
+        graph = draw_graph(draw, rng, (1, 9), (5, 60), 3)
+    size = draw(st.one_of(st.integers(1, 2), st.integers(1, graph.n)))
+    return graph, grown_subset(graph, size, rng)
+
+
+class TestArticulationPoints:
+    @settings(max_examples=200, deadline=None)
+    @given(cut_cases())
+    def test_matches_brute_force_connectivity(self, case):
+        graph, members = case
+        expected = {v for v in members
+                    if len(members) > 1 and not is_connected_subset(graph, members - {v})}
+        assert _articulation_points(graph, members) == expected
+
+    def test_60x60_regions_need_no_recursion(self):
+        grid = build_grid_graph(60, 60)
+        assert _articulation_points(grid, set(range(3600))) == set()
+        # a serpentine path over every other row, far deeper than the
+        # recursion limit: every unit but its two ends is a cut vertex
+        snake = {r * 60 + c for r in range(0, 60, 2) for c in range(60)}
+        snake |= {r * 60 + (59 if r % 4 == 1 else 0) for r in range(1, 59, 2)}
+        assert _articulation_points(grid, snake) == snake - {0, 58 * 60}
+
+
+@st.composite
+def local_search_cases(draw):
+    """Holey grid or knn graph, random data and a small feasible config."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    graph = draw_graph(draw, rng, (4, 9), (20, 80), 4)
+    n, m = graph.n, draw(st.integers(1, 2))
+    p = draw(st.integers(1, 3))
+    assume(n >= 2 * p * (m + 1))
+    min_obs = draw(st.integers(m + 1, n // (2 * p)))
+    dataset = Dataset(X=rng.random((n, m)), y=rng.normal(size=n))
+    return dataset, graph, SolverConfig(p=p, min_obs=min_obs, seed=draw(st.integers(0, 999)))
+
+
+class TestLocalSearchProperties:
+    @pytest.mark.parametrize("solver", [solve_azp, solve_regional_kmodels])
+    @settings(max_examples=60, deadline=None)
+    @given(case=local_search_cases())
+    def test_invariants_and_reproducibility(self, solver, case):
+        dataset, graph, cfg = case
+        try:
+            res = solver(dataset, graph, cfg, check_invariants=True)
+        except InitializationFailedError:
+            assume(False)
+        assert np.array_equal(np.unique(res.partition.assignment), np.arange(cfg.p))
+        assert_feasible(graph, res, p=cfg.p, min_obs=cfg.min_obs)
+        assert_monotone(res.trace)
+        again = solver(dataset, graph, cfg, check_invariants=True)
+        assert np.array_equal(again.partition.assignment, res.partition.assignment)
+        assert again.total_ssr == res.total_ssr
+        assert again.trace == res.trace
 
 
 class TestSolveKmodels:
