@@ -163,6 +163,10 @@ class RegionModel:
 
 def _member_index(members) -> np.ndarray:
     if isinstance(members, np.ndarray) and members.dtype.kind in "iu":
+        # member arrays from the merge stage and Partition.members are
+        # already ascending; sorting them again costs more than the check
+        if (members[1:] > members[:-1]).all():
+            return members
         return np.sort(members)
     return np.fromiter(sorted(members), dtype=np.int64)
 

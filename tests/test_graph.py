@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spregimes import (
     DisconnectedGraphError,
@@ -89,6 +91,10 @@ class TestKnnGraph:
         with pytest.raises(DuplicatePointsError):
             build_knn_graph([(0.0, 0.0), (0.0, 0.0), (1.0, 1.0)], k=1)
 
+    def test_non_finite_coordinates_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            build_knn_graph([(0.0, 0.0), (np.nan, 1.0), (1.0, 1.0)], k=1)
+
     def test_disconnected_clusters_suggest_larger_k(self):
         pts = [(0.0, 0.0), (0.1, 0.0), (100.0, 0.0), (100.1, 0.0)]
         with pytest.raises(DisconnectedGraphError, match="increase k"):
@@ -102,6 +108,110 @@ class TestKnnGraph:
         g = build_knn_graph(pts, k=2)
         assert (0, 1) in g.edges
         assert (0, 2) not in g.edges
+
+
+def reference_knn_graph(points, k):
+    """Brute-force knn graph: ``(neighbors, edges)`` from full distance rows.
+
+    The row-by-row search this package used before tiling, with squared
+    distances taken from coordinate differences: each unit keeps the
+    ``k`` smallest entries of its full row, ties at the cutoff going to
+    the lower unit index.
+    """
+    pts = np.asarray(points, dtype=float)
+    n = len(pts)
+    neighbor_sets = [set() for _ in range(n)]
+    for i in range(n):
+        row = (pts[i, 0] - pts[:, 0]) ** 2 + (pts[i, 1] - pts[:, 1]) ** 2
+        row[i] = np.inf
+        part = np.argpartition(row, k - 1)[:k]
+        cutoff = row[part].max()
+        cand = np.flatnonzero(row <= cutoff)
+        if len(cand) > k:
+            order = np.lexsort((cand, row[cand]))
+            cand = cand[order[:k]]
+        for j in cand:
+            neighbor_sets[i].add(int(j))
+            neighbor_sets[int(j)].add(i)
+    neighbors = tuple(tuple(sorted(s)) for s in neighbor_sets)
+    edges = frozenset((i, j) for i in range(n) for j in neighbor_sets[i] if i < j)
+    return neighbors, edges
+
+
+def assert_knn_matches_reference(points, k):
+    neighbors, edges = reference_knn_graph(points, k)
+    try:
+        g = build_knn_graph(points, k)
+    except DisconnectedGraphError:
+        with pytest.raises(DisconnectedGraphError):
+            build_edge_list_graph(len(neighbors), edges)
+        return
+    assert g.neighbors == neighbors
+    assert g.edges == edges
+
+
+@st.composite
+def knn_cases(draw):
+    """Points and k from one of five families, most spanning several tiles."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    family = draw(st.sampled_from(
+        ["uniform", "lattice", "clusters", "collinear", "complete"]))
+    if family == "uniform":
+        n = draw(st.integers(2, 1500))
+        pts = rng.random((n, 2)) * draw(st.sampled_from([1e-3, 1.0, 1e4]))
+        k = draw(st.integers(1, min(n - 1, 20)))
+    elif family == "lattice":
+        # exact distance ties everywhere test the lower-index rule
+        rows, cols = draw(st.integers(1, 45)), draw(st.integers(2, 45))
+        grid = np.indices((rows, cols)).reshape(2, -1).T.astype(float)
+        pts = grid[rng.permutation(len(grid))]
+        k = min(len(pts) - 1, draw(st.sampled_from([3, 4, 5, 8, 12])))
+    elif family == "clusters":
+        # tight clusters over a sparse background and a far outlier: sparse
+        # rows fail the tile certificate and are searched in full
+        sizes = draw(st.lists(st.integers(20, 1500), min_size=1, max_size=3))
+        parts = [rng.normal(rng.random(2) * 100.0, 0.05, (size, 2)) for size in sizes]
+        parts.append(rng.random((draw(st.integers(50, 400)), 2)) * 100.0)
+        parts.append(np.array([[1e4, -1e4]]) * draw(st.sampled_from([0.01, 1.0])))
+        pts = np.concatenate(parts)
+        k = draw(st.integers(6, 16))
+    elif family == "collinear":
+        # a bounding box of zero height (or width) is cut into strips
+        n = draw(st.integers(2, 1200))
+        along = rng.permutation(n) * draw(st.sampled_from([1.0, 0.37]))
+        pts = np.column_stack([along, np.full(n, 2.5)])
+        if draw(st.booleans()):
+            pts = pts[:, ::-1]
+        k = draw(st.integers(1, min(n - 1, 10)))
+    else:
+        n = draw(st.integers(2, 60))
+        pts = rng.random((n, 2))
+        k = n - 1
+    return pts, k
+
+
+class TestKnnReference:
+    @settings(max_examples=120, deadline=None)
+    @given(knn_cases())
+    def test_matches_brute_force_reference(self, case):
+        points, k = case
+        assert_knn_matches_reference(points, k)
+
+    def test_shifted_points_give_the_same_graph(self):
+        # coordinates on a 2**-20 grid, so every shifted point is exact and
+        # the shifted set is an exact translate of the original
+        rng = np.random.default_rng(2024)
+        pts = np.round(rng.random((3000, 2)) * 100.0 * 2**20) / 2**20
+        base = build_knn_graph(pts, 10)
+        for shift in (5e6, 1e7):
+            moved = build_knn_graph(pts + shift, 10)
+            assert moved.neighbors == base.neighbors
+            assert moved.edges == base.edges
+
+    @pytest.mark.slow
+    def test_criterion_9_graph_matches_reference(self):
+        points = np.random.default_rng(909).random((20_000, 2)) * 100.0
+        assert_knn_matches_reference(points, 18)
 
 
 class TestEdgeListFile:
