@@ -5,6 +5,8 @@ bytes. A change that claims to leave solver output bit-identical must pass
 this file unmodified; a change that alters output on purpose updates the
 pins and says why. The K-Models cases start the merge stage from many
 undersized split components, so the merge stage performs 60 to 414 merges.
+The capped cases stop AZP and Regional-K-Models at ``max_iter`` long before
+they converge, which pins the iteration-cap stop path as well.
 """
 
 import hashlib
@@ -92,3 +94,28 @@ def test_golden_fingerprint(name):
     solver, build, config, ssr_repr, labels_sha1 = GOLDEN[name]
     dataset, graph = build()
     assert fingerprint(solver(dataset, graph, config)) == (ssr_repr, labels_sha1)
+
+
+# capped local searches: the same fields as GOLDEN; each stops at max_iter
+CAPPED = {
+    "azp-rect25-cap3": (
+        solve_azp, lambda: grid_case(25, 25, "rectangular", 101),
+        SolverConfig(p=5, min_obs=10, seed=7, max_iter=3),
+        "335.0670608701206", "389d68fb9d66c3443bab4a2e3d124076baea38c9",
+    ),
+    "rkm-rect25-cap3": (
+        solve_regional_kmodels, lambda: grid_case(25, 25, "rectangular", 101),
+        SolverConfig(p=5, min_obs=10, seed=7, max_iter=3),
+        "338.8082077093535", "b7fd92ef34a8ec8b43e2f19c79a5961220420d8d",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CAPPED))
+def test_capped_golden_fingerprint(name):
+    solver, build, config, ssr_repr, labels_sha1 = CAPPED[name]
+    dataset, graph = build()
+    result = solver(dataset, graph, config)
+    assert fingerprint(result) == (ssr_repr, labels_sha1)
+    assert result.iterations_used == config.max_iter
+    assert len(result.trace) == config.max_iter + 1
