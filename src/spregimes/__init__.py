@@ -26,6 +26,7 @@ from .graph import (
     build_grid_graph,
     build_knn_graph,
     connected_components,
+    grow_initial_partition,
     is_connected_subset,
     read_edge_list,
     region_neighbors,
@@ -55,7 +56,6 @@ from .solvers import (
     SOLVERS,
     SolveResult,
     SolverConfig,
-    grow_initial_partition,
     kmodels_merge_stage,
     kmodels_partition_stage,
     solve_azp,

@@ -1,4 +1,4 @@
-"""Spatial adjacency graphs and region partitions.
+"""Spatial adjacency graphs, region partitions and random region growth.
 
 Units are dense integer indices 0..n-1. Graphs are undirected, have no
 self-loops, and must be connected as a whole; builders reject anything
@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exceptions import DisconnectedGraphError, DuplicatePointsError
+from .exceptions import DisconnectedGraphError, DuplicatePointsError, InitializationFailedError
 
 __all__ = [
     "AdjacencyGraph",
@@ -25,6 +25,7 @@ __all__ = [
     "is_connected_subset",
     "connected_components",
     "region_neighbors",
+    "grow_initial_partition",
 ]
 
 
@@ -36,19 +37,16 @@ class AdjacencyGraph:
     ----------
     n : int
         Number of units.
-    edges : frozenset of (int, int)
-        Unordered unit pairs stored as ``(i, j)`` with ``i < j``.
     neighbors : tuple of tuple of int
         Sorted neighbor list per unit.
     """
 
     n: int
-    edges: frozenset
     neighbors: tuple
 
     @property
     def edge_count(self) -> int:
-        return len(self.edges)
+        return sum(map(len, self.neighbors)) // 2
 
     def degree(self, unit: int) -> int:
         return len(self.neighbors[unit])
@@ -76,9 +74,7 @@ def _finalize_graph(n: int, i: np.ndarray, j: np.ndarray) -> AdjacencyGraph:
     bounds = np.searchsorted(src, np.arange(n + 1)).tolist()
     flat = dst.tolist()
     neighbors = tuple(tuple(flat[a:b]) for a, b in zip(bounds, bounds[1:]))
-    upper = src < dst
-    edges = frozenset(zip(src[upper].tolist(), dst[upper].tolist()))
-    graph = AdjacencyGraph(n=n, edges=edges, neighbors=neighbors)
+    graph = AdjacencyGraph(n=n, neighbors=neighbors)
     if n > 0 and not is_connected_subset(graph, range(n)):
         raise DisconnectedGraphError(
             "adjacency input does not form a single connected component"
@@ -317,6 +313,65 @@ def connected_components(graph: AdjacencyGraph, subset) -> list[list[int]]:
         sub -= comp
         components.append(sorted(comp))
     return components
+
+
+def grow_initial_partition(graph: AdjacencyGraph, count: int, min_obs: int,
+                           rng: np.random.Generator, restart_limit: int = 100) -> Partition:
+    """Grow ``count`` connected regions from random seed units.
+
+    Each region starts at a distinct random unit; regions then take turns
+    absorbing one randomly picked unassigned neighbor until every unit is
+    assigned. If any region ends up below ``min_obs`` the whole procedure
+    restarts with fresh seeds, up to ``restart_limit`` attempts.
+    """
+    n = graph.n
+    if not 1 <= count <= n:
+        raise ValueError(f"count must be in [1, n], got {count}")
+    if count * min_obs > n:
+        raise InitializationFailedError(
+            f"{count} regions of at least {min_obs} units cannot cover {n} units"
+        )
+    for _ in range(restart_limit):
+        assignment = np.full(n, -1, dtype=np.int64)
+        seeds = rng.choice(n, size=count, replace=False)
+        assignment[seeds] = np.arange(count)
+        frontier_lists: list[list[int]] = []
+        frontier_sets: list[set[int]] = []
+        for s in seeds:
+            fresh = [v for v in graph.neighbors[s] if assignment[v] == -1]
+            frontier_lists.append(fresh)
+            frontier_sets.append(set(fresh))
+        remaining = n - count
+        while remaining:
+            progressed = False
+            for r in range(count):
+                flist, fset = frontier_lists[r], frontier_sets[r]
+                while flist:
+                    pos = int(rng.integers(len(flist)))
+                    u = flist[pos]
+                    flist[pos] = flist[-1]
+                    flist.pop()
+                    fset.discard(u)
+                    if assignment[u] != -1:
+                        continue  # grabbed by another region since queued
+                    assignment[u] = r
+                    remaining -= 1
+                    for w in graph.neighbors[u]:
+                        if assignment[w] == -1 and w not in fset:
+                            flist.append(w)
+                            fset.add(w)
+                    progressed = True
+                    break
+            if not progressed:  # unreachable on a connected graph
+                break
+        if remaining == 0:
+            sizes = np.bincount(assignment, minlength=count)
+            if sizes.min() >= min_obs:
+                return Partition(assignment, count)
+    raise InitializationFailedError(
+        f"no initial partition with {count} regions of >= {min_obs} units "
+        f"found in {restart_limit} attempts"
+    )
 
 
 @dataclass

@@ -96,27 +96,20 @@ def mutual_information(truth, estimate) -> float:
     )
 
 
-def nmi(truth, estimate, denominator: str = "sqrt") -> float:
+def nmi(truth, estimate) -> float:
     """Normalized mutual information in [0, 1]; 1 for identical partitions.
 
-    The default normalizes by sqrt(H(truth) * H(estimate)), which keeps
-    the value in [0, 1] and maps identical partitions to exactly 1.
-    ``denominator="product"`` divides by the plain entropy product instead
-    (compatibility variant; it is returned raw because it neither stays
-    below 1 nor scores identical partitions as 1). When either partition
-    has zero entropy the result is 1 for identical partitions and 0
-    otherwise.
+    Normalizes by sqrt(H(truth) * H(estimate)), which keeps the value in
+    [0, 1] and maps identical partitions to exactly 1. When either
+    partition has zero entropy the result is 1 for identical partitions
+    and 0 otherwise.
     """
-    if denominator not in ("sqrt", "product"):
-        raise ValueError(f"denominator must be 'sqrt' or 'product', got {denominator!r}")
     a, b = _labels(truth), _labels(estimate)
     _check_same_n(a, b)
     h_truth, h_est = entropy(a), entropy(b)
     if h_truth == 0.0 or h_est == 0.0:
         return 1.0 if h_truth == h_est else 0.0
     mi = mutual_information(a, b)
-    if denominator == "product":
-        return mi / (h_truth * h_est)
     return min(1.0, max(0.0, mi / math.sqrt(h_truth * h_est)))
 
 

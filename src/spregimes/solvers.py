@@ -14,12 +14,14 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .exceptions import (
-    InitializationFailedError,
-    MergeInfeasibleError,
-    NumericalBreakdownError,
+from .exceptions import MergeInfeasibleError, NumericalBreakdownError
+from .graph import (
+    AdjacencyGraph,
+    Partition,
+    connected_components,
+    grow_initial_partition,
+    is_connected_subset,
 )
-from .graph import AdjacencyGraph, Partition, connected_components, is_connected_subset
 from .linreg import (
     Dataset,
     RegionModel,
@@ -32,7 +34,6 @@ from .linreg import (
 __all__ = [
     "SolverConfig",
     "SolveResult",
-    "grow_initial_partition",
     "kmodels_partition_stage",
     "kmodels_merge_stage",
     "solve_kmodels",
@@ -50,8 +51,7 @@ class SolverConfig:
     ``K`` (micro-cluster count, K-Models only) defaults to ``4 * p`` when
     left unset. ``min_obs`` applies to final regions everywhere and to
     every intermediate state in AZP and Regional-K-Models; the K-Models
-    partition stage always uses m+1 instead. SSR comparisons treat
-    changes within ``ssr_tolerance`` as ties to avoid oscillation.
+    partition stage always uses m+1 instead.
     """
 
     p: int
@@ -59,8 +59,12 @@ class SolverConfig:
     K: int | None = None
     max_iter: int = 1000
     seed: int = 0
-    restart_limit: int = 100
-    ssr_tolerance: float = 1e-9
+
+
+# Attempts of the initial growth before InitializationFailedError.
+RESTART_LIMIT = 100
+# AZP treats SSR changes within this tolerance as ties, to avoid oscillation.
+SSR_TOLERANCE = 1e-9
 
 
 @dataclass
@@ -108,65 +112,6 @@ def _resolve_config(dataset: Dataset, graph: AdjacencyGraph, config: SolverConfi
     return config
 
 
-def grow_initial_partition(graph: AdjacencyGraph, count: int, min_obs: int,
-                           rng: np.random.Generator, restart_limit: int = 100) -> Partition:
-    """Grow ``count`` connected regions from random seed units.
-
-    Each region starts at a distinct random unit; regions then take turns
-    absorbing one randomly picked unassigned neighbor until every unit is
-    assigned. If any region ends up below ``min_obs`` the whole procedure
-    restarts with fresh seeds, up to ``restart_limit`` attempts.
-    """
-    n = graph.n
-    if not 1 <= count <= n:
-        raise ValueError(f"count must be in [1, n], got {count}")
-    if count * min_obs > n:
-        raise InitializationFailedError(
-            f"{count} regions of at least {min_obs} units cannot cover {n} units"
-        )
-    for _ in range(restart_limit):
-        assignment = np.full(n, -1, dtype=np.int64)
-        seeds = rng.choice(n, size=count, replace=False)
-        assignment[seeds] = np.arange(count)
-        frontier_lists: list[list[int]] = []
-        frontier_sets: list[set[int]] = []
-        for s in seeds:
-            fresh = [v for v in graph.neighbors[s] if assignment[v] == -1]
-            frontier_lists.append(fresh)
-            frontier_sets.append(set(fresh))
-        remaining = n - count
-        while remaining:
-            progressed = False
-            for r in range(count):
-                flist, fset = frontier_lists[r], frontier_sets[r]
-                while flist:
-                    pos = int(rng.integers(len(flist)))
-                    u = flist[pos]
-                    flist[pos] = flist[-1]
-                    flist.pop()
-                    fset.discard(u)
-                    if assignment[u] != -1:
-                        continue  # grabbed by another region since queued
-                    assignment[u] = r
-                    remaining -= 1
-                    for w in graph.neighbors[u]:
-                        if assignment[w] == -1 and w not in fset:
-                            flist.append(w)
-                            fset.add(w)
-                    progressed = True
-                    break
-            if not progressed:  # unreachable on a connected graph
-                break
-        if remaining == 0:
-            sizes = np.bincount(assignment, minlength=count)
-            if sizes.min() >= min_obs:
-                return Partition(assignment, count)
-    raise InitializationFailedError(
-        f"no initial partition with {count} regions of >= {min_obs} units "
-        f"found in {restart_limit} attempts"
-    )
-
-
 def _fit_all(dataset: Dataset, assignment: np.ndarray, count: int) -> list[RegionModel]:
     return [fit_ols(dataset, np.flatnonzero(assignment == j)) for j in range(count)]
 
@@ -196,7 +141,7 @@ def kmodels_partition_stage(dataset: Dataset, graph: AdjacencyGraph, config: Sol
     """
     k = config.K if config.K is not None else 4 * config.p
     stage_min = dataset.m + 1
-    initial = grow_initial_partition(graph, k, stage_min, rng, config.restart_limit)
+    initial = grow_initial_partition(graph, k, stage_min, rng, RESTART_LIMIT)
     assign = initial.assignment.copy()
     models = _fit_all(dataset, assign, k)
     trace = [_total_ssr(dataset, assign, models)]
@@ -446,32 +391,158 @@ def _articulation_points(graph: AdjacencyGraph, member_set: set[int]) -> set[int
     return cuts
 
 
-def _assert_state_feasible(graph: AdjacencyGraph, members: list[set[int]], min_obs: int):
-    for ms in members:
-        assert len(ms) >= min_obs, "region dropped below the minimum size"
-        assert is_connected_subset(graph, ms), "region lost connectivity"
+class _LocalSearch:
+    """Region state and loop shared by AZP and Regional-K-Models.
 
+    It grows ``p`` connected regions, fits each one, and then keeps the
+    unit labels, each region's member set, model and SSR, and the trace
+    of the total SSR. A step policy proposes moves and ``move`` applies
+    them; ``run`` calls the policy until a step moves nothing or
+    ``max_iter`` steps have run, and appends the total SSR to the trace
+    after every step, so ``iterations_used == len(trace) - 1``.
 
-def _move_delta(dataset: Dataset, models: list[RegionModel], ssrs: list[float],
-                members: list[set[int]], j: int, d: int, v: int) -> float:
-    """Total-SSR change from moving unit v out of region d into region j.
+    Cache rule: a region's cut vertices (``_articulation_points``) are
+    computed the first time ``is_cut`` asks about one of its units and
+    dropped when a move takes a unit out of it or into it. Regions stay
+    connected, and a donor keeps at least ``min_obs >= m+1 >= 2`` units,
+    so the donor minus ``v`` is connected exactly when ``v`` is not a cut
+    vertex.
 
-    Rank-one identities give the exact change in O(m^2); degenerate models
-    or a vanishing denominator fall back to comparing full refits.
+    ``check_invariants`` asserts after every move that the unit touches
+    its new region and that every region is connected and at least
+    ``min_obs`` units large (debug instrumentation).
     """
-    x, yv = dataset.X[v], float(dataset.y[v])
-    if not (models[j].degenerate or models[d].degenerate):
-        try:
-            return ssr_increase_if_added(models[j], x, yv) - ssr_decrease_if_removed(
-                models[d], x, yv
-            )
-        except NumericalBreakdownError:
-            pass
-    gain_members = members[j] | {v}
-    loss_members = members[d] - {v}
-    new_j = region_ssr(fit_ols(dataset, gain_members), dataset, gain_members)
-    new_d = region_ssr(fit_ols(dataset, loss_members), dataset, loss_members)
-    return (new_j - ssrs[j]) + (new_d - ssrs[d])
+
+    def __init__(self, dataset: Dataset, graph: AdjacencyGraph, config: SolverConfig,
+                 check_invariants: bool):
+        self.start = time.perf_counter()
+        self.config = config = _resolve_config(dataset, graph, config, needs_k=False)
+        self.dataset, self.graph = dataset, graph
+        self.check_invariants = check_invariants
+        self.rng = np.random.default_rng(config.seed)
+        initial = grow_initial_partition(graph, config.p, config.min_obs, self.rng,
+                                         RESTART_LIMIT)
+        self.assign = initial.assignment.copy()
+        self.members = [set(map(int, np.flatnonzero(self.assign == j)))
+                        for j in range(config.p)]
+        self.models = [fit_ols(dataset, ms) for ms in self.members]
+        self.ssrs = [region_ssr(mo, dataset, ms) for mo, ms in zip(self.models, self.members)]
+        self.trace = [float(sum(self.ssrs))]
+        self.cuts: list[set[int] | None] = [None] * config.p
+
+    def is_cut(self, v: int, d: int) -> bool:
+        """True when region ``d`` without its unit ``v`` is disconnected."""
+        if self.cuts[d] is None:
+            self.cuts[d] = _articulation_points(self.graph, self.members[d])
+        return v in self.cuts[d]
+
+    def move_delta(self, v: int, d: int, j: int) -> float:
+        """Total-SSR change from moving unit v out of region d into region j.
+
+        Rank-one identities give the exact change in O(m^2); degenerate
+        models or a vanishing denominator fall back to comparing full refits.
+        """
+        dataset, models = self.dataset, self.models
+        x, yv = dataset.X[v], float(dataset.y[v])
+        if not (models[j].degenerate or models[d].degenerate):
+            try:
+                return ssr_increase_if_added(models[j], x, yv) - ssr_decrease_if_removed(
+                    models[d], x, yv
+                )
+            except NumericalBreakdownError:
+                pass
+        gain_members = self.members[j] | {v}
+        loss_members = self.members[d] - {v}
+        new_j = region_ssr(fit_ols(dataset, gain_members), dataset, gain_members)
+        new_d = region_ssr(fit_ols(dataset, loss_members), dataset, loss_members)
+        return (new_j - self.ssrs[j]) + (new_d - self.ssrs[d])
+
+    def move(self, v: int, src: int, dst: int):
+        """Move unit ``v`` from region ``src`` into region ``dst`` and refit both."""
+        self.members[src].discard(v)
+        self.members[dst].add(v)
+        self.assign[v] = dst
+        for r in (src, dst):
+            self.cuts[r] = None
+            self.models[r] = fit_ols(self.dataset, self.members[r])
+            self.ssrs[r] = region_ssr(self.models[r], self.dataset, self.members[r])
+        if self.check_invariants:
+            assert any(
+                self.assign[w] == dst for w in self.graph.neighbors[v]
+            ), "unit moved into a region it does not touch"
+            for ms in self.members:
+                assert len(ms) >= self.config.min_obs, "region dropped below the minimum size"
+                assert is_connected_subset(self.graph, ms), "region lost connectivity"
+
+    def run(self, step) -> SolveResult:
+        """Call ``step(self)`` until it moves nothing or ``max_iter`` times."""
+        for _ in range(self.config.max_iter):
+            moved = step(self)
+            self.trace.append(float(sum(self.ssrs)))
+            if not moved:
+                break
+        return SolveResult(
+            partition=Partition(self.assign, self.config.p),
+            models=self.models,
+            total_ssr=self.trace[-1],
+            iterations_used=len(self.trace) - 1,
+            seed=self.config.seed,
+            wall_time=time.perf_counter() - self.start,
+            trace=self.trace,
+        )
+
+
+def _azp_pass(search: _LocalSearch) -> bool:
+    """One AZP pass: at most one unit moves into each region, in index order."""
+    graph, assign, members = search.graph, search.assign, search.members
+    min_obs = search.config.min_obs
+    moved = False
+    for j in range(search.config.p):
+        candidates = sorted(
+            {v for u in members[j] for v in graph.neighbors[u] if assign[v] != j}
+        )
+        # first valid unit of a uniformly shuffled scan is a uniform
+        # draw from the full valid set, without evaluating all of it
+        for pos in search.rng.permutation(len(candidates)):
+            v = candidates[pos]
+            d = int(assign[v])
+            if (len(members[d]) > min_obs and not search.is_cut(v, d)
+                    and search.move_delta(v, d, j) < -SSR_TOLERANCE):
+                search.move(v, d, j)
+                moved = True
+                break
+    return moved
+
+
+def _rkm_move(search: _LocalSearch) -> bool:
+    """One RKM step: move one random candidate unit to its best adjacent region."""
+    dataset, graph, min_obs = search.dataset, search.graph, search.config.min_obs
+    betas = np.column_stack([mo.beta for mo in search.models])
+    resid = np.abs(dataset.y[:, None] - dataset.augmented @ betas)
+    sizes = [len(ms) for ms in search.members]
+    labels = search.assign.tolist()
+    candidates: list[int] = []
+    targets: list[int] = []
+    for i in range(dataset.n):
+        d = labels[i]
+        if sizes[d] <= min_obs:
+            continue
+        row = resid[i]
+        best_r, best_val = d, row[d]
+        for w in graph.neighbors[i]:
+            r = labels[w]
+            if r != best_r and (row[r] < best_val or (row[r] == best_val and r < best_r)):
+                best_r, best_val = r, row[r]
+        if best_r != d:
+            candidates.append(i)
+            targets.append(best_r)
+    # uniform draw from the valid set via a shuffled first-hit scan
+    for pos in search.rng.permutation(len(candidates)):
+        i = candidates[pos]
+        if not search.is_cut(i, labels[i]):
+            search.move(i, labels[i], targets[pos])
+            return True
+    return False
 
 
 def solve_azp(dataset: Dataset, graph: AdjacencyGraph, config: SolverConfig,
@@ -482,75 +553,17 @@ def solve_azp(dataset: Dataset, graph: AdjacencyGraph, config: SolverConfig,
     adjacent to it may move in when (a) its donor stays at or above
     ``min_obs``, (b) the donor stays connected without it, and (c) the
     move strictly lowers the total SSR; the checks run in that order,
-    cheapest first. Check (b) is a set lookup: each region's cut vertices
-    (``_articulation_points``) are computed the first time one of its
-    units is tested as a donor and cached until a move touches the region.
+    cheapest first. Check (b) is a lookup in the donor's cached cut
+    vertices and check (c) uses rank-one identities (``_LocalSearch``).
     One uniformly random valid unit is moved per region per pass and both
     affected models are refit immediately, so later regions in the same
-    pass see the updated state. Terminates when a full pass moves nothing.
+    pass see the updated state. Terminates when a full pass moves nothing
+    or after ``max_iter`` passes.
 
-    ``check_invariants`` asserts connectivity and size of every region
-    after every accepted move (debug instrumentation).
+    ``check_invariants`` asserts the feasibility of every region after
+    every accepted move (debug instrumentation).
     """
-    start = time.perf_counter()
-    config = _resolve_config(dataset, graph, config, needs_k=False)
-    rng = np.random.default_rng(config.seed)
-    initial = grow_initial_partition(graph, config.p, config.min_obs, rng,
-                                     config.restart_limit)
-    assign = initial.assignment.copy()
-    members = [set(map(int, np.flatnonzero(assign == j))) for j in range(config.p)]
-    models = [fit_ols(dataset, members[j]) for j in range(config.p)]
-    ssrs = [region_ssr(models[j], dataset, members[j]) for j in range(config.p)]
-    trace = [float(sum(ssrs))]
-    cuts: list[set[int] | None] = [None] * config.p
-    iterations = 0
-    for _ in range(config.max_iter):
-        stable = True
-        for j in range(config.p):
-            candidates = sorted(
-                {v for u in members[j] for v in graph.neighbors[u] if assign[v] != j}
-            )
-            if not candidates:
-                continue
-            # first valid unit of a uniformly shuffled scan is a uniform
-            # draw from the full valid set, without evaluating all of it
-            chosen, donor = -1, -1
-            for pos in rng.permutation(len(candidates)):
-                v = candidates[pos]
-                d = int(assign[v])
-                if len(members[d]) <= config.min_obs:
-                    continue
-                if cuts[d] is None:
-                    cuts[d] = _articulation_points(graph, members[d])
-                if v in cuts[d]:
-                    continue
-                if _move_delta(dataset, models, ssrs, members, j, d, v) < -config.ssr_tolerance:
-                    chosen, donor = v, d
-                    break
-            if chosen >= 0:
-                stable = False
-                members[donor].discard(chosen)
-                members[j].add(chosen)
-                assign[chosen] = j
-                for r in (j, donor):
-                    cuts[r] = None
-                    models[r] = fit_ols(dataset, members[r])
-                    ssrs[r] = region_ssr(models[r], dataset, members[r])
-                if check_invariants:
-                    _assert_state_feasible(graph, members, config.min_obs)
-        iterations += 1
-        trace.append(float(sum(ssrs)))
-        if stable:
-            break
-    return SolveResult(
-        partition=Partition(assign, config.p),
-        models=models,
-        total_ssr=float(sum(ssrs)),
-        iterations_used=iterations,
-        seed=config.seed,
-        wall_time=time.perf_counter() - start,
-        trace=trace,
-    )
+    return _LocalSearch(dataset, graph, config, check_invariants).run(_azp_pass)
 
 
 def solve_regional_kmodels(dataset: Dataset, graph: AdjacencyGraph, config: SolverConfig,
@@ -564,85 +577,14 @@ def solve_regional_kmodels(dataset: Dataset, graph: AdjacencyGraph, config: Solv
     its current one, whose donor stays above ``min_obs``, and whose donor
     stays connected without it. Exactly one uniformly random candidate is
     moved (simultaneous moves could break donor contiguity) and the two
-    affected models are refit. Terminates when no candidate exists.
+    affected models are refit. Terminates when no candidate exists or
+    after ``max_iter`` moves.
 
-    The connectivity check is a lookup in the donor's cut vertices
-    (``_articulation_points``), computed the first time one of the
-    region's units is tested and cached until a move touches the region.
+    The connectivity check is a lookup in the donor's cached cut vertices
+    (``_LocalSearch``). ``check_invariants`` asserts the feasibility of
+    every region after every move (debug instrumentation).
     """
-    start = time.perf_counter()
-    config = _resolve_config(dataset, graph, config, needs_k=False)
-    rng = np.random.default_rng(config.seed)
-    initial = grow_initial_partition(graph, config.p, config.min_obs, rng,
-                                     config.restart_limit)
-    assign = initial.assignment.copy()
-    members = [set(map(int, np.flatnonzero(assign == j))) for j in range(config.p)]
-    models = [fit_ols(dataset, members[j]) for j in range(config.p)]
-    ssrs = [region_ssr(models[j], dataset, members[j]) for j in range(config.p)]
-    trace = [float(sum(ssrs))]
-    cuts: list[set[int] | None] = [None] * config.p
-    xa, y = dataset.augmented, dataset.y
-    n = dataset.n
-    iterations = 0
-    for _ in range(config.max_iter):
-        betas = np.column_stack([mo.beta for mo in models])
-        resid = np.abs(y[:, None] - xa @ betas)
-        sizes = np.bincount(assign, minlength=config.p).tolist()
-        labels = assign.tolist()
-        precandidates: list[int] = []
-        targets: dict[int, int] = {}
-        for i in range(n):
-            d = labels[i]
-            if sizes[d] <= config.min_obs:
-                continue
-            row = resid[i]
-            best_r, best_val = d, row[d]
-            for w in graph.neighbors[i]:
-                r = labels[w]
-                if r != best_r and (row[r] < best_val
-                                    or (row[r] == best_val and r < best_r)):
-                    best_r, best_val = r, row[r]
-            if best_r != d:
-                precandidates.append(i)
-                targets[i] = best_r
-        iterations += 1
-        chosen = -1
-        if precandidates:
-            # uniform draw from the valid set via a shuffled first-hit scan
-            for pos in rng.permutation(len(precandidates)):
-                i = precandidates[pos]
-                d = labels[i]
-                if cuts[d] is None:
-                    cuts[d] = _articulation_points(graph, members[d])
-                if i not in cuts[d]:
-                    chosen = i
-                    break
-        if chosen < 0:
-            trace.append(float(sum(ssrs)))
-            break
-        donor, target = labels[chosen], targets[chosen]
-        members[donor].discard(chosen)
-        members[target].add(chosen)
-        assign[chosen] = target
-        for r in (donor, target):
-            cuts[r] = None
-            models[r] = fit_ols(dataset, members[r])
-            ssrs[r] = region_ssr(models[r], dataset, members[r])
-        if check_invariants:
-            assert any(
-                int(assign[w]) == target for w in graph.neighbors[chosen]
-            ), "unit moved into a region it does not touch"
-            _assert_state_feasible(graph, members, config.min_obs)
-        trace.append(float(sum(ssrs)))
-    return SolveResult(
-        partition=Partition(assign, config.p),
-        models=models,
-        total_ssr=float(sum(ssrs)),
-        iterations_used=iterations,
-        seed=config.seed,
-        wall_time=time.perf_counter() - start,
-        trace=trace,
-    )
+    return _LocalSearch(dataset, graph, config, check_invariants).run(_rkm_move)
 
 
 SOLVERS = {

@@ -14,9 +14,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import InitializationFailedError, SchemeInfeasibleError
-from .graph import AdjacencyGraph, Partition, build_grid_graph, is_connected_subset
+from .graph import (
+    AdjacencyGraph,
+    Partition,
+    build_grid_graph,
+    grow_initial_partition,
+    is_connected_subset,
+)
 from .linreg import Dataset
-from .solvers import grow_initial_partition
 
 __all__ = [
     "SimulationSpec",

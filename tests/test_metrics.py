@@ -179,14 +179,6 @@ class TestNmi:
         assert nmi([0, 0, 0], [0, 1, 1]) == 0.0
         assert nmi([0, 1, 1], [0, 0, 0]) == 0.0
 
-    def test_product_denominator_variant(self):
-        labels = [0, 0, 1, 1]
-        assert nmi(labels, labels, denominator="product") == pytest.approx(
-            1.0 / math.log(2)
-        )
-        with pytest.raises(ValueError, match="denominator"):
-            nmi(labels, labels, denominator="harmonic")
-
     def test_symmetry(self, rng):
         for _ in range(20):
             a = rng.integers(0, 3, size=10)

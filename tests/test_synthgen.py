@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -8,6 +11,7 @@ from spregimes import (
     fit_ols,
     generate_suite,
     is_connected_subset,
+    synthgen,
 )
 from spregimes.synthgen import (
     SimulationSpec,
@@ -180,3 +184,17 @@ class TestSuites:
     def test_simulation_count_validated(self):
         with pytest.raises(ValueError):
             generate_suite(SimulationSpec(seed=0), 0)
+
+
+def test_synthgen_imports_neither_solvers_nor_metrics():
+    # the generator sits below the solvers and metrics in the layering
+    names = set()
+    for node in ast.walk(ast.parse(Path(synthgen.__file__).read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            names.add(base)
+            names.update(f"{base}.{alias.name}" for alias in node.names)
+    parts = {part for name in names for part in name.split(".")}
+    assert not parts & {"solvers", "metrics"}
