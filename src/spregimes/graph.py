@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -39,10 +40,22 @@ class AdjacencyGraph:
         Number of units.
     neighbors : tuple of tuple of int
         Sorted neighbor list per unit.
+
+    ``padded_neighbors`` is an ``(n, 1 + max degree)`` int64 view for
+    vectorised scans: row ``i`` is ``[i, neighbors of i ascending]``,
+    padded with ``i``. It is built on first access and cached outside the
+    dataclass fields, so equality and hashing ignore it. Building it is
+    idempotent, so a graph shared across runs stays safe to share.
     """
 
     n: int
     neighbors: tuple
+
+    @cached_property
+    def padded_neighbors(self) -> np.ndarray:
+        width = 1 + max(map(len, self.neighbors), default=0)
+        return np.array([(i, *nb) + (i,) * (width - 1 - len(nb))
+                         for i, nb in enumerate(self.neighbors)], dtype=np.int64)
 
     @property
     def edge_count(self) -> int:

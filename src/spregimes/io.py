@@ -19,7 +19,7 @@ from . import __version__
 from .graph import Partition
 from .linreg import Dataset, RegionModel
 from .metrics import EvaluationReport
-from .solvers import SolveResult
+from .result import SolveResult
 from .synthgen import GroundTruth, SimulationSpec
 
 __all__ = [

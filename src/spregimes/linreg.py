@@ -3,7 +3,10 @@
 Every region keeps an intercept and a coefficient vector estimated by OLS
 over its member units. The inverse Gram matrix and the cross-product
 vector are cached so that single observations can be added or removed in
-O(m^2) via rank-one (Sherman-Morrison) updates of the inverse.
+O(m^2) via rank-one (Sherman-Morrison) updates of the inverse. A fit is
+screened for rank deficiency by a Frobenius-norm bound on the condition
+number of its Gram matrix, and only fits the bound cannot certify pay for
+an SVD (see ``fit_ols``).
 """
 
 from __future__ import annotations
@@ -30,6 +33,8 @@ __all__ = [
 # Gram matrices above this condition estimate are treated as rank deficient
 # and fit by minimum-norm least squares instead.
 RANK_DEFICIENT_CONDITION = 1e12
+# Squared Frobenius bound under which fit_ols skips the SVD (see there).
+_CERTIFIED_CONDITION_SQ = (RANK_DEFICIENT_CONDITION / 10) ** 2
 
 # Rank-one update denominators below this magnitude trigger a refit fallback.
 BREAKDOWN_EPS = 1e-12
@@ -174,9 +179,18 @@ def _member_index(members) -> np.ndarray:
 def fit_ols(dataset: Dataset, members) -> RegionModel:
     """Least-squares fit of intercept and coefficients over a member set.
 
-    Requires at least m+1 members. Rank-deficient member sets (condition
-    estimate above 1e12) fall back to the minimum-norm solution and are
-    flagged degenerate rather than rejected.
+    Requires at least m+1 members. Rank-deficient member sets (2-norm
+    condition number of the Gram matrix G above 1e12) fall back to the
+    minimum-norm solution and are flagged degenerate rather than rejected.
+
+    G is inverted first. Since cond2(G) <= ||G||_F ||G^-1||_F (Golub &
+    Van Loan, *Matrix Computations*), a finite inverse with
+    ``||G||_F ||G^-1||_F`` below a tenth of the threshold certifies the
+    fit as non-degenerate without an SVD. The tenfold margin covers the
+    rounding of the computed inverse, whose relative error is about
+    cond2(G) times the machine epsilon, at most 2e-5 here. Any other case
+    is decided by ``np.linalg.cond``, as is the class of a fit near the
+    threshold, so the result equals deciding every fit by the SVD.
     """
     idx = _member_index(members)
     if len(idx) < dataset.m + 1:
@@ -187,12 +201,27 @@ def fit_ols(dataset: Dataset, members) -> RegionModel:
     y = dataset.y[idx]
     gram = Xa.T @ Xa
     xty = Xa.T @ y
-    cond = np.linalg.cond(gram)
-    if not np.isfinite(cond) or cond > RANK_DEFICIENT_CONDITION:
-        beta = np.linalg.lstsq(Xa, y, rcond=None)[0]
-        return RegionModel(beta, np.linalg.pinv(gram), xty, len(idx), degenerate=True)
-    gram_inv = np.linalg.inv(gram)
+    try:
+        gram_inv = np.linalg.inv(gram)
+    except np.linalg.LinAlgError:
+        gram_inv = None
+    if gram_inv is None or not _certified_well_conditioned(gram, gram_inv):
+        cond = np.linalg.cond(gram)
+        if not np.isfinite(cond) or cond > RANK_DEFICIENT_CONDITION:
+            beta = np.linalg.lstsq(Xa, y, rcond=None)[0]
+            return RegionModel(beta, np.linalg.pinv(gram), xty, len(idx), degenerate=True)
+        if gram_inv is None:
+            gram_inv = np.linalg.inv(gram)  # raises LinAlgError again
     return RegionModel(gram_inv @ xty, gram_inv, xty, len(idx))
+
+
+def _certified_well_conditioned(gram: np.ndarray, gram_inv: np.ndarray) -> bool:
+    """True when ``||G||_F^2 ||G^-1||_F^2`` is below the screen's bound.
+
+    A non-finite inverse gives inf or nan, which fails the comparison.
+    """
+    g, gi = gram.ravel(), gram_inv.ravel()
+    return bool((g @ g) * (gi @ gi) < _CERTIFIED_CONDITION_SQ)
 
 
 def predict(model: RegionModel, x) -> float:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linreg import Dataset, Scaler, region_ssr
-from .solvers import SolveResult
+from .result import SolveResult
 from .synthgen import GroundTruth
 
 __all__ = [

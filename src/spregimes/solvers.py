@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import heapq
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -30,6 +30,7 @@ from .linreg import (
     ssr_decrease_if_removed,
     ssr_increase_if_added,
 )
+from .result import SolveResult
 
 __all__ = [
     "SolverConfig",
@@ -65,25 +66,6 @@ class SolverConfig:
 RESTART_LIMIT = 100
 # AZP treats SSR changes within this tolerance as ties, to avoid oscillation.
 SSR_TOLERANCE = 1e-9
-
-
-@dataclass
-class SolveResult:
-    """Final partition, per-region models, and run diagnostics.
-
-    ``trace`` holds the total SSR after each iteration of the improvement
-    loop (starting from the initial solution) and is non-increasing. For
-    K-Models it covers the partition stage; the merge stage only enforces
-    constraints and can raise the final SSR above ``trace[-1]``.
-    """
-
-    partition: Partition
-    models: list[RegionModel]
-    total_ssr: float
-    iterations_used: int
-    seed: int
-    wall_time: float
-    trace: list[float] = field(default_factory=list)
 
 
 def _resolve_config(dataset: Dataset, graph: AdjacencyGraph, config: SolverConfig,
@@ -399,7 +381,14 @@ class _LocalSearch:
     of the total SSR. A step policy proposes moves and ``move`` applies
     them; ``run`` calls the policy until a step moves nothing or
     ``max_iter`` steps have run, and appends the total SSR to the trace
-    after every step, so ``iterations_used == len(trace) - 1``.
+    after every step, so ``iterations_used == len(trace) - 1``. The step
+    policies find their candidates with numpy over the graph's
+    ``padded_neighbors`` and the label array (``_azp_candidates``,
+    ``_rkm_candidates``), not with a Python loop over units.
+
+    ``refit`` is the only place a region is fitted: it takes the region's
+    members from the labels as one ascending array and passes that array
+    to both ``fit_ols`` and ``region_ssr``, so neither sorts a set again.
 
     Cache rule: a region's cut vertices (``_articulation_points``) are
     computed the first time ``is_cut`` asks about one of its units and
@@ -423,12 +412,20 @@ class _LocalSearch:
         initial = grow_initial_partition(graph, config.p, config.min_obs, self.rng,
                                          RESTART_LIMIT)
         self.assign = initial.assignment.copy()
-        self.members = [set(map(int, np.flatnonzero(self.assign == j)))
+        self.members = [set(np.flatnonzero(self.assign == j).tolist())
                         for j in range(config.p)]
-        self.models = [fit_ols(dataset, ms) for ms in self.members]
-        self.ssrs = [region_ssr(mo, dataset, ms) for mo, ms in zip(self.models, self.members)]
+        self.models = [None] * config.p
+        self.ssrs = [0.0] * config.p
+        for r in range(config.p):
+            self.refit(r)
         self.trace = [float(sum(self.ssrs))]
         self.cuts: list[set[int] | None] = [None] * config.p
+
+    def refit(self, r: int):
+        """Fit region ``r`` and its SSR over one ascending member array."""
+        units = np.flatnonzero(self.assign == r)
+        self.models[r] = fit_ols(self.dataset, units)
+        self.ssrs[r] = region_ssr(self.models[r], self.dataset, units)
 
     def is_cut(self, v: int, d: int) -> bool:
         """True when region ``d`` without its unit ``v`` is disconnected."""
@@ -464,8 +461,7 @@ class _LocalSearch:
         self.assign[v] = dst
         for r in (src, dst):
             self.cuts[r] = None
-            self.models[r] = fit_ols(self.dataset, self.members[r])
-            self.ssrs[r] = region_ssr(self.models[r], self.dataset, self.members[r])
+            self.refit(r)
         if self.check_invariants:
             assert any(
                 self.assign[w] == dst for w in self.graph.neighbors[v]
@@ -492,15 +488,40 @@ class _LocalSearch:
         )
 
 
+def _azp_candidates(pad: np.ndarray, assign: np.ndarray, j: int) -> np.ndarray:
+    """Units outside region ``j`` with a neighbor inside it, ascending.
+
+    ``pad`` is the graph's ``padded_neighbors``: a unit's own column and
+    its padding hold its own label, which ``assign != j`` rules out.
+    """
+    return np.flatnonzero((assign != j) & (assign[pad] == j).any(axis=1))
+
+
+def _rkm_candidates(pad: np.ndarray, assign: np.ndarray, resid: np.ndarray,
+                    sizes: np.ndarray, min_obs: int) -> tuple[np.ndarray, np.ndarray]:
+    """RKM candidate units, ascending, and the region each would move to.
+
+    A unit's best adjacent region is the one among its own and its
+    neighbors' regions (the labels of its ``pad`` row) with the lowest
+    ``resid`` entry, ties to the lower region index. A unit is a
+    candidate when that region is not its own and its own region has
+    more than ``min_obs`` units.
+    """
+    labs = assign[pad]
+    vals = np.take_along_axis(resid, labs, axis=1)
+    # the lowest label among the row's minima; p stands in for the others
+    best = np.where(vals == vals.min(axis=1)[:, None], labs, resid.shape[1]).min(axis=1)
+    candidates = np.flatnonzero((best != assign) & (sizes[assign] > min_obs))
+    return candidates, best[candidates]
+
+
 def _azp_pass(search: _LocalSearch) -> bool:
     """One AZP pass: at most one unit moves into each region, in index order."""
-    graph, assign, members = search.graph, search.assign, search.members
+    pad, assign, members = search.graph.padded_neighbors, search.assign, search.members
     min_obs = search.config.min_obs
     moved = False
     for j in range(search.config.p):
-        candidates = sorted(
-            {v for u in members[j] for v in graph.neighbors[u] if assign[v] != j}
-        )
+        candidates = _azp_candidates(pad, assign, j).tolist()
         # first valid unit of a uniformly shuffled scan is a uniform
         # draw from the full valid set, without evaluating all of it
         for pos in search.rng.permutation(len(candidates)):
@@ -516,31 +537,19 @@ def _azp_pass(search: _LocalSearch) -> bool:
 
 def _rkm_move(search: _LocalSearch) -> bool:
     """One RKM step: move one random candidate unit to its best adjacent region."""
-    dataset, graph, min_obs = search.dataset, search.graph, search.config.min_obs
+    dataset, assign = search.dataset, search.assign
     betas = np.column_stack([mo.beta for mo in search.models])
     resid = np.abs(dataset.y[:, None] - dataset.augmented @ betas)
-    sizes = [len(ms) for ms in search.members]
-    labels = search.assign.tolist()
-    candidates: list[int] = []
-    targets: list[int] = []
-    for i in range(dataset.n):
-        d = labels[i]
-        if sizes[d] <= min_obs:
-            continue
-        row = resid[i]
-        best_r, best_val = d, row[d]
-        for w in graph.neighbors[i]:
-            r = labels[w]
-            if r != best_r and (row[r] < best_val or (row[r] == best_val and r < best_r)):
-                best_r, best_val = r, row[r]
-        if best_r != d:
-            candidates.append(i)
-            targets.append(best_r)
+    sizes = np.array([len(ms) for ms in search.members])
+    candidates, targets = _rkm_candidates(search.graph.padded_neighbors, assign, resid,
+                                          sizes, search.config.min_obs)
+    candidates, targets = candidates.tolist(), targets.tolist()
     # uniform draw from the valid set via a shuffled first-hit scan
     for pos in search.rng.permutation(len(candidates)):
         i = candidates[pos]
-        if not search.is_cut(i, labels[i]):
-            search.move(i, labels[i], targets[pos])
+        d = int(assign[i])
+        if not search.is_cut(i, d):
+            search.move(i, d, targets[pos])
             return True
     return False
 
@@ -558,7 +567,9 @@ def solve_azp(dataset: Dataset, graph: AdjacencyGraph, config: SolverConfig,
     One uniformly random valid unit is moved per region per pass and both
     affected models are refit immediately, so later regions in the same
     pass see the updated state. Terminates when a full pass moves nothing
-    or after ``max_iter`` passes.
+    or after ``max_iter`` passes. Region j's candidates are the units
+    outside it with a neighbor inside it, in ascending order, found
+    afresh from the labels when the pass reaches j (``_azp_candidates``).
 
     ``check_invariants`` asserts the feasibility of every region after
     every accepted move (debug instrumentation).
@@ -578,7 +589,9 @@ def solve_regional_kmodels(dataset: Dataset, graph: AdjacencyGraph, config: Solv
     stays connected without it. Exactly one uniformly random candidate is
     moved (simultaneous moves could break donor contiguity) and the two
     affected models are refit. Terminates when no candidate exists or
-    after ``max_iter`` moves.
+    after ``max_iter`` moves. The candidates come from one vectorised
+    scan of the residual matrix over the graph's padded neighbor rows
+    (``_rkm_candidates``), in ascending unit order.
 
     The connectivity check is a lookup in the donor's cached cut vertices
     (``_LocalSearch``). ``check_invariants`` asserts the feasibility of

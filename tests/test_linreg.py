@@ -78,6 +78,33 @@ class TestFitOls:
         # minimum-norm fit still reproduces the data
         assert region_ssr(model, ds, range(6)) == pytest.approx(0.0, abs=1e-16)
 
+    @pytest.mark.parametrize("eps", [*np.logspace(-4, -8.5, 37), 0.0])
+    def test_condition_screen_matches_svd_oracle(self, eps):
+        # x2 = x1 + eps * noise puts cond(G) between about 1e8 and past
+        # 1e16; eps = 0 duplicates the column exactly
+        rng = np.random.default_rng(11)
+        x1, noise = rng.normal(size=40), rng.normal(size=40)
+        ds = Dataset(X=np.column_stack([x1, x1 + eps * noise]), y=rng.normal(size=40))
+        model = fit_ols(ds, range(40))
+        xa = ds.augmented[np.arange(40)]
+        gram, xty = xa.T @ xa, xa.T @ ds.y
+        cond = np.linalg.cond(gram)
+        assert model.degenerate == (not np.isfinite(cond) or cond > 1e12)
+        if not model.degenerate:
+            assert np.array_equal(model.beta, np.linalg.inv(gram) @ xty)
+
+    def test_well_conditioned_fit_runs_no_svd(self, rng, monkeypatch):
+        ds = random_dataset(rng, 30, 3)
+        expected = fit_ols(ds, range(30))
+
+        def no_svd(*args, **kwargs):
+            raise AssertionError("np.linalg.cond called on a well-conditioned fit")
+
+        monkeypatch.setattr(np.linalg, "cond", no_svd)
+        model = fit_ols(ds, range(30))
+        assert not model.degenerate
+        assert np.array_equal(model.beta, expected.beta)
+
     def test_gram_inverse_consistency(self, rng):
         ds = random_dataset(rng, 30, 3)
         model = fit_ols(ds, range(30))

@@ -28,7 +28,7 @@ from spregimes import (
     solve_with_restarts,
 )
 from spregimes import solvers
-from spregimes.solvers import _articulation_points
+from spregimes.solvers import _articulation_points, _azp_candidates, _rkm_candidates
 from spregimes.synthgen import SimulationSpec
 
 
@@ -326,6 +326,75 @@ class TestLocalSearchProperties:
         assert again.trace == res.trace
 
 
+def rkm_candidates_loop(graph, assign, resid, sizes, min_obs):
+    """Reference RKM scan: the per-unit loop that ``_rkm_candidates`` replaced."""
+    labels = assign.tolist()
+    candidates, targets = [], []
+    for i in range(graph.n):
+        d = labels[i]
+        if sizes[d] <= min_obs:
+            continue
+        row = resid[i]
+        best_r, best_val = d, row[d]
+        for w in graph.neighbors[i]:
+            r = labels[w]
+            if r != best_r and (row[r] < best_val or (row[r] == best_val and r < best_r)):
+                best_r, best_val = r, row[r]
+        if best_r != d:
+            candidates.append(i)
+            targets.append(best_r)
+    return candidates, targets
+
+
+def azp_candidates_loop(graph, assign, j):
+    """Reference AZP candidate set: the comprehension ``_azp_candidates`` replaced."""
+    members = np.flatnonzero(assign == j).tolist()
+    return sorted({v for u in members for v in graph.neighbors[u] if assign[v] != j})
+
+
+@st.composite
+def scan_cases(draw):
+    """Graph, random dense labels, tie-heavy residuals and a biting ``min_obs``."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    graph = draw_graph(draw, rng, (1, 9), (5, 60), 3)
+    n = graph.n
+    p = draw(st.integers(1, min(6, n)))
+    assign = rng.integers(p, size=n)
+    assign[rng.choice(n, size=p, replace=False)] = np.arange(p)
+    # residuals from {0, 1, 2} make ties between regions common
+    resid = rng.integers(0, 3, size=(n, p)).astype(float)
+    sizes = np.bincount(assign, minlength=p)
+    min_obs = draw(st.integers(0, int(sizes.max())))
+    return graph, assign, resid, sizes, min_obs
+
+
+class TestCandidateScans:
+    @settings(max_examples=200, deadline=None)
+    @given(scan_cases())
+    def test_rkm_scan_matches_loop(self, case):
+        graph, assign, resid, sizes, min_obs = case
+        candidates, targets = _rkm_candidates(graph.padded_neighbors, assign, resid,
+                                              sizes, min_obs)
+        assert (candidates.tolist(), targets.tolist()) == rkm_candidates_loop(
+            graph, assign, resid, sizes, min_obs)
+
+    @settings(max_examples=200, deadline=None)
+    @given(scan_cases())
+    def test_azp_scan_matches_loop(self, case):
+        graph, assign = case[:2]
+        for j in range(int(assign.max()) + 1):
+            assert (_azp_candidates(graph.padded_neighbors, assign, j).tolist()
+                    == azp_candidates_loop(graph, assign, j))
+
+    def test_padded_neighbors_rows(self):
+        graph = build_edge_list_graph(4, [(0, 1), (1, 2), (1, 3)])
+        assert graph.padded_neighbors.tolist() == [
+            [0, 1, 0, 0], [1, 0, 2, 3], [2, 1, 2, 2], [3, 1, 3, 3]]
+        assert graph.padded_neighbors.dtype == np.int64
+        fresh = build_edge_list_graph(4, [(0, 1), (1, 2), (1, 3)])
+        assert graph == fresh and hash(graph) == hash(fresh)
+
+
 class TestSolveKmodels:
     def test_single_region_equals_global_fit(self, rect_sim, grid25):
         res = solve_kmodels(rect_sim.dataset, grid25, SolverConfig(p=1, min_obs=10, K=4, seed=1))
@@ -344,6 +413,15 @@ class TestSolveKmodels:
     def test_k_defaults_to_four_p(self, rect_sim, grid25):
         res = solve_kmodels(rect_sim.dataset, grid25, SolverConfig(p=5, min_obs=10, seed=5))
         assert_feasible(grid25, res, p=5, min_obs=10)
+
+    def test_knn_solve_leaves_padded_view_unbuilt(self):
+        rng = np.random.default_rng(3)
+        graph = build_knn_graph(rng.random((300, 2)), 6)
+        dataset = Dataset(X=rng.random((300, 2)), y=rng.normal(size=300))
+        solve_kmodels(dataset, graph, SolverConfig(p=3, min_obs=20, K=9, seed=0))
+        assert "padded_neighbors" not in vars(graph)
+        solve_regional_kmodels(dataset, graph, SolverConfig(p=3, min_obs=20, seed=0))
+        assert "padded_neighbors" in vars(graph)
 
     def test_k_not_exceeding_p_rejected(self, rect_sim, grid25):
         with pytest.raises(ValueError, match="exceed"):

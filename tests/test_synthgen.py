@@ -10,7 +10,11 @@ from spregimes import (
     build_grid_graph,
     fit_ols,
     generate_suite,
+    io,
     is_connected_subset,
+    metrics,
+    result,
+    solvers,
     synthgen,
 )
 from spregimes.synthgen import (
@@ -186,15 +190,26 @@ class TestSuites:
             generate_suite(SimulationSpec(seed=0), 0)
 
 
-def test_synthgen_imports_neither_solvers_nor_metrics():
-    # the generator sits below the solvers and metrics in the layering
+def imported_name_parts(module):
+    """Every dotted part of every name that ``module`` imports."""
     names = set()
-    for node in ast.walk(ast.parse(Path(synthgen.__file__).read_text(encoding="utf-8"))):
+    for node in ast.walk(ast.parse(Path(module.__file__).read_text(encoding="utf-8"))):
         if isinstance(node, ast.Import):
             names.update(alias.name for alias in node.names)
         elif isinstance(node, ast.ImportFrom):
             base = node.module or ""
             names.add(base)
             names.update(f"{base}.{alias.name}" for alias in node.names)
-    parts = {part for name in names for part in name.split(".")}
-    assert not parts & {"solvers", "metrics"}
+    return {part for name in names for part in name.split(".")}
+
+
+def test_synthgen_imports_neither_solvers_nor_metrics():
+    # the generator sits below the solvers and metrics in the layering
+    assert not imported_name_parts(synthgen) & {"solvers", "metrics"}
+
+
+@pytest.mark.parametrize("module", [metrics, io], ids=["metrics", "io"])
+def test_metrics_and_io_do_not_import_solvers(module):
+    # they read SolveResult from the leaf module that solvers re-export it from
+    assert "solvers" not in imported_name_parts(module)
+    assert solvers.SolveResult is result.SolveResult
