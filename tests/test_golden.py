@@ -6,7 +6,9 @@ this file unmodified; a change that alters output on purpose updates the
 pins and says why. The K-Models cases start the merge stage from many
 undersized split components, so the merge stage performs 60 to 414 merges.
 The capped cases stop AZP and Regional-K-Models at ``max_iter`` long before
-they converge, which pins the iteration-cap stop path as well.
+they converge, which pins the iteration-cap stop path as well. The fallback
+cases send every AZP SSR test through the full refit of ``move_delta``, either
+by a rank-one test that always breaks down or by degenerate models.
 """
 
 import hashlib
@@ -16,6 +18,7 @@ import pytest
 
 from spregimes import (
     Dataset,
+    NumericalBreakdownError,
     SolverConfig,
     build_grid_graph,
     build_knn_graph,
@@ -23,6 +26,7 @@ from spregimes import (
     solve_kmodels,
     solve_regional_kmodels,
 )
+from spregimes import solvers
 from spregimes.synthgen import SimulationSpec, generate_suite
 
 
@@ -119,3 +123,37 @@ def test_capped_golden_fingerprint(name):
     assert fingerprint(result) == (ssr_repr, labels_sha1)
     assert result.iterations_used == config.max_iter
     assert len(result.trace) == config.max_iter + 1
+
+
+def breakdown(*args):
+    raise NumericalBreakdownError("forced rank-one breakdown")
+
+
+def test_refit_fallback_golden_fingerprint(monkeypatch):
+    monkeypatch.setattr(solvers, "ssr_increase_if_added", breakdown)
+    dataset, graph = grid_case(15, 15, "rectangular", 101)
+    result = solve_azp(dataset, graph, SolverConfig(p=5, min_obs=10, seed=7))
+    assert fingerprint(result) == ("44.803243409829456",
+                                   "7f9ed5b7d08a9c0a62dc859d86fe97f6365fb428")
+
+
+# name: (solver, repr(total_ssr), sha1 of int64 assignment) on the 15x15 case
+# with its first covariate in both columns, so every fit is degenerate
+DEGENERATE = {
+    "azp-rect15-dup": (solve_azp, "51.4464539545476",
+                       "8d3e85c5d470f5ccc19a3f1870e9a0cd3327e394"),
+    "rkm-rect15-dup": (solve_regional_kmodels, "56.58431988003274",
+                       "b9df37a40300f21d2d0f8b01bda723b48118c052"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DEGENERATE))
+def test_degenerate_golden_fingerprint(name):
+    solver, ssr_repr, labels_sha1 = DEGENERATE[name]
+    dataset, graph = grid_case(15, 15, "rectangular", 101)
+    x1 = dataset.X[:, 0]
+    dataset = Dataset(X=np.column_stack((x1, x1)), y=dataset.y)
+    result = solver(dataset, graph, SolverConfig(p=5, min_obs=10, seed=7),
+                    check_invariants=True)
+    assert all(model.degenerate for model in result.models)
+    assert fingerprint(result) == (ssr_repr, labels_sha1)
