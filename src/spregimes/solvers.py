@@ -11,6 +11,7 @@ from __future__ import annotations
 import heapq
 import time
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -94,17 +95,35 @@ def _resolve_config(dataset: Dataset, graph: AdjacencyGraph, config: SolverConfi
     return config
 
 
-def _fit_all(dataset: Dataset, assignment: np.ndarray, count: int) -> list[RegionModel]:
-    return [fit_ols(dataset, np.flatnonzero(assignment == j)) for j in range(count)]
+class _Fit(NamedTuple):
+    """A region's regression state, shared by every solver.
+
+    ``units`` are the members as an ascending int64 array, ``model`` their
+    OLS fit (None when fewer than m+1 units leave it non-unique) and
+    ``ssr`` the model's sum of squared residuals over them (0.0 without a
+    model).
+    """
+
+    units: np.ndarray
+    model: RegionModel | None
+    ssr: float
 
 
-def _total_ssr(dataset: Dataset, assignment: np.ndarray, models: list[RegionModel]) -> float:
-    return float(
-        sum(
-            region_ssr(models[j], dataset, np.flatnonzero(assignment == j))
-            for j in range(len(models))
-        )
-    )
+def _fit(dataset: Dataset, units: np.ndarray) -> _Fit:
+    """Fit the region ``units`` and its SSR; the only place a region is fitted."""
+    if len(units) < dataset.m + 1:
+        return _Fit(units, None, 0.0)
+    model = fit_ols(dataset, units)
+    return _Fit(units, model, region_ssr(model, dataset, units))
+
+
+def _fit_labels(dataset: Dataset, labels: np.ndarray, count: int) -> list[_Fit]:
+    """Fits of regions ``0..count-1`` of a label array, in region order."""
+    return [_fit(dataset, np.flatnonzero(labels == j)) for j in range(count)]
+
+
+def _total(fits: list[_Fit]) -> float:
+    return float(sum(f.ssr for f in fits))
 
 
 def kmodels_partition_stage(dataset: Dataset, graph: AdjacencyGraph, config: SolverConfig,
@@ -118,6 +137,9 @@ def kmodels_partition_stage(dataset: Dataset, graph: AdjacencyGraph, config: Sol
     non-increasing across iterations; the resulting micro-clusters need
     not be spatially connected.
 
+    Each micro-cluster is fitted and scored from one member array
+    (``_fit``), and the trace sums those SSRs in micro-cluster order.
+
     Returns ``(partition, models, trace)`` where ``trace[0]`` is the SSR
     of the initial solution.
     """
@@ -125,12 +147,12 @@ def kmodels_partition_stage(dataset: Dataset, graph: AdjacencyGraph, config: Sol
     stage_min = dataset.m + 1
     initial = grow_initial_partition(graph, k, stage_min, rng, RESTART_LIMIT)
     assign = initial.assignment.copy()
-    models = _fit_all(dataset, assign, k)
-    trace = [_total_ssr(dataset, assign, models)]
+    fits = _fit_labels(dataset, assign, k)
+    trace = [_total(fits)]
     xa, y = dataset.augmented, dataset.y
     n = dataset.n
     for _ in range(config.max_iter):
-        betas = np.column_stack([mo.beta for mo in models])
+        betas = np.column_stack([f.model.beta for f in fits])
         best = np.argmin(np.abs(y[:, None] - xa @ betas), axis=1).tolist()
         sizes = np.bincount(assign, minlength=k).tolist()
         labels = assign.tolist()
@@ -145,71 +167,59 @@ def kmodels_partition_stage(dataset: Dataset, graph: AdjacencyGraph, config: Sol
                     sizes[r] += 1
                     moved = True
         assign = np.asarray(labels, dtype=np.int64)
-        models = _fit_all(dataset, assign, k)
-        trace.append(_total_ssr(dataset, assign, models))
+        fits = _fit_labels(dataset, assign, k)
+        trace.append(_total(fits))
         if not moved:
             break
-    return Partition(assign, k), models, trace
-
-
-# a region's sorted members, its model (None when too small to fit) and SSR
-_Fit = tuple[np.ndarray, RegionModel | None, float]
+    return Partition(assign, k), [f.model for f in fits], trace
 
 
 class _RegionPool:
     """Mutable region bookkeeping for the merge stage.
 
-    Each region's members are a sorted int64 array, so a union is one
-    concatenate-and-sort, its first entry is the region's smallest member,
-    and the fits read the member rows in ascending unit order. A fit is a
-    ``(units, model, ssr)`` triple; ``union_fit`` scores a candidate merge
-    with one, and ``merge`` installs a scored union's triple as is, so the
-    winning union is not fitted again. Regions too small for a unique fit
-    carry no model and contribute no residuals to merge comparisons; they
-    only ever shrink in number. Region ids are never reused: a merge
+    ``regions`` maps a live region id to its ``_Fit`` and ``region_of``
+    maps each unit to its region id. Member arrays are ascending, so a
+    union is one concatenate-and-sort and its first entry is the region's
+    smallest member. ``union_fit`` scores a candidate merge with a
+    ``_Fit``, and ``merge`` installs a scored union's ``_Fit`` as is, so
+    the winning union is not fitted again. Regions too small for a unique
+    fit carry no model and contribute no residuals to merge comparisons;
+    they only ever shrink in number. Region ids are never reused: a merge
     retires both inputs and adds a new id.
     """
 
     def __init__(self, dataset: Dataset, n: int):
         self.dataset = dataset
-        self.min_fit = dataset.m + 1
-        self.members: dict[int, np.ndarray] = {}
-        self.ssr: dict[int, float] = {}
-        self.model: dict[int, RegionModel | None] = {}
+        self.regions: dict[int, _Fit] = {}
         self.region_of = np.empty(n, dtype=np.int64)
         self.next_id = 0
 
-    def fit(self, units: np.ndarray) -> _Fit:
-        if len(units) < self.min_fit:
-            return units, None, 0.0
-        model = fit_ols(self.dataset, units)
-        return units, model, region_ssr(model, self.dataset, units)
-
     def add(self, fitted: _Fit) -> int:
-        units, model, ssr = fitted
         rid = self.next_id
         self.next_id += 1
-        self.members[rid] = units
-        self.region_of[units] = rid
-        self.model[rid] = model
-        self.ssr[rid] = ssr
+        self.regions[rid] = fitted
+        self.region_of[fitted.units] = rid
         return rid
 
     def smallest(self, rid: int) -> int:
-        return int(self.members[rid][0])
+        return int(self.regions[rid].units[0])
 
     def union_fit(self, a: int, b: int) -> _Fit:
-        return self.fit(np.sort(np.concatenate((self.members[a], self.members[b]))))
+        units = np.concatenate((self.regions[a].units, self.regions[b].units))
+        return _fit(self.dataset, np.sort(units))
 
     def merge(self, a: int, b: int, fitted: _Fit) -> int:
         """Replace regions ``a`` and ``b`` by their union, fitted as ``union_fit(a, b)``."""
-        for rid in (a, b):
-            del self.members[rid], self.ssr[rid], self.model[rid]
+        del self.regions[a], self.regions[b]
         return self.add(fitted)
+
+    def delta(self, a: int, b: int, fitted: _Fit) -> float:
+        """Total-SSR change of replacing regions ``a`` and ``b`` by ``fitted``."""
+        return fitted.ssr - self.regions[a].ssr - self.regions[b].ssr
 
     def neighbor_regions(self, graph: AdjacencyGraph, rid: int) -> set[int]:
         out: set[int] = set()
-        for u in self.members[rid].tolist():
+        for u in self.regions[rid].units.tolist():
             for v in graph.neighbors[u]:
                 w = int(self.region_of[v])
                 if w != rid:
@@ -241,49 +251,49 @@ def kmodels_merge_stage(dataset: Dataset, graph: AdjacencyGraph,
     pool = _RegionPool(dataset, graph.n)
     for j in range(micro_partition.p):
         for comp in connected_components(graph, micro_partition.members(j)):
-            pool.add(pool.fit(np.asarray(comp, dtype=np.int64)))
+            pool.add(_fit(dataset, np.asarray(comp, dtype=np.int64)))
 
     # absorb undersized regions, smallest first; smallest members are
     # distinct, so (size, smallest) orders live regions without ties
-    repair = [(len(ms), pool.smallest(rid), rid) for rid, ms in pool.members.items()
-              if len(ms) < config.min_obs]
+    repair = [(len(f.units), pool.smallest(rid), rid) for rid, f in pool.regions.items()
+              if len(f.units) < config.min_obs]
     heapq.heapify(repair)
     while repair:
         rid = heapq.heappop(repair)[2]
-        if rid not in pool.members:
+        if rid not in pool.regions:
             continue  # merged away since it was queued
         best_nb, best_fit, best_delta = -1, None, np.inf
         for nb in sorted(pool.neighbor_regions(graph, rid), key=pool.smallest):
             fitted = pool.union_fit(rid, nb)
-            delta = fitted[2] - pool.ssr[rid] - pool.ssr[nb]
+            delta = pool.delta(rid, nb, fitted)
             if delta < best_delta:
                 best_nb, best_fit, best_delta = nb, fitted, delta
         if best_fit is None:
             raise MergeInfeasibleError(
-                f"undersized region (size {len(pool.members[rid])}, smallest member "
+                f"undersized region (size {len(pool.regions[rid].units)}, smallest member "
                 f"{pool.smallest(rid)}) has no neighboring region with a finite SSR "
                 "change to merge into"
             )
         new = pool.merge(rid, best_nb, best_fit)
-        if len(pool.members[new]) < config.min_obs:
-            heapq.heappush(repair, (len(pool.members[new]), pool.smallest(new), new))
+        if len(best_fit.units) < config.min_obs:
+            heapq.heappush(repair, (len(best_fit.units), pool.smallest(new), new))
 
-    if len(pool.members) < config.p:
+    if len(pool.regions) < config.p:
         raise MergeInfeasibleError(
-            f"only {len(pool.members)} regions remain after the size repair but "
+            f"only {len(pool.regions)} regions remain after the size repair but "
             f"p={config.p} were requested; lower min_obs or raise K"
         )
 
     # fuse neighboring pairs with the smallest SSR increase until p remain
-    adjacency = {rid: pool.neighbor_regions(graph, rid) for rid in pool.members}
+    adjacency = {rid: pool.neighbor_regions(graph, rid) for rid in pool.regions}
     heap: list[tuple[float, int, int]] = []
-    for a in sorted(pool.members):
+    for a in sorted(pool.regions):
         for b in sorted(adjacency[a]):
             if a < b:
-                heapq.heappush(heap, (pool.union_fit(a, b)[2] - pool.ssr[a] - pool.ssr[b], a, b))
-    while len(pool.members) > config.p:
+                heapq.heappush(heap, (pool.delta(a, b, pool.union_fit(a, b)), a, b))
+    while len(pool.regions) > config.p:
         delta, a, b = heapq.heappop(heap)
-        if a not in pool.members or b not in pool.members:
+        if a not in pool.regions or b not in pool.regions:
             continue  # one side already merged away
         new = pool.merge(a, b, pool.union_fit(a, b))
         adjacency[new] = (adjacency.pop(a) | adjacency.pop(b)) - {a, b}
@@ -292,16 +302,13 @@ def kmodels_merge_stage(dataset: Dataset, graph: AdjacencyGraph,
             adjacency[x].discard(b)
             adjacency[x].add(new)
             lo, hi = min(new, x), max(new, x)
-            heapq.heappush(heap, (pool.union_fit(lo, hi)[2] - pool.ssr[lo] - pool.ssr[hi],
-                                  lo, hi))
+            heapq.heappush(heap, (pool.delta(lo, hi, pool.union_fit(lo, hi)), lo, hi))
 
-    ordered = sorted(pool.members, key=pool.smallest)
+    ordered = [pool.regions[rid] for rid in sorted(pool.regions, key=pool.smallest)]
     assignment = np.empty(graph.n, dtype=np.int64)
-    models: list[RegionModel] = []
-    for label, rid in enumerate(ordered):
-        assignment[pool.members[rid]] = label
-        models.append(pool.model[rid])
-    return Partition(assignment, len(ordered)), models
+    for label, f in enumerate(ordered):
+        assignment[f.units] = label
+    return Partition(assignment, len(ordered)), [f.model for f in ordered]
 
 
 def solve_kmodels(dataset: Dataset, graph: AdjacencyGraph, config: SolverConfig) -> SolveResult:
@@ -311,7 +318,8 @@ def solve_kmodels(dataset: Dataset, graph: AdjacencyGraph, config: SolverConfig)
     rng = np.random.default_rng(config.seed)
     micro, _, trace = kmodels_partition_stage(dataset, graph, config, rng)
     partition, models = kmodels_merge_stage(dataset, graph, micro, config)
-    total = _total_ssr(dataset, partition.assignment, models)
+    total = float(sum(region_ssr(models[j], dataset, partition.members(j))
+                      for j in range(partition.p)))
     return SolveResult(
         partition=partition,
         models=models,
@@ -377,18 +385,19 @@ class _LocalSearch:
     """Region state and loop shared by AZP and Regional-K-Models.
 
     It grows ``p`` connected regions, fits each one, and then keeps the
-    unit labels, each region's member set, model and SSR, and the trace
-    of the total SSR. A step policy proposes moves and ``move`` applies
-    them; ``run`` calls the policy until a step moves nothing or
-    ``max_iter`` steps have run, and appends the total SSR to the trace
-    after every step, so ``iterations_used == len(trace) - 1``. The step
-    policies find their candidates with numpy over the graph's
-    ``padded_neighbors`` and the label array (``_azp_candidates``,
-    ``_rkm_candidates``), not with a Python loop over units.
+    unit labels ``assign``, one ``_Fit`` per region in ``regions`` (its
+    ascending member array, model and SSR), and the trace of the total
+    SSR. A step policy proposes moves and ``move`` applies them; ``run``
+    calls the policy until a step moves nothing or ``max_iter`` steps
+    have run, and appends the total SSR to the trace after every step, so
+    ``iterations_used == len(trace) - 1``. The step policies find their
+    candidates with numpy over the graph's ``padded_neighbors`` and the
+    label array (``_azp_candidates``, ``_rkm_candidates``), not with a
+    Python loop over units.
 
-    ``refit`` is the only place a region is fitted: it takes the region's
-    members from the labels as one ascending array and passes that array
-    to both ``fit_ols`` and ``region_ssr``, so neither sorts a set again.
+    A move inserts the unit into one member array and drops it from the
+    other, and refits both regions with ``_fit``; region sizes are the
+    lengths of the member arrays.
 
     Cache rule: a region's cut vertices (``_articulation_points``) are
     computed the first time ``is_cut`` asks about one of its units and
@@ -412,26 +421,23 @@ class _LocalSearch:
         initial = grow_initial_partition(graph, config.p, config.min_obs, self.rng,
                                          RESTART_LIMIT)
         self.assign = initial.assignment.copy()
-        self.members = [set(np.flatnonzero(self.assign == j).tolist())
-                        for j in range(config.p)]
-        self.models = [None] * config.p
-        self.ssrs = [0.0] * config.p
-        for r in range(config.p):
-            self.refit(r)
-        self.trace = [float(sum(self.ssrs))]
+        self.regions = _fit_labels(dataset, self.assign, config.p)
+        self.trace = [_total(self.regions)]
         self.cuts: list[set[int] | None] = [None] * config.p
-
-    def refit(self, r: int):
-        """Fit region ``r`` and its SSR over one ascending member array."""
-        units = np.flatnonzero(self.assign == r)
-        self.models[r] = fit_ols(self.dataset, units)
-        self.ssrs[r] = region_ssr(self.models[r], self.dataset, units)
 
     def is_cut(self, v: int, d: int) -> bool:
         """True when region ``d`` without its unit ``v`` is disconnected."""
         if self.cuts[d] is None:
-            self.cuts[d] = _articulation_points(self.graph, self.members[d])
+            self.cuts[d] = _articulation_points(self.graph,
+                                                set(self.regions[d].units.tolist()))
         return v in self.cuts[d]
+
+    def moved_fits(self, v: int, src: int, dst: int) -> tuple[_Fit, _Fit]:
+        """Fits of regions ``src`` without unit ``v`` and ``dst`` with it."""
+        loss, gain = self.regions[src].units, self.regions[dst].units
+        at = int(np.searchsorted(gain, v))
+        return (_fit(self.dataset, loss[loss != v]),
+                _fit(self.dataset, np.concatenate((gain[:at], [v], gain[at:]))))
 
     def move_delta(self, v: int, d: int, j: int) -> float:
         """Total-SSR change from moving unit v out of region d into region j.
@@ -439,47 +445,41 @@ class _LocalSearch:
         Rank-one identities give the exact change in O(m^2); degenerate
         models or a vanishing denominator fall back to comparing full refits.
         """
-        dataset, models = self.dataset, self.models
+        dataset, fj, fd = self.dataset, self.regions[j], self.regions[d]
         x, yv = dataset.X[v], float(dataset.y[v])
-        if not (models[j].degenerate or models[d].degenerate):
+        if not (fj.model.degenerate or fd.model.degenerate):
             try:
-                return ssr_increase_if_added(models[j], x, yv) - ssr_decrease_if_removed(
-                    models[d], x, yv
+                return ssr_increase_if_added(fj.model, x, yv) - ssr_decrease_if_removed(
+                    fd.model, x, yv
                 )
             except NumericalBreakdownError:
                 pass
-        gain_members = self.members[j] | {v}
-        loss_members = self.members[d] - {v}
-        new_j = region_ssr(fit_ols(dataset, gain_members), dataset, gain_members)
-        new_d = region_ssr(fit_ols(dataset, loss_members), dataset, loss_members)
-        return (new_j - self.ssrs[j]) + (new_d - self.ssrs[d])
+        new_d, new_j = self.moved_fits(v, d, j)
+        return (new_j.ssr - fj.ssr) + (new_d.ssr - fd.ssr)
 
     def move(self, v: int, src: int, dst: int):
         """Move unit ``v`` from region ``src`` into region ``dst`` and refit both."""
-        self.members[src].discard(v)
-        self.members[dst].add(v)
+        self.regions[src], self.regions[dst] = self.moved_fits(v, src, dst)
         self.assign[v] = dst
-        for r in (src, dst):
-            self.cuts[r] = None
-            self.refit(r)
+        self.cuts[src] = self.cuts[dst] = None
         if self.check_invariants:
             assert any(
                 self.assign[w] == dst for w in self.graph.neighbors[v]
             ), "unit moved into a region it does not touch"
-            for ms in self.members:
-                assert len(ms) >= self.config.min_obs, "region dropped below the minimum size"
-                assert is_connected_subset(self.graph, ms), "region lost connectivity"
+            for units, _, _ in self.regions:
+                assert len(units) >= self.config.min_obs, "region dropped below the minimum size"
+                assert is_connected_subset(self.graph, units.tolist()), "region lost connectivity"
 
     def run(self, step) -> SolveResult:
         """Call ``step(self)`` until it moves nothing or ``max_iter`` times."""
         for _ in range(self.config.max_iter):
             moved = step(self)
-            self.trace.append(float(sum(self.ssrs)))
+            self.trace.append(_total(self.regions))
             if not moved:
                 break
         return SolveResult(
             partition=Partition(self.assign, self.config.p),
-            models=self.models,
+            models=[f.model for f in self.regions],
             total_ssr=self.trace[-1],
             iterations_used=len(self.trace) - 1,
             seed=self.config.seed,
@@ -517,7 +517,7 @@ def _rkm_candidates(pad: np.ndarray, assign: np.ndarray, resid: np.ndarray,
 
 def _azp_pass(search: _LocalSearch) -> bool:
     """One AZP pass: at most one unit moves into each region, in index order."""
-    pad, assign, members = search.graph.padded_neighbors, search.assign, search.members
+    pad, assign, regions = search.graph.padded_neighbors, search.assign, search.regions
     min_obs = search.config.min_obs
     moved = False
     for j in range(search.config.p):
@@ -527,7 +527,7 @@ def _azp_pass(search: _LocalSearch) -> bool:
         for pos in search.rng.permutation(len(candidates)):
             v = candidates[pos]
             d = int(assign[v])
-            if (len(members[d]) > min_obs and not search.is_cut(v, d)
+            if (len(regions[d].units) > min_obs and not search.is_cut(v, d)
                     and search.move_delta(v, d, j) < -SSR_TOLERANCE):
                 search.move(v, d, j)
                 moved = True
@@ -538,9 +538,9 @@ def _azp_pass(search: _LocalSearch) -> bool:
 def _rkm_move(search: _LocalSearch) -> bool:
     """One RKM step: move one random candidate unit to its best adjacent region."""
     dataset, assign = search.dataset, search.assign
-    betas = np.column_stack([mo.beta for mo in search.models])
+    betas = np.column_stack([f.model.beta for f in search.regions])
     resid = np.abs(dataset.y[:, None] - dataset.augmented @ betas)
-    sizes = np.array([len(ms) for ms in search.members])
+    sizes = np.array([len(f.units) for f in search.regions])
     candidates, targets = _rkm_candidates(search.graph.padded_neighbors, assign, resid,
                                           sizes, search.config.min_obs)
     candidates, targets = candidates.tolist(), targets.tolist()

@@ -158,8 +158,9 @@ class TestMergeStage:
         ds = Dataset(X=rng.random((16, 1)), y=rng.random(16))
         labels = np.ones(16, dtype=int)
         labels[5] = 0  # an undersized region of one unit
-        monkeypatch.setattr(solvers._RegionPool, "union_fit",
-                            lambda pool, a, b: (pool.members[a], None, float("nan")))
+        monkeypatch.setattr(
+            solvers._RegionPool, "union_fit",
+            lambda pool, a, b: solvers._Fit(pool.regions[a].units, None, float("nan")))
         with pytest.raises(MergeInfeasibleError, match=r"size 1, smallest member 5"):
             kmodels_merge_stage(ds, g, Partition(labels, 2), SolverConfig(p=2, min_obs=2))
 
