@@ -285,23 +285,11 @@ def read_edge_list(path) -> list[tuple[int, int]]:
 
 
 def is_connected_subset(graph: AdjacencyGraph, subset) -> bool:
-    """True iff the subgraph induced by ``subset`` is connected.
-
-    Breadth-first search restricted to the subset; cost O(|E|).
-    """
+    """True iff the subgraph induced by ``subset`` is connected."""
     sub = set(subset)
     if not sub:
         raise ValueError("subset must be non-empty")
-    start = next(iter(sub))
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        u = queue.popleft()
-        for v in graph.neighbors[u]:
-            if v in sub and v not in seen:
-                seen.add(v)
-                queue.append(v)
-    return len(seen) == len(sub)
+    return len(connected_components(graph, sub)) == 1
 
 
 def connected_components(graph: AdjacencyGraph, subset) -> list[list[int]]:
