@@ -139,8 +139,9 @@ def write_suite(suite_dir, spec: SimulationSpec, truths: list[GroundTruth]):
     """Write one directory per simulation plus a suite-level manifest.
 
     Each simulation directory holds data.csv, true_partition.csv,
-    true_coefficients.csv, and a manifest.json recording the spec, the
-    simulation index, and the grid adjacency declaration.
+    true_coefficients.csv (columns region, b0, ..., bm), and a
+    manifest.json recording the spec, the simulation index, and the grid
+    adjacency declaration.
     """
     suite_dir = Path(suite_dir)
     suite_dir.mkdir(parents=True, exist_ok=True)
@@ -159,7 +160,8 @@ def write_suite(suite_dir, spec: SimulationSpec, truths: list[GroundTruth]):
             for unit, region in enumerate(truth.true_partition.assignment):
                 fh.write(f"{unit},{int(region)}\n")
         with open(sim_dir / "true_coefficients.csv", "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("region,b0,b1,b2\n")
+            width = truth.true_coefficients.shape[1]
+            fh.write("region," + ",".join(f"b{c}" for c in range(width)) + "\n")
             for region, row in enumerate(truth.true_coefficients):
                 fh.write(f"{region}," + ",".join(_fmt(v) for v in row) + "\n")
         _write_json(sim_dir / "manifest.json", {
@@ -192,9 +194,8 @@ def load_simulation(sim_dir):
         raise ValueError(f"{sim_dir}: partition covers {len(labels)} of {dataset.n} units")
     with open(sim_dir / "true_coefficients.csv", "r", encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
-        coefficients = np.array(
-            [[float(row["b0"]), float(row["b1"]), float(row["b2"])] for row in reader]
-        )
+        names = [f"b{c}" for c in range(len(reader.fieldnames) - 1)]  # all but "region"
+        coefficients = np.array([[float(row[name]) for name in names] for row in reader])
     partition = Partition(np.asarray(labels), int(max(labels)) + 1)
     truth = GroundTruth(partition, coefficients, dataset)
     return truth, {"spec": spec, "manifest": manifest}

@@ -95,7 +95,7 @@ class SimulationSpec:
 class GroundTruth:
     """One simulation: latent regions, their coefficients, and the data.
 
-    ``true_coefficients`` has one row per region: (b0, b1, b2).
+    ``true_coefficients`` has one row per region: (b0, b1, ..., bm).
     """
 
     true_partition: Partition

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,6 +26,25 @@ def small_suite(tmp_path_factory):
     suite_dir = tmp_path_factory.mktemp("suite")
     write_suite(suite_dir, spec, truths)
     return spec, truths, suite_dir
+
+
+@pytest.fixture(scope="module")
+def suite_m3(small_suite, tmp_path_factory):
+    """The small suite with a third covariate and a third slope per region."""
+    spec, truths, _ = small_suite
+    rng = np.random.default_rng(5)
+    wider = []
+    for truth in truths:
+        x3 = rng.random(truth.dataset.n)
+        b3 = rng.random(len(truth.true_coefficients))
+        wider.append(replace(
+            truth,
+            true_coefficients=np.column_stack((truth.true_coefficients, b3)),
+            dataset=replace(truth.dataset, X=np.column_stack((truth.dataset.X, x3))),
+        ))
+    suite_dir = tmp_path_factory.mktemp("suite_m3")
+    write_suite(suite_dir, spec, wider)
+    return spec, wider, suite_dir
 
 
 class TestDatasetCsv:
@@ -76,18 +96,18 @@ class TestSuiteLayout:
         assert manifest["count"] == 2
         assert manifest["spec"]["scheme"] == "rectangular"
 
-    def test_round_trip_preserves_truth(self, small_suite):
-        spec, truths, suite_dir = small_suite
-        for i, sim_dir in enumerate(list_simulations(suite_dir)):
-            loaded, info = load_simulation(sim_dir)
-            assert np.array_equal(
-                loaded.true_partition.assignment, truths[i].true_partition.assignment
-            )
-            assert np.array_equal(loaded.true_coefficients, truths[i].true_coefficients)
-            assert np.array_equal(loaded.dataset.X, truths[i].dataset.X)
-            assert np.array_equal(loaded.dataset.y, truths[i].dataset.y)
-            assert info["spec"] == spec
-            assert info["manifest"]["adjacency"] == {"type": "grid", "rows": 10, "cols": 10}
+    def test_round_trip_preserves_truth(self, small_suite, suite_m3):
+        for spec, truths, suite_dir in (small_suite, suite_m3):
+            for i, sim_dir in enumerate(list_simulations(suite_dir)):
+                loaded, info = load_simulation(sim_dir)
+                assert np.array_equal(
+                    loaded.true_partition.assignment, truths[i].true_partition.assignment
+                )
+                assert np.array_equal(loaded.true_coefficients, truths[i].true_coefficients)
+                assert np.array_equal(loaded.dataset.X, truths[i].dataset.X)
+                assert np.array_equal(loaded.dataset.y, truths[i].dataset.y)
+                assert info["spec"] == spec
+                assert info["manifest"]["adjacency"] == {"type": "grid", "rows": 10, "cols": 10}
 
 
 class TestResultRoundTrip:
