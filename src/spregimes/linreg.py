@@ -3,7 +3,10 @@
 Every region keeps an intercept and a coefficient vector estimated by OLS
 over its member units. The inverse Gram matrix and the cross-product
 vector are cached so that single observations can be added or removed in
-O(m^2) via rank-one (Sherman-Morrison) updates of the inverse. A fit is
+O(m^2) via rank-one (Sherman-Morrison) updates of the inverse. The exact
+SSR change of adding or dropping one row (``ssr_increase_if_added``,
+``ssr_decrease_if_removed``) also takes a stack of rows and then scores
+each row against the same model in one numpy expression. A fit is
 screened for rank deficiency by a Frobenius-norm bound on the condition
 number of its Gram matrix, and only fits the bound cannot certify pay for
 an SVD (see ``fit_ols``).
@@ -277,30 +280,47 @@ def remove_unit(model: RegionModel, x, y: float) -> RegionModel:
     return RegionModel(gram_inv @ xty, gram_inv, xty, model.n_obs - 1, model.degenerate)
 
 
-def ssr_increase_if_added(model: RegionModel, x, y: float) -> float:
+def _residual_and_leverage(model: RegionModel, x, y):
+    """Residual ``e`` and leverage ``h`` of one row, or of each row of a stack."""
+    _require_caches(model)
+    x = np.asarray(x, dtype=float)
+    if x.ndim == 2:
+        y = np.asarray(y, dtype=float)
+        if x.shape[1] != model.m or y.shape != (len(x),):
+            raise ValueError(f"row stack {x.shape} with response {y.shape} does not "
+                             f"match a model of {model.m} covariates")
+        z = np.empty((len(x), model.m + 1))
+        z[:, 0] = 1.0
+        z[:, 1:] = x
+        return y - z @ model.beta, np.einsum("ij,ij->i", z @ model.gram_inv, z)
+    z = np.concatenate(([1.0], x))
+    return y - z @ model.beta, z @ model.gram_inv @ z
+
+
+def ssr_increase_if_added(model: RegionModel, x, y) -> float | np.ndarray:
     """Exact SSR increase from absorbing ``(x, y)``, without refitting.
 
     Uses the recursive least-squares identity: the new SSR equals the old
     one plus e^2 / (1 + h), where e is the pre-update residual and h the
-    leverage of the new row.
+    leverage of the new row. With a ``(c, m)`` row stack ``x`` and a
+    ``(c,)`` response ``y`` it returns each row's increase as an array.
     """
-    _require_caches(model)
-    z = np.concatenate(([1.0], np.asarray(x, dtype=float)))
-    e = y - z @ model.beta
-    h = z @ model.gram_inv @ z
-    return float(e * e / (1.0 + h))
+    e, h = _residual_and_leverage(model, x, y)
+    gain = e * e / (1.0 + h)
+    return gain if np.ndim(gain) else float(gain)
 
 
-def ssr_decrease_if_removed(model: RegionModel, x, y: float) -> float:
+def ssr_decrease_if_removed(model: RegionModel, x, y) -> float | np.ndarray:
     """Exact SSR decrease from dropping member ``(x, y)``, without refitting.
 
     Leave-one-out identity: the SSR shrinks by e^2 / (1 - h). Raises
-    NumericalBreakdownError when the row's leverage is ~1.
+    NumericalBreakdownError when the row's leverage is ~1; a ``(c, m)``
+    row stack returns each row's decrease as an array, and raises when
+    any of its rows has leverage ~1.
     """
-    _require_caches(model)
-    z = np.concatenate(([1.0], np.asarray(x, dtype=float)))
-    e = y - z @ model.beta
-    denom = 1.0 - z @ model.gram_inv @ z
-    if abs(denom) < BREAKDOWN_EPS:
+    e, h = _residual_and_leverage(model, x, y)
+    denom = 1.0 - h
+    if (np.abs(denom) < BREAKDOWN_EPS).any():
         raise NumericalBreakdownError("leverage ~ 1 in rank-one removal")
-    return float(e * e / denom)
+    loss = e * e / denom
+    return loss if np.ndim(loss) else float(loss)

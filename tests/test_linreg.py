@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spregimes import (
     Dataset,
@@ -14,6 +16,8 @@ from spregimes import (
     ssr_decrease_if_removed,
     ssr_increase_if_added,
 )
+
+from conftest import rank_one_rounding
 
 
 def reference_fit(dataset, members):
@@ -269,6 +273,79 @@ class TestSsrDeltas:
         after = region_ssr(shrunk, ds, range(24))
         delta = ssr_decrease_if_removed(model, ds.X[24], float(ds.y[24]))
         assert delta == pytest.approx(before - after, rel=1e-9, abs=1e-12)
+
+
+@st.composite
+def stack_cases(draw):
+    """A model, a stack of rows to add and a stack of its members to drop.
+
+    The model is fitted on at least 3(m+1) random rows, so no member's
+    leverage comes near 1 (that case must raise; see below). Rows to add
+    mix members with rows outside the fit. Either stack may be empty or
+    repeat a row.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = draw(st.integers(1, 3))
+    fitted, outside = draw(st.integers(3 * (m + 1), 30)), draw(st.integers(0, 10))
+    ds = random_dataset(rng, fitted + outside, m, noise=draw(st.floats(0.1, 2.0)))
+    added = rng.choice(fitted + outside, size=draw(st.integers(0, 12)))
+    dropped = rng.choice(fitted, size=draw(st.integers(0, 12)))
+    return (fit_ols(ds, range(fitted)), (ds.X[added], ds.y[added]),
+            (ds.X[dropped], ds.y[dropped]))
+
+
+@st.composite
+def breakdown_stacks(draw):
+    """A model fitted on exactly m+1 rows, so each member has leverage 1,
+    and a stack of outside rows with one member inserted.
+
+    The members are the vertices of a jittered, shifted and scaled
+    simplex, so the fit is well conditioned and the computed leverage of
+    a member misses 1 only by rounding.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = draw(st.integers(1, 3))
+    outside = draw(st.integers(0, 8))
+    simplex = np.vstack((np.zeros(m), np.eye(m))) + 0.1 * rng.normal(size=(m + 1, m))
+    support = rng.normal(size=m) + draw(st.floats(0.5, 2.0)) * simplex
+    ds = Dataset(X=np.vstack((support, rng.normal(size=(outside, m)))),
+                 y=rng.normal(size=m + 1 + outside))
+    rows = list(range(m + 1, m + 1 + outside))
+    rows.insert(draw(st.integers(0, outside)), draw(st.integers(0, m)))
+    return fit_ols(ds, range(m + 1)), ds.X[rows], ds.y[rows]
+
+
+class TestRankOneStacks:
+    @settings(max_examples=150, deadline=None)
+    @given(stack_cases())
+    def test_stack_equals_scalar_rows(self, case):
+        model, added, dropped = case
+        for test, sign, (x, y) in ((ssr_increase_if_added, 1.0, added),
+                                   (ssr_decrease_if_removed, -1.0, dropped)):
+            stacked = test(model, x, y)
+            assert isinstance(stacked, np.ndarray) and stacked.shape == y.shape
+            scalar = [test(model, x[i], float(y[i])) for i in range(len(y))]
+            assert all(type(value) is float for value in scalar)
+            # rtol 1e-12, widened only where a residual is far below its terms
+            gap = np.abs(stacked - np.array(scalar))
+            assert (gap <= 1e-12 * np.abs(stacked) + rank_one_rounding(model, x, y, sign)).all()
+
+    @settings(max_examples=60, deadline=None)
+    @given(breakdown_stacks())
+    def test_stack_with_unit_leverage_row_raises(self, case):
+        model, x, y = case
+        with pytest.raises(NumericalBreakdownError, match="leverage"):
+            ssr_decrease_if_removed(model, x, y)
+        # adding a row never divides by less than one
+        assert (ssr_increase_if_added(model, x, y) >= 0.0).all()
+
+    def test_stack_shape_mismatch_rejected(self, rng):
+        ds = random_dataset(rng, 10, 2)
+        model = fit_ols(ds, range(10))
+        with pytest.raises(ValueError, match="row stack"):
+            ssr_increase_if_added(model, ds.X[:3], ds.y[:2])
+        with pytest.raises(ValueError, match="row stack"):
+            ssr_decrease_if_removed(model, ds.X[:3, :1], ds.y[:3])
 
 
 class TestMergedRegionSsr:
