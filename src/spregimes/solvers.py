@@ -331,19 +331,22 @@ def solve_kmodels(dataset: Dataset, graph: AdjacencyGraph, config: SolverConfig)
     )
 
 
-def _articulation_points(graph: AdjacencyGraph, member_set: set[int]) -> set[int]:
-    """Cut vertices of the subgraph that ``member_set`` induces.
+def _articulation_points(graph: AdjacencyGraph, labels: list[int], root: int) -> set[int]:
+    """Cut vertices of the region ``labels[root]``, walked from ``root``.
 
     Iterative Hopcroft-Tarjan DFS (Hopcroft & Tarjan 1973, CACM 16(6)), so
-    region size is not bounded by the recursion limit. Units are numbered
-    in discovery order; ``low`` and the parent's number are lists indexed
-    by that number, and each stack entry carries its unit's number. For a
+    region size is not bounded by the recursion limit. It reads the
+    region straight off the label list, so no member set is built. Units
+    are numbered in discovery order: ``disc`` is indexed by unit (-1 until
+    found), ``low`` and the parent's number are lists indexed by that
+    number, and each stack entry carries its unit's number. For a
     connected region of at least two units, the region minus ``v`` is
     connected exactly when ``v`` is not returned.
     """
     neighbors = graph.neighbors
-    root = next(iter(member_set))
-    disc = {root: 0}
+    region = labels[root]
+    disc = [-1] * len(labels)
+    disc[root] = 0
     low = [0]
     parent = [-1]
     root_children = 0
@@ -352,9 +355,9 @@ def _articulation_points(graph: AdjacencyGraph, member_set: set[int]) -> set[int
     while stack:
         u, du, it = stack[-1]
         for w in it:
-            if w in member_set:
-                dw = disc.get(w)
-                if dw is None:
+            if labels[w] == region:
+                dw = disc[w]
+                if dw < 0:
                     dw = len(low)
                     disc[w] = dw
                     low.append(dw)
@@ -381,6 +384,26 @@ def _articulation_points(graph: AdjacencyGraph, member_set: set[int]) -> set[int
     return cuts
 
 
+def _rank_one(test, model: RegionModel, x: np.ndarray, y: np.ndarray
+              ) -> tuple[np.ndarray, np.ndarray]:
+    """A rank-one SSR ``test`` over a row stack, and which rows it decided.
+
+    One stacked call scores every row. If it raises
+    NumericalBreakdownError, each row is scored alone, and the rows whose
+    own test raises are marked undecided.
+    """
+    try:
+        return test(model, x, y), np.ones(len(y), dtype=bool)
+    except NumericalBreakdownError:
+        out, ok = np.zeros(len(y)), np.ones(len(y), dtype=bool)
+        for i in range(len(y)):
+            try:
+                out[i] = test(model, x[i], float(y[i]))
+            except NumericalBreakdownError:
+                ok[i] = False
+        return out, ok
+
+
 class _LocalSearch:
     """Region state and loop shared by AZP and Regional-K-Models.
 
@@ -399,12 +422,18 @@ class _LocalSearch:
     other, and refits both regions with ``_fit``; region sizes are the
     lengths of the member arrays.
 
-    Cache rule: a region's cut vertices (``_articulation_points``) are
-    computed the first time ``is_cut`` asks about one of its units and
-    dropped when a move takes a unit out of it or into it. Regions stay
-    connected, and a donor keeps at least ``min_obs >= m+1 >= 2`` units,
-    so the donor minus ``v`` is connected exactly when ``v`` is not a cut
-    vertex.
+    ``screen`` scores moving each of a region's candidates into it with
+    the rank-one identities, one stacked call per model, and marks the
+    candidates that only a full refit (``refit_delta``) can decide.
+
+    Cache rule: a region's cut vertices (``_articulation_points``, over
+    the label list) are computed the first time ``is_cut`` asks about one
+    of its units and dropped when a move takes a unit out of it or into
+    it. The step policies ask only about units that passed every cheaper
+    check (for AZP the size and the SSR screen), so cut sets are built
+    only for donors that have such a unit. Regions stay connected, and a
+    donor keeps at least ``min_obs >= m+1 >= 2`` units, so the donor minus
+    ``v`` is connected exactly when ``v`` is not a cut vertex.
 
     ``check_invariants`` asserts after every move that the unit touches
     its new region and that every region is connected and at least
@@ -428,8 +457,8 @@ class _LocalSearch:
     def is_cut(self, v: int, d: int) -> bool:
         """True when region ``d`` without its unit ``v`` is disconnected."""
         if self.cuts[d] is None:
-            self.cuts[d] = _articulation_points(self.graph,
-                                                set(self.regions[d].units.tolist()))
+            self.cuts[d] = _articulation_points(self.graph, self.assign.tolist(),
+                                                int(self.regions[d].units[0]))
         return v in self.cuts[d]
 
     def moved_fits(self, v: int, src: int, dst: int) -> tuple[_Fit, _Fit]:
@@ -439,23 +468,41 @@ class _LocalSearch:
         return (_fit(self.dataset, loss[loss != v]),
                 _fit(self.dataset, np.concatenate((gain[:at], [v], gain[at:]))))
 
-    def move_delta(self, v: int, d: int, j: int) -> float:
-        """Total-SSR change from moving unit v out of region d into region j.
+    def screen(self, candidates: np.ndarray, donors: np.ndarray, j: int
+               ) -> tuple[np.ndarray, np.ndarray]:
+        """Total-SSR change of moving each candidate from its donor into region ``j``.
 
-        Rank-one identities give the exact change in O(m^2); degenerate
-        models or a vanishing denominator fall back to comparing full refits.
+        Rank-one identities give the exact changes in O(m^2) per
+        candidate: one stacked ``ssr_increase_if_added`` against region
+        ``j`` and one stacked ``ssr_decrease_if_removed`` per donor.
+        Returns ``(delta, refit)``; ``refit`` marks the candidates whose
+        change only ``refit_delta`` can give, because either model is
+        degenerate or the candidate's own rank-one test breaks down. Their
+        ``delta`` is nan.
         """
-        dataset, fj, fd = self.dataset, self.regions[j], self.regions[d]
-        x, yv = dataset.X[v], float(dataset.y[v])
-        if not (fj.model.degenerate or fd.model.degenerate):
-            try:
-                return ssr_increase_if_added(fj.model, x, yv) - ssr_decrease_if_removed(
-                    fd.model, x, yv
-                )
-            except NumericalBreakdownError:
-                pass
+        x, y = self.dataset.X[candidates], self.dataset.y[candidates]
+        delta = np.full(len(candidates), np.nan)
+        refit = np.ones(len(candidates), dtype=bool)
+        target = self.regions[j].model
+        if target.degenerate:
+            return delta, refit
+        gain, gained = _rank_one(ssr_increase_if_added, target, x, y)
+        for d in np.unique(donors).tolist():
+            donor = self.regions[d].model
+            if donor.degenerate:
+                continue
+            rows = np.flatnonzero(donors == d)
+            loss, lost = _rank_one(ssr_decrease_if_removed, donor, x[rows], y[rows])
+            rows, loss = rows[lost], loss[lost]
+            delta[rows] = gain[rows] - loss
+            refit[rows] = ~gained[rows]
+        delta[refit] = np.nan
+        return delta, refit
+
+    def refit_delta(self, v: int, d: int, j: int) -> float:
+        """Total-SSR change from moving unit v out of region d into region j, by refits."""
         new_d, new_j = self.moved_fits(v, d, j)
-        return (new_j.ssr - fj.ssr) + (new_d.ssr - fd.ssr)
+        return (new_j.ssr - self.regions[j].ssr) + (new_d.ssr - self.regions[d].ssr)
 
     def move(self, v: int, src: int, dst: int):
         """Move unit ``v`` from region ``src`` into region ``dst`` and refit both."""
@@ -521,17 +568,23 @@ def _azp_pass(search: _LocalSearch) -> bool:
     min_obs = search.config.min_obs
     moved = False
     for j in range(search.config.p):
-        candidates = _azp_candidates(pad, assign, j).tolist()
+        candidates = _azp_candidates(pad, assign, j)
+        donors = assign[candidates]
+        delta, refit = search.screen(candidates, donors, j)
+        sizes = np.array([len(f.units) for f in regions])
+        viable = (sizes[donors] > min_obs) & (refit | (delta < -SSR_TOLERANCE))
         # first valid unit of a uniformly shuffled scan is a uniform
         # draw from the full valid set, without evaluating all of it
-        for pos in search.rng.permutation(len(candidates)):
-            v = candidates[pos]
-            d = int(assign[v])
-            if (len(regions[d].units) > min_obs and not search.is_cut(v, d)
-                    and search.move_delta(v, d, j) < -SSR_TOLERANCE):
-                search.move(v, d, j)
-                moved = True
-                break
+        order = search.rng.permutation(len(candidates))
+        for pos in order[viable[order]].tolist():
+            v, d = int(candidates[pos]), int(donors[pos])
+            if search.is_cut(v, d):
+                continue
+            if refit[pos] and not search.refit_delta(v, d, j) < -SSR_TOLERANCE:
+                continue
+            search.move(v, d, j)
+            moved = True
+            break
     return moved
 
 
@@ -560,10 +613,14 @@ def solve_azp(dataset: Dataset, graph: AdjacencyGraph, config: SolverConfig,
 
     Each pass visits regions in fixed index order. For region j, a unit v
     adjacent to it may move in when (a) its donor stays at or above
-    ``min_obs``, (b) the donor stays connected without it, and (c) the
-    move strictly lowers the total SSR; the checks run in that order,
-    cheapest first. Check (b) is a lookup in the donor's cached cut
-    vertices and check (c) uses rank-one identities (``_LocalSearch``).
+    ``min_obs``, (b) the move strictly lowers the total SSR, and (c) the
+    donor stays connected without it. The checks run in the order size,
+    SSR, connectivity. Check (b) uses rank-one identities, scored for all
+    of region j's candidates at once; a candidate they cannot decide
+    (degenerate models or a vanishing denominator) is decided by full
+    refits, after check (c). Check (c) is a lookup in the donor's cached
+    cut vertices (``_LocalSearch``). Every check is a pure function of the
+    current state, so the order does not change which unit moves.
     One uniformly random valid unit is moved per region per pass and both
     affected models are refit immediately, so later regions in the same
     pass see the updated state. Terminates when a full pass moves nothing

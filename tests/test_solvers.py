@@ -8,6 +8,7 @@ from spregimes import (
     DisconnectedGraphError,
     InitializationFailedError,
     MergeInfeasibleError,
+    NumericalBreakdownError,
     Partition,
     SolverConfig,
     build_edge_list_graph,
@@ -26,10 +27,26 @@ from spregimes import (
     solve_kmodels,
     solve_regional_kmodels,
     solve_with_restarts,
+    ssr_decrease_if_removed,
+    ssr_increase_if_added,
 )
 from spregimes import solvers
-from spregimes.solvers import _articulation_points, _azp_candidates, _rkm_candidates
+from spregimes.solvers import (
+    SSR_TOLERANCE,
+    _articulation_points,
+    _azp_candidates,
+    _azp_pass,
+    _LocalSearch,
+    _rkm_candidates,
+)
 from spregimes.synthgen import SimulationSpec
+
+from conftest import rank_one_rounding
+
+try:
+    import networkx as nx  # test oracle only
+except ImportError:
+    nx = None
 
 
 def assert_feasible(graph, result, p, min_obs):
@@ -272,6 +289,31 @@ def cut_cases(draw):
     return graph, grown_subset(graph, size, rng)
 
 
+def region_labels(n, members):
+    """Label list with ``members`` in region 0 and every other unit in region 1."""
+    labels = [1] * n
+    for v in members:
+        labels[v] = 0
+    return labels
+
+
+@st.composite
+def labelled_cut_cases(draw):
+    """A cut case inside a label list of several regions.
+
+    The subset is region ``d`` and every other unit gets a random label of
+    another region, so the search must leave out units next to the subset.
+    """
+    graph, members = draw(cut_cases())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    p = draw(st.integers(2, 5))
+    d = draw(st.integers(0, p - 1))
+    labels = rng.choice([r for r in range(p) if r != d], size=graph.n).tolist()
+    for v in members:
+        labels[v] = d
+    return graph, labels, members, draw(st.sampled_from(sorted(members)))
+
+
 class TestArticulationPoints:
     @settings(max_examples=200, deadline=None)
     @given(cut_cases())
@@ -279,16 +321,27 @@ class TestArticulationPoints:
         graph, members = case
         expected = {v for v in members
                     if len(members) > 1 and not is_connected_subset(graph, members - {v})}
-        assert _articulation_points(graph, members) == expected
+        labels = region_labels(graph.n, members)
+        assert _articulation_points(graph, labels, min(members)) == expected
+
+    @pytest.mark.skipif(nx is None, reason="networkx is the oracle of this test")
+    @settings(max_examples=200, deadline=None)
+    @given(labelled_cut_cases())
+    def test_matches_networkx_within_labelled_regions(self, case):
+        graph, labels, members, root = case
+        sub = nx.Graph()
+        sub.add_nodes_from(members)
+        sub.add_edges_from((u, v) for u in members for v in graph.neighbors[u] if v in members)
+        assert _articulation_points(graph, labels, root) == set(nx.articulation_points(sub))
 
     def test_60x60_regions_need_no_recursion(self):
         grid = build_grid_graph(60, 60)
-        assert _articulation_points(grid, set(range(3600))) == set()
+        assert _articulation_points(grid, [0] * 3600, 0) == set()
         # a serpentine path over every other row, far deeper than the
         # recursion limit: every unit but its two ends is a cut vertex
         snake = {r * 60 + c for r in range(0, 60, 2) for c in range(60)}
         snake |= {r * 60 + (59 if r % 4 == 1 else 0) for r in range(1, 59, 2)}
-        assert _articulation_points(grid, snake) == snake - {0, 58 * 60}
+        assert _articulation_points(grid, region_labels(3600, snake), 0) == snake - {0, 58 * 60}
 
 
 @st.composite
@@ -351,6 +404,158 @@ def azp_candidates_loop(graph, assign, j):
     """Reference AZP candidate set: the comprehension ``_azp_candidates`` replaced."""
     members = np.flatnonzero(assign == j).tolist()
     return sorted({v for u in members for v in graph.neighbors[u] if assign[v] != j})
+
+
+def move_delta_oracle(search, v, d, j):
+    """The scalar rank-one test that ``_LocalSearch.screen`` replaced.
+
+    Returns the SSR increase of region ``j`` and decrease of region ``d``
+    from moving unit ``v``, or None where the full refit decides.
+    """
+    dataset, fj, fd = search.dataset, search.regions[j], search.regions[d]
+    x, yv = dataset.X[v], float(dataset.y[v])
+    if not (fj.model.degenerate or fd.model.degenerate):
+        try:
+            return ssr_increase_if_added(fj.model, x, yv), ssr_decrease_if_removed(fd.model, x, yv)
+        except NumericalBreakdownError:
+            pass
+    return None
+
+
+def search_state(dataset, graph, labels, p):
+    """A ``_LocalSearch`` holding the given labels and their fits, grown by no one."""
+    search = object.__new__(_LocalSearch)
+    search.dataset, search.graph, search.assign = dataset, graph, labels
+    search.regions = solvers._fit_labels(dataset, labels, p)
+    return search
+
+
+@st.composite
+def screen_cases(draw):
+    """Random labels on a drawn graph, with degenerate or duplicated columns.
+
+    Every region gets at least m+1 units, so every region has a model;
+    regions of exactly m+1 units give leverage-1 rows whose removal breaks
+    down. A 0/1 column is constant, so degenerate, in some small regions
+    only; a constant or duplicated column makes every model degenerate.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    graph = draw_graph(draw, rng, (3, 8), (10, 60), 3)
+    n, m = graph.n, draw(st.integers(1, 3))
+    p = draw(st.integers(2, 4))
+    assume(n >= p * (m + 1))
+    labels = np.concatenate((np.repeat(np.arange(p), m + 1),
+                             rng.integers(p, size=n - p * (m + 1))))
+    labels = rng.permutation(labels).astype(np.int64)
+    x = rng.normal(size=(n, m))
+    for c in range(m):
+        kind = draw(st.sampled_from(["normal", "binary", "constant", "duplicate"]))
+        if kind == "binary":
+            x[:, c] = rng.integers(2, size=n)
+        elif kind == "constant":
+            x[:, c] = 1.5
+        elif kind == "duplicate" and c > 0:
+            x[:, c] = x[:, c - 1]
+    return Dataset(X=x, y=rng.normal(size=n)), graph, labels, p
+
+
+class TestSsrScreen:
+    @settings(max_examples=150, deadline=None)
+    @given(screen_cases())
+    def test_screen_matches_scalar_oracle(self, case):
+        dataset, graph, labels, p = case
+        search = search_state(dataset, graph, labels, p)
+        for j in range(p):
+            candidates = _azp_candidates(graph.padded_neighbors, labels, j)
+            donors = labels[candidates]
+            delta, refit = search.screen(candidates, donors, j)
+            for pos, v in enumerate(candidates.tolist()):
+                expected = move_delta_oracle(search, v, int(donors[pos]), j)
+                assert refit[pos] == (expected is None)
+                if expected is None:
+                    assert np.isnan(delta[pos])
+                else:
+                    gain, loss = expected
+                    v_x, v_y, d = dataset.X[v], float(dataset.y[v]), int(donors[pos])
+                    bound = (rank_one_rounding(search.regions[j].model, v_x, v_y, 1.0)
+                             + rank_one_rounding(search.regions[d].model, v_x, v_y, -1.0))
+                    assert abs(delta[pos] - (gain - loss)) <= bound[0]
+
+    def test_converged_pass_builds_no_cut_set(self, monkeypatch):
+        # a noiseless two-regime chain converges at SSR 0, so no unit can
+        # lower the SSR and no donor needs its cut vertices
+        n = 20
+        graph = build_grid_graph(1, n)
+        x = np.random.default_rng(0).random((n, 1))
+        y = np.where(np.arange(n) < 10, 1.0 + 2.0 * x[:, 0], 3.0 - 1.0 * x[:, 0])
+        search = _LocalSearch(Dataset(X=x, y=y), graph, SolverConfig(p=2, min_obs=3, seed=1),
+                              check_invariants=False)
+        search.run(_azp_pass)
+        assert search.trace[-1] == pytest.approx(0.0, abs=1e-12)
+        search.cuts = [None, None]
+        built = count_cut_builds(monkeypatch)
+        assert not _azp_pass(search)
+        assert built == []
+
+    def test_cut_sets_only_for_donors_with_an_improving_unit(self, rect_sim, grid25,
+                                                             monkeypatch):
+        cfg = SolverConfig(p=5, min_obs=10, seed=7)
+        search = _LocalSearch(rect_sim.dataset, grid25, cfg, check_invariants=False)
+        search.run(_azp_pass)
+        sizes = np.array([len(f.units) for f in search.regions])
+        improving = set()
+        for j in range(cfg.p):
+            candidates = _azp_candidates(grid25.padded_neighbors, search.assign, j)
+            donors = search.assign[candidates]
+            delta, refit = search.screen(candidates, donors, j)
+            viable = (sizes[donors] > cfg.min_obs) & (refit | (delta < -SSR_TOLERANCE))
+            improving |= set(donors[viable].tolist())
+        search.cuts = [None] * cfg.p
+        built = count_cut_builds(monkeypatch)
+        assert not _azp_pass(search)
+        assert set(built) <= improving
+
+    def test_breakdown_sends_screened_candidates_to_refits(self, monkeypatch):
+        spec = SimulationSpec(rows=15, cols=15, sigma=0.1, seed=101)
+        dataset = generate_suite(spec, 1)[0].dataset
+        graph, cfg = build_grid_graph(15, 15), SolverConfig(p=5, min_obs=10, seed=7)
+        calls = {"move": 0, "moved_fits": 0}
+        for name in calls:
+            real = getattr(_LocalSearch, name)
+            monkeypatch.setattr(_LocalSearch, name, counted(real, calls, name))
+        plain = solve_azp(dataset, graph, cfg)
+        # without breakdowns or degenerate models only accepted moves refit
+        assert calls["moved_fits"] == calls["move"] > 0
+        calls.update(move=0, moved_fits=0)
+
+        def breakdown(*args):
+            raise NumericalBreakdownError("forced rank-one breakdown")
+
+        monkeypatch.setattr(solvers, "ssr_increase_if_added", breakdown)
+        forced = solve_azp(dataset, graph, cfg)
+        assert calls["moved_fits"] > calls["move"] > 0
+        assert forced.total_ssr == plain.total_ssr
+        assert np.array_equal(forced.partition.assignment, plain.partition.assignment)
+
+
+def counted(fn, calls, name):
+    def wrapper(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+    return wrapper
+
+
+def count_cut_builds(monkeypatch):
+    """Record the region of every ``_articulation_points`` call from now on."""
+    built = []
+    real = solvers._articulation_points
+
+    def recording(graph, labels, root):
+        built.append(labels[root])
+        return real(graph, labels, root)
+
+    monkeypatch.setattr(solvers, "_articulation_points", recording)
+    return built
 
 
 @st.composite
