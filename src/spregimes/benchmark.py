@@ -119,7 +119,9 @@ def run_benchmark(suite_dir, algorithms: list[str], config: SolverConfig,
     """Run every algorithm on every simulation of the suite.
 
     Per-cell failures are recorded, not raised; callers decide how to
-    surface them. With ``jobs > 1`` cells run in separate processes;
+    surface them. Options that are invalid whatever the simulation
+    (``repeats``, ``max_iter`` or ``p`` below 1) raise ValueError before
+    any cell runs. With ``jobs > 1`` cells run in separate processes;
     outputs are identical to a serial run.
     """
     if not algorithms:
@@ -127,6 +129,12 @@ def run_benchmark(suite_dir, algorithms: list[str], config: SolverConfig,
     unknown = [a for a in algorithms if a not in SOLVERS]
     if unknown:
         raise ValueError(f"unknown algorithms: {unknown}; expected from {sorted(SOLVERS)}")
+    if repeats < 1:
+        raise ValueError("repeats must be >= 1")
+    if config.max_iter < 1:
+        raise ValueError("max_iter must be >= 1")
+    if config.p < 1:
+        raise ValueError(f"p must be >= 1, got {config.p}")
     sim_dirs = list_simulations(suite_dir)
     tasks = [
         (str(sim_dir), sim_index, algorithm, config, repeats, standardize)

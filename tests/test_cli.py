@@ -211,6 +211,18 @@ class TestBenchmarkCommand:
                      "--p", "2", "--output", str(tmp_path / "x")])
         assert code == 2
 
+    @pytest.mark.parametrize("option", [["--max-iter", "0"], ["--repeats", "0"],
+                                        ["--p", "0"]])
+    def test_invalid_solver_options_exit_two_without_csvs(self, suite_dir, tmp_path, option,
+                                                          capsys):
+        out = tmp_path / "x"
+        code = main(["benchmark", "--suite", str(suite_dir), "--algorithms", "azp",
+                     "--p", "2", "--min-obs", "10", "--seed", "3", "--output", str(out)]
+                    + option)
+        assert code == 2
+        assert ">= 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_infeasible_cells_exit_four(self, suite_dir, tmp_path):
         # two regions of 51 units cannot fit in a 100-cell grid
         code = main(["benchmark", "--suite", str(suite_dir), "--algorithms", "azp",
