@@ -3,7 +3,10 @@
 Every region keeps an intercept and a coefficient vector estimated by OLS
 over its member units. The inverse Gram matrix and the cross-product
 vector are cached so that single observations can be added or removed in
-O(m^2) via rank-one (Sherman-Morrison) updates of the inverse. The exact
+O(m^2) via rank-one (Sherman-Morrison) updates of the inverse. ``fit_ols``
+gathers the member rows once and also records the training SSR from them,
+so a fresh fit needs no second pass (``region_ssr``) over its members;
+``region_ssr`` scores a model on any other set of rows. The exact
 SSR change of adding or dropping one row (``ssr_increase_if_added``,
 ``ssr_decrease_if_removed``) also takes a stack of rows and then scores
 each row against the same model in one numpy expression. A fit is
@@ -148,6 +151,10 @@ class RegionModel:
     and cross products over the member rows (with the constant column
     folded in) so rank-one updates stay cheap; they are None for models
     reloaded from files. ``degenerate`` marks rank-deficient fits.
+    ``ssr`` is the sum of squared residuals over the rows the model was
+    fitted on, equal bit for bit to ``region_ssr`` over them; it is set
+    only by ``fit_ols`` and is None for models reloaded from files or
+    updated by ``add_unit``/``remove_unit``.
     """
 
     beta: np.ndarray
@@ -155,6 +162,7 @@ class RegionModel:
     xty: np.ndarray | None
     n_obs: int
     degenerate: bool = False
+    ssr: float | None = None
 
     @property
     def intercept(self) -> float:
@@ -194,6 +202,9 @@ def fit_ols(dataset: Dataset, members) -> RegionModel:
     cond2(G) times the machine epsilon, at most 2e-5 here. Any other case
     is decided by ``np.linalg.cond``, as is the class of a fit near the
     threshold, so the result equals deciding every fit by the SVD.
+
+    The member rows are gathered once; the model's ``ssr`` is computed
+    from the same rows, as ``region_ssr`` would compute it.
     """
     idx = _member_index(members)
     if len(idx) < dataset.m + 1:
@@ -212,10 +223,18 @@ def fit_ols(dataset: Dataset, members) -> RegionModel:
         cond = np.linalg.cond(gram)
         if not np.isfinite(cond) or cond > RANK_DEFICIENT_CONDITION:
             beta = np.linalg.lstsq(Xa, y, rcond=None)[0]
-            return RegionModel(beta, np.linalg.pinv(gram), xty, len(idx), degenerate=True)
+            return RegionModel(beta, np.linalg.pinv(gram), xty, len(idx), degenerate=True,
+                               ssr=_ssr(Xa, y, beta))
         if gram_inv is None:
             gram_inv = np.linalg.inv(gram)  # raises LinAlgError again
-    return RegionModel(gram_inv @ xty, gram_inv, xty, len(idx))
+    beta = gram_inv @ xty
+    return RegionModel(beta, gram_inv, xty, len(idx), ssr=_ssr(Xa, y, beta))
+
+
+def _ssr(Xa: np.ndarray, y: np.ndarray, beta: np.ndarray) -> float:
+    """Sum of squared residuals of ``beta`` over gathered rows ``Xa``, ``y``."""
+    resid = y - Xa @ beta
+    return float(resid @ resid)
 
 
 def _certified_well_conditioned(gram: np.ndarray, gram_inv: np.ndarray) -> bool:
@@ -238,8 +257,7 @@ def predict(model: RegionModel, x) -> float:
 def region_ssr(model: RegionModel, dataset: Dataset, members) -> float:
     """Sum of squared residuals of ``model`` over the member units."""
     idx = _member_index(members)
-    resid = dataset.y[idx] - dataset.augmented[idx] @ model.beta
-    return float(resid @ resid)
+    return _ssr(dataset.augmented[idx], dataset.y[idx], model.beta)
 
 
 def _require_caches(model: RegionModel):

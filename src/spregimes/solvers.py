@@ -110,11 +110,15 @@ class _Fit(NamedTuple):
 
 
 def _fit(dataset: Dataset, units: np.ndarray) -> _Fit:
-    """Fit the region ``units`` and its SSR; the only place a region is fitted."""
+    """Fit the region ``units`` and its SSR; the only place a region is fitted.
+
+    The SSR is the one ``fit_ols`` records from the rows it gathered, so
+    the members are read once per fit.
+    """
     if len(units) < dataset.m + 1:
         return _Fit(units, None, 0.0)
     model = fit_ols(dataset, units)
-    return _Fit(units, model, region_ssr(model, dataset, units))
+    return _Fit(units, model, model.ssr)
 
 
 def _fit_labels(dataset: Dataset, labels: np.ndarray, count: int) -> list[_Fit]:
@@ -138,7 +142,8 @@ def kmodels_partition_stage(dataset: Dataset, graph: AdjacencyGraph, config: Sol
     not be spatially connected.
 
     Each micro-cluster is fitted and scored from one member array
-    (``_fit``), and the trace sums those SSRs in micro-cluster order.
+    (``_fit``), and the trace sums those SSRs in micro-cluster order. The
+    reassignment itself is one array sweep (``_partition_sweep``).
 
     Returns ``(partition, models, trace)`` where ``trace[0]`` is the SSR
     of the initial solution.
@@ -150,23 +155,12 @@ def kmodels_partition_stage(dataset: Dataset, graph: AdjacencyGraph, config: Sol
     fits = _fit_labels(dataset, assign, k)
     trace = [_total(fits)]
     xa, y = dataset.augmented, dataset.y
-    n = dataset.n
     for _ in range(config.max_iter):
         betas = np.column_stack([f.model.beta for f in fits])
-        best = np.argmin(np.abs(y[:, None] - xa @ betas), axis=1).tolist()
-        sizes = np.bincount(assign, minlength=k).tolist()
-        labels = assign.tolist()
-        moved = False
-        for i in range(n):
-            d = labels[i]
-            if sizes[d] > stage_min:
-                r = best[i]
-                if r != d:
-                    labels[i] = r
-                    sizes[d] -= 1
-                    sizes[r] += 1
-                    moved = True
-        assign = np.asarray(labels, dtype=np.int64)
+        best = np.argmin(np.abs(y[:, None] - xa @ betas), axis=1)
+        new = _partition_sweep(assign, best, k, stage_min)
+        moved = bool((new != assign).any())
+        assign = new
         fits = _fit_labels(dataset, assign, k)
         trace.append(_total(fits))
         if not moved:
@@ -174,18 +168,48 @@ def kmodels_partition_stage(dataset: Dataset, graph: AdjacencyGraph, config: Sol
     return Partition(assign, k), [f.model for f in fits], trace
 
 
+def _partition_sweep(assign: np.ndarray, best: np.ndarray, k: int, stage_min: int
+                     ) -> np.ndarray:
+    """Labels after one partition-stage sweep of the units in index order.
+
+    In index order, unit ``i`` moves from region ``d = assign[i]`` to
+    ``best[i]`` unless ``d`` has no more than ``stage_min`` units at that
+    point. Arrivals only add units, so a region whose leavers number at
+    most ``size - stage_min`` loses all of them; call the others *tight*.
+    Only units that leave a tight region or move into one are visited in
+    a Python loop, in index order, and usually there are none.
+    """
+    sizes = np.bincount(assign, minlength=k)
+    leave = best != assign
+    tight = np.bincount(assign[leave], minlength=k) > sizes - stage_min
+    new = np.where(leave & ~tight[assign], best, assign)
+    contested = np.flatnonzero(leave & (tight[assign] | tight[best]))
+    if len(contested):
+        sizes, tight = sizes.tolist(), tight.tolist()
+        for i, d, r in zip(contested.tolist(), assign[contested].tolist(),
+                           best[contested].tolist()):
+            if not tight[d] or sizes[d] > stage_min:
+                new[i] = r
+                sizes[d] -= 1
+                sizes[r] += 1
+    return new
+
+
 class _RegionPool:
     """Mutable region bookkeeping for the merge stage.
 
     ``regions`` maps a live region id to its ``_Fit`` and ``region_of``
     maps each unit to its region id. Member arrays are ascending, so a
-    union is one concatenate-and-sort and its first entry is the region's
-    smallest member. ``union_fit`` scores a candidate merge with a
-    ``_Fit``, and ``merge`` installs a scored union's ``_Fit`` as is, so
-    the winning union is not fitted again. Regions too small for a unique
-    fit carry no model and contribute no residuals to merge comparisons;
-    they only ever shrink in number. Region ids are never reused: a merge
-    retires both inputs and adds a new id.
+    union is one concatenate and a stable sort, which merges the two
+    ascending runs in linear time, and its first entry is the region's
+    smallest member. ``neighbor_regions`` reads ``region_of`` with one
+    gather over the region's neighbor lists. ``union_fit`` scores a
+    candidate merge with a ``_Fit``, and ``merge`` installs a scored
+    union's ``_Fit`` as is, so the winning union is not fitted again.
+    Regions too small for a unique fit carry no model and contribute no
+    residuals to merge comparisons; they only ever shrink in number.
+    Region ids are never reused: a merge retires both inputs and adds a
+    new id.
     """
 
     def __init__(self, dataset: Dataset, n: int):
@@ -206,7 +230,7 @@ class _RegionPool:
 
     def union_fit(self, a: int, b: int) -> _Fit:
         units = np.concatenate((self.regions[a].units, self.regions[b].units))
-        return _fit(self.dataset, np.sort(units))
+        return _fit(self.dataset, np.sort(units, kind="stable"))
 
     def merge(self, a: int, b: int, fitted: _Fit) -> int:
         """Replace regions ``a`` and ``b`` by their union, fitted as ``union_fit(a, b)``."""
@@ -218,12 +242,11 @@ class _RegionPool:
         return fitted.ssr - self.regions[a].ssr - self.regions[b].ssr
 
     def neighbor_regions(self, graph: AdjacencyGraph, rid: int) -> set[int]:
-        out: set[int] = set()
-        for u in self.regions[rid].units.tolist():
-            for v in graph.neighbors[u]:
-                w = int(self.region_of[v])
-                if w != rid:
-                    out.add(w)
+        """Ids of the live regions other than ``rid`` that touch region ``rid``."""
+        nbrs = graph.neighbors
+        touched = [v for u in self.regions[rid].units.tolist() for v in nbrs[u]]
+        out = set(self.region_of[touched].tolist())
+        out.discard(rid)
         return out
 
 
@@ -419,8 +442,9 @@ class _LocalSearch:
     Python loop over units.
 
     A move inserts the unit into one member array and drops it from the
-    other, and refits both regions with ``_fit``; region sizes are the
-    lengths of the member arrays.
+    other, and refits both regions with ``_fit`` (``moved_fits``), unless
+    ``refit_delta`` already fitted them to score the move; region sizes
+    are the lengths of the member arrays.
 
     ``screen`` scores moving each of a region's candidates into it with
     the rank-one identities, one stacked call per model, and marks the
@@ -499,14 +523,23 @@ class _LocalSearch:
         delta[refit] = np.nan
         return delta, refit
 
-    def refit_delta(self, v: int, d: int, j: int) -> float:
-        """Total-SSR change from moving unit v out of region d into region j, by refits."""
-        new_d, new_j = self.moved_fits(v, d, j)
-        return (new_j.ssr - self.regions[j].ssr) + (new_d.ssr - self.regions[d].ssr)
+    def refit_delta(self, v: int, d: int, j: int) -> tuple[float, tuple[_Fit, _Fit]]:
+        """Total-SSR change from moving unit v out of region d into region j, by refits.
 
-    def move(self, v: int, src: int, dst: int):
-        """Move unit ``v`` from region ``src`` into region ``dst`` and refit both."""
-        self.regions[src], self.regions[dst] = self.moved_fits(v, src, dst)
+        Also returns the two fits (``moved_fits``), for ``move`` to install.
+        """
+        fits = new_d, new_j = self.moved_fits(v, d, j)
+        return (new_j.ssr - self.regions[j].ssr) + (new_d.ssr - self.regions[d].ssr), fits
+
+    def move(self, v: int, src: int, dst: int, fits: tuple[_Fit, _Fit] | None = None):
+        """Move unit ``v`` from region ``src`` into region ``dst`` and refit both.
+
+        ``fits`` are the fits of ``moved_fits(v, src, dst)`` when the caller
+        already has them; otherwise both regions are fitted here.
+        """
+        if fits is None:
+            fits = self.moved_fits(v, src, dst)
+        self.regions[src], self.regions[dst] = fits
         self.assign[v] = dst
         self.cuts[src] = self.cuts[dst] = None
         if self.check_invariants:
@@ -580,9 +613,12 @@ def _azp_pass(search: _LocalSearch) -> bool:
             v, d = int(candidates[pos]), int(donors[pos])
             if search.is_cut(v, d):
                 continue
-            if refit[pos] and not search.refit_delta(v, d, j) < -SSR_TOLERANCE:
-                continue
-            search.move(v, d, j)
+            fits = None
+            if refit[pos]:
+                change, fits = search.refit_delta(v, d, j)
+                if not change < -SSR_TOLERANCE:
+                    continue
+            search.move(v, d, j, fits)
             moved = True
             break
     return moved

@@ -7,8 +7,9 @@ pins and says why. The K-Models cases start the merge stage from many
 undersized split components, so the merge stage performs 60 to 414 merges.
 The capped cases stop AZP and Regional-K-Models at ``max_iter`` long before
 they converge, which pins the iteration-cap stop path as well. The fallback
-cases send every AZP SSR test through the full refit of ``move_delta``, either
-by a rank-one test that always breaks down or by degenerate models.
+cases send every AZP SSR test through the full refits of
+``_LocalSearch.refit_delta``, either by a rank-one test that always breaks
+down or by degenerate models.
 """
 
 import hashlib

@@ -121,6 +121,7 @@ class TestResultRoundTrip:
         write_solve_result(path, result, truth.dataset.unit_ids(), standardized=False)
         reloaded, standardized = load_solve_result(path, truth.dataset.unit_ids())
         assert not standardized
+        assert all(model.ssr is None for model in reloaded.models)
         direct = evaluate(truth, result)
         via_file = evaluate(truth, reloaded)
         assert via_file.total_ssr == pytest.approx(direct.total_ssr, rel=1e-12)

@@ -34,6 +34,18 @@ def random_dataset(rng, n, m, noise=0.5):
     return Dataset(X=x, y=y)
 
 
+# x2 = x1 + eps * noise puts cond(G) between about 1e8 and past 1e16;
+# eps = 0 duplicates the column exactly
+CONDITION_EPS = [*np.logspace(-4, -8.5, 37), 0.0]
+
+
+def condition_design(eps):
+    """40 rows whose second column is the first one plus ``eps`` noise."""
+    rng = np.random.default_rng(11)
+    x1, noise = rng.normal(size=40), rng.normal(size=40)
+    return Dataset(X=np.column_stack([x1, x1 + eps * noise]), y=rng.normal(size=40))
+
+
 class TestDataset:
     def test_rejects_nan(self):
         with pytest.raises(ValueError, match="non-finite"):
@@ -82,13 +94,9 @@ class TestFitOls:
         # minimum-norm fit still reproduces the data
         assert region_ssr(model, ds, range(6)) == pytest.approx(0.0, abs=1e-16)
 
-    @pytest.mark.parametrize("eps", [*np.logspace(-4, -8.5, 37), 0.0])
+    @pytest.mark.parametrize("eps", CONDITION_EPS)
     def test_condition_screen_matches_svd_oracle(self, eps):
-        # x2 = x1 + eps * noise puts cond(G) between about 1e8 and past
-        # 1e16; eps = 0 duplicates the column exactly
-        rng = np.random.default_rng(11)
-        x1, noise = rng.normal(size=40), rng.normal(size=40)
-        ds = Dataset(X=np.column_stack([x1, x1 + eps * noise]), y=rng.normal(size=40))
+        ds = condition_design(eps)
         model = fit_ols(ds, range(40))
         xa = ds.augmented[np.arange(40)]
         gram, xty = xa.T @ xa, xa.T @ ds.y
@@ -132,6 +140,54 @@ class TestFitOls:
                 gram_inv=model.gram_inv, xty=model.xty, n_obs=model.n_obs,
             )
             assert region_ssr(bumped, ds, members) >= base - 1e-12
+
+
+@st.composite
+def fit_cases(draw):
+    """A dataset and an unordered list of at least m+1 of its rows.
+
+    Collinear designs make the last column twice the first, or 2.0
+    everywhere when m = 1 (twice the intercept column). Scaling by 2 is
+    exact, so their Gram matrix is singular and the fit takes the
+    minimum-norm ``lstsq`` path.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = draw(st.integers(1, 3))
+    n = draw(st.integers(m + 1, 40))
+    ds = random_dataset(rng, n, m, noise=draw(st.floats(0.0, 2.0)))
+    collinear = draw(st.booleans())
+    if collinear:
+        x = ds.X.copy()
+        x[:, -1] = 2.0 * x[:, 0] if m > 1 else 2.0
+        ds = Dataset(X=x, y=ds.y)
+    members = rng.permutation(n)[:draw(st.integers(m + 1, n))].tolist()
+    return ds, members, collinear
+
+
+class TestFitSsr:
+    """``fit_ols`` records the training SSR that ``region_ssr`` would compute."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(fit_cases())
+    def test_equals_region_ssr_bitwise(self, case):
+        ds, members, collinear = case
+        model = fit_ols(ds, members)
+        assert model.degenerate or not collinear
+        assert isinstance(model.ssr, float)
+        assert model.ssr == region_ssr(model, ds, members)
+
+    @pytest.mark.parametrize("eps", CONDITION_EPS)
+    def test_equals_region_ssr_on_condition_designs(self, eps):
+        ds = condition_design(eps)
+        model = fit_ols(ds, range(40))
+        assert model.ssr == region_ssr(model, ds, range(40))
+
+    def test_rank_one_updates_carry_no_ssr(self, rng):
+        ds = random_dataset(rng, 12, 2)
+        model = fit_ols(ds, range(10))
+        assert model.ssr is not None
+        assert add_unit(model, ds.X[10], float(ds.y[10])).ssr is None
+        assert remove_unit(model, ds.X[0], float(ds.y[0])).ssr is None
 
 
 class TestPredict:

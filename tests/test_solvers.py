@@ -36,7 +36,10 @@ from spregimes.solvers import (
     _articulation_points,
     _azp_candidates,
     _azp_pass,
+    _fit,
     _LocalSearch,
+    _partition_sweep,
+    _RegionPool,
     _rkm_candidates,
 )
 from spregimes.synthgen import SimulationSpec
@@ -129,6 +132,57 @@ class TestPartitionStage:
             rect_sim.dataset, grid25, cfg, np.random.default_rng(9)
         )
         assert_monotone(trace)
+
+
+def partition_sweep_loop(assign, best, k, stage_min):
+    """Reference sweep: the per-unit loop that ``_partition_sweep`` replaced."""
+    sizes = np.bincount(assign, minlength=k).tolist()
+    labels, best = assign.tolist(), best.tolist()
+    for i in range(len(labels)):
+        d = labels[i]
+        if sizes[d] > stage_min:
+            r = best[i]
+            if r != d:
+                labels[i] = r
+                sizes[d] -= 1
+                sizes[r] += 1
+    return labels
+
+
+@st.composite
+def sweep_cases(draw):
+    """Labels with region sizes near ``stage_min`` and a best region per unit.
+
+    Sizes start one below ``stage_min`` and reach three above it, and up to
+    every unit prefers another region, so many regions are tight: their
+    leavers outnumber ``size - stage_min`` and some are refused, while
+    arrivals raise the room a tight region has for later leavers.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    k, stage_min = draw(st.integers(1, 8)), draw(st.integers(1, 5))
+    sizes = rng.integers(stage_min - 1, stage_min + 4, size=k)
+    assign = rng.permutation(np.repeat(np.arange(k), sizes)).astype(np.int64)
+    stay = rng.random(len(assign)) < draw(st.floats(0.0, 1.0))
+    best = np.where(stay, assign, rng.integers(k, size=len(assign)))
+    return assign, best, k, stage_min
+
+
+class TestPartitionSweep:
+    @settings(max_examples=300, deadline=None)
+    @given(sweep_cases())
+    def test_matches_per_unit_loop(self, case):
+        assign, best, k, stage_min = case
+        before = assign.copy()
+        new = _partition_sweep(assign, best, k, stage_min)
+        assert new.dtype == np.int64
+        assert new.tolist() == partition_sweep_loop(assign, best, k, stage_min)
+        assert np.array_equal(assign, before)
+
+    def test_arrival_makes_room_in_tight_region(self):
+        # region 1 is tight (three leavers, room for one), but unit 0
+        # arrives first and lets a second leaver go
+        assign, best = np.array([0, 0, 0, 1, 1, 1]), np.array([1, 1, 1, 0, 0, 0])
+        assert _partition_sweep(assign, best, 2, 2).tolist() == [1, 0, 0, 0, 0, 1]
 
 
 class TestMergeStage:
@@ -244,6 +298,52 @@ def merge_cases(draw):
     assume(big >= p)
     dataset = Dataset(X=rng.random((n, m)), y=rng.normal(size=n))
     return dataset, graph, micro, SolverConfig(p=p, min_obs=min_obs)
+
+
+def neighbor_regions_loop(pool, graph, rid):
+    """Reference scan: the per-neighbor loop that ``neighbor_regions`` replaced."""
+    out = set()
+    for u in pool.regions[rid].units.tolist():
+        for v in graph.neighbors[u]:
+            w = int(pool.region_of[v])
+            if w != rid:
+                out.add(w)
+    return out
+
+
+@st.composite
+def pool_cases(draw):
+    """A drawn graph, scattered labels and a seed for a random merge order."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    graph = draw_graph(draw, rng, (1, 8), (5, 60), 3)
+    n = graph.n
+    p = draw(st.integers(1, min(8, n)))
+    labels = rng.integers(p, size=n)
+    labels[rng.choice(n, size=p, replace=False)] = np.arange(p)
+    dataset = Dataset(X=rng.random((n, 1)), y=rng.normal(size=n))
+    return dataset, graph, labels, p, rng
+
+
+class TestRegionPool:
+    @settings(max_examples=100, deadline=None)
+    @given(pool_cases())
+    def test_neighbor_regions_match_loop_through_merges(self, case):
+        dataset, graph, labels, p, rng = case
+        pool = _RegionPool(dataset, graph.n)
+        for j in rng.permutation(p).tolist():
+            pool.add(_fit(dataset, np.flatnonzero(labels == j)))
+        while True:
+            touching = {rid: pool.neighbor_regions(graph, rid) for rid in pool.regions}
+            for rid, found in touching.items():
+                assert found == neighbor_regions_loop(pool, graph, rid)
+            pairs = sorted((a, b) for a, nbs in touching.items() for b in nbs if a < b)
+            if not pairs:
+                break
+            a, b = pairs[rng.integers(len(pairs))]
+            union = pool.union_fit(a, b)
+            expected = np.sort(np.concatenate((pool.regions[a].units, pool.regions[b].units)))
+            assert np.array_equal(union.units, expected)
+            pool.merge(a, b, union)
 
 
 class TestMergeStageProperties:
@@ -519,21 +619,23 @@ class TestSsrScreen:
         spec = SimulationSpec(rows=15, cols=15, sigma=0.1, seed=101)
         dataset = generate_suite(spec, 1)[0].dataset
         graph, cfg = build_grid_graph(15, 15), SolverConfig(p=5, min_obs=10, seed=7)
-        calls = {"move": 0, "moved_fits": 0}
+        calls = {"move": 0, "moved_fits": 0, "refit_delta": 0}
         for name in calls:
             real = getattr(_LocalSearch, name)
             monkeypatch.setattr(_LocalSearch, name, counted(real, calls, name))
         plain = solve_azp(dataset, graph, cfg)
         # without breakdowns or degenerate models only accepted moves refit
         assert calls["moved_fits"] == calls["move"] > 0
-        calls.update(move=0, moved_fits=0)
+        assert calls["refit_delta"] == 0
+        calls.update(move=0, moved_fits=0, refit_delta=0)
 
         def breakdown(*args):
             raise NumericalBreakdownError("forced rank-one breakdown")
 
         monkeypatch.setattr(solvers, "ssr_increase_if_added", breakdown)
         forced = solve_azp(dataset, graph, cfg)
-        assert calls["moved_fits"] > calls["move"] > 0
+        # every move is decided by refits, and installs the fits that scored it
+        assert calls["moved_fits"] == calls["refit_delta"] > calls["move"] > 0
         assert forced.total_ssr == plain.total_ssr
         assert np.array_equal(forced.partition.assignment, plain.partition.assignment)
 
