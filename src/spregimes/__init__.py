@@ -35,8 +35,10 @@ from .linreg import (
     Dataset,
     RegionModel,
     Scaler,
+    absorb_delta,
     add_unit,
     fit_ols,
+    pooled_delta,
     predict,
     region_ssr,
     remove_unit,

@@ -323,7 +323,9 @@ def grow_initial_partition(graph: AdjacencyGraph, count: int, min_obs: int,
     Each region starts at a distinct random unit; regions then take turns
     absorbing one randomly picked unassigned neighbor until every unit is
     assigned. If any region ends up below ``min_obs`` the whole procedure
-    restarts with fresh seeds, up to ``restart_limit`` attempts.
+    restarts with fresh seeds, up to ``restart_limit`` attempts. The growth
+    loop walks a Python list of labels, which is converted to an int64
+    array once per attempt.
     """
     n = graph.n
     if not 1 <= count <= n:
@@ -333,9 +335,10 @@ def grow_initial_partition(graph: AdjacencyGraph, count: int, min_obs: int,
             f"{count} regions of at least {min_obs} units cannot cover {n} units"
         )
     for _ in range(restart_limit):
-        assignment = np.full(n, -1, dtype=np.int64)
-        seeds = rng.choice(n, size=count, replace=False)
-        assignment[seeds] = np.arange(count)
+        assignment = [-1] * n
+        seeds = rng.choice(n, size=count, replace=False).tolist()
+        for r, s in enumerate(seeds):
+            assignment[s] = r
         frontier_lists: list[list[int]] = []
         frontier_sets: list[set[int]] = []
         for s in seeds:
@@ -366,9 +369,9 @@ def grow_initial_partition(graph: AdjacencyGraph, count: int, min_obs: int,
             if not progressed:  # unreachable on a connected graph
                 break
         if remaining == 0:
-            sizes = np.bincount(assignment, minlength=count)
-            if sizes.min() >= min_obs:
-                return Partition(assignment, count)
+            labels = np.array(assignment, dtype=np.int64)
+            if np.bincount(labels, minlength=count).min() >= min_obs:
+                return Partition(labels, count)
     raise InitializationFailedError(
         f"no initial partition with {count} regions of >= {min_obs} units "
         f"found in {restart_limit} attempts"

@@ -9,6 +9,7 @@ threaded, own all mutable state, and are bit-reproducible from the seed.
 from __future__ import annotations
 
 import heapq
+import math
 import time
 from dataclasses import dataclass, replace
 from typing import NamedTuple
@@ -26,7 +27,9 @@ from .graph import (
 from .linreg import (
     Dataset,
     RegionModel,
+    absorb_delta,
     fit_ols,
+    pooled_delta,
     region_ssr,
     ssr_decrease_if_removed,
     ssr_increase_if_added,
@@ -67,6 +70,9 @@ class SolverConfig:
 RESTART_LIMIT = 100
 # AZP treats SSR changes within this tolerance as ties, to avoid oscillation.
 SSR_TOLERANCE = 1e-9
+# The merge stage bounds a batch of candidate unions before fitting them
+# only when one of them has more units than this (see _RegionPool).
+_SCREEN_UNION_UNITS = 1024
 
 
 def _resolve_config(dataset: Dataset, graph: AdjacencyGraph, config: SolverConfig,
@@ -210,6 +216,17 @@ class _RegionPool:
     residuals to merge comparisons; they only ever shrink in number.
     Region ids are never reused: a merge retires both inputs and adds a
     new id.
+
+    ``absorb_bounds`` and ``pooled_bounds`` bound the SSR changes of a
+    batch of candidate unions from the cached fits, in one
+    ``linreg.absorb_delta`` or ``linreg.pooled_delta`` call, without
+    fitting them. A union is bounded only when its fitted sides carry a
+    ``certificate``, and a batch only when one of its unions has more
+    than ``_SCREEN_UNION_UNITS`` units. A batch call costs about as much
+    as fitting one union of 800 units, and one more union in a batch
+    costs far less than any fit (single-threaded BLAS on a 2-vCPU VM), so
+    a batch pays for itself when it rules out its largest union; small
+    regions among small regions are fitted as before.
     """
 
     def __init__(self, dataset: Dataset, n: int):
@@ -241,6 +258,55 @@ class _RegionPool:
         """Total-SSR change of replacing regions ``a`` and ``b`` by ``fitted``."""
         return fitted.ssr - self.regions[a].ssr - self.regions[b].ssr
 
+    def score(self, a: int, b: int) -> tuple[_Fit, float]:
+        """``union_fit(a, b)`` and its ``delta``."""
+        fitted = self.union_fit(a, b)
+        return fitted, self.delta(a, b, fitted)
+
+    def _certified(self, rid: int) -> bool:
+        model = self.regions[rid].model
+        return model is not None and model.certificate is not None
+
+    def _worth_bounding(self, pairs: list[tuple[int, int]]) -> bool:
+        return any(len(self.regions[a].units) + len(self.regions[b].units)
+                   > _SCREEN_UNION_UNITS for a, b in pairs)
+
+    def absorb_bounds(self, rid: int, nbs: list[int]) -> dict[int, tuple[float, float]]:
+        """``(lower, upper)`` bounds on ``delta(rid, nb, union_fit(rid, nb))``.
+
+        One entry per certified neighbor in ``nbs``, or none when no union
+        is large enough or ``rid`` has a model without a certificate;
+        neighbors left out must be fitted. A region of fewer than m+1
+        units is scored by ``absorb_delta`` over its rows, a fitted one by
+        ``pooled_delta``, so no bound costs more than O(m^3) per neighbor.
+        """
+        region = self.regions[rid]
+        if region.model is not None and region.model.certificate is None:
+            return {}
+        if not self._worth_bounding([(rid, nb) for nb in nbs]):
+            return {}
+        nbs = [nb for nb in nbs if self._certified(nb)]
+        if not nbs:
+            return {}
+        models = [self.regions[nb].model for nb in nbs]
+        if region.model is None:
+            units = region.units
+            delta, err = absorb_delta(models, self.dataset.X[units], self.dataset.y[units], 0.0)
+        else:
+            delta, err = pooled_delta([region.model] * len(nbs), models)
+        return _bounds(nbs, delta, err)
+
+    def pooled_bounds(self, pairs: list[tuple[int, int]]) -> dict[tuple[int, int], tuple[float, float]]:
+        """``(lower, upper)`` bounds on the SSR change of merging each certified pair."""
+        if not self._worth_bounding(pairs):
+            return {}
+        pairs = [(a, b) for a, b in pairs if self._certified(a) and self._certified(b)]
+        if not pairs:
+            return {}
+        delta, err = pooled_delta([self.regions[a].model for a, _ in pairs],
+                                  [self.regions[b].model for _, b in pairs])
+        return _bounds(pairs, delta, err)
+
     def neighbor_regions(self, graph: AdjacencyGraph, rid: int) -> set[int]:
         """Ids of the live regions other than ``rid`` that touch region ``rid``."""
         nbrs = graph.neighbors
@@ -248,6 +314,20 @@ class _RegionPool:
         out = set(self.region_of[touched].tolist())
         out.discard(rid)
         return out
+
+
+def _bounds(keys: list, delta: np.ndarray, err: np.ndarray) -> dict:
+    """``{key: (delta - err, delta + err)}`` for the keys with a finite interval."""
+    lower, upper = (delta - err).tolist(), (delta + err).tolist()
+    return {key: (lo, hi) for key, lo, hi in zip(keys, lower, upper)
+            if math.isfinite(lo) and math.isfinite(hi)}
+
+
+def _fusion_entries(pool: _RegionPool, pairs: list[tuple[int, int]]) -> list[tuple]:
+    """Fusion heap entries of ``pairs``: ``(lower, a, b, 0)`` or ``(delta, a, b, 1)``."""
+    bounds = pool.pooled_bounds(pairs)
+    return [(bounds[a, b][0], a, b, 0) if (a, b) in bounds else (pool.score(a, b)[1], a, b, 1)
+            for a, b in pairs]
 
 
 def kmodels_merge_stage(dataset: Dataset, graph: AdjacencyGraph,
@@ -265,6 +345,20 @@ def kmodels_merge_stage(dataset: Dataset, graph: AdjacencyGraph,
     more than ``p`` regions remain, the neighboring pair whose merge
     increases the total SSR the least is fused; the fusion heap keeps only
     SSR changes, so each fused pair is fitted again when it is merged.
+
+    Candidate unions next to large regions are bounded before they are
+    fitted (``_RegionPool``), and only a union whose interval could hold
+    the winner is fitted. The size
+    repair fits the unbounded neighbors first; the cut is the least of
+    their SSR changes and of the bounded neighbors' upper bounds, and a
+    bounded neighbor whose lower bound exceeds the cut cannot win and is
+    skipped. The fusion heap holds ``(lower, a, b, 0)`` for a bounded pair
+    and ``(delta, a, b, 1)`` for a fitted one; a popped lower bound is
+    replaced by the pair's fitted change. A lower bound never exceeds its
+    change, so pairs are merged in the order of ``(delta, a, b)``, ties
+    included. Every comparison that picks a merge, and every installed
+    region, still comes from ``fit_ols``, so the result is the one of
+    fitting every union.
 
     Returns ``(partition, models)`` with regions relabeled 0..p-1 by their
     smallest member. Raises MergeInfeasibleError if an undersized region
@@ -285,10 +379,18 @@ def kmodels_merge_stage(dataset: Dataset, graph: AdjacencyGraph,
         rid = heapq.heappop(repair)[2]
         if rid not in pool.regions:
             continue  # merged away since it was queued
+        nbs = sorted(pool.neighbor_regions(graph, rid), key=pool.smallest)
+        bounds = pool.absorb_bounds(rid, nbs)
+        scored = {nb: pool.score(rid, nb) for nb in nbs if nb not in bounds}
+        # nan changes never win; min() passes over them unless one comes
+        # first, and a nan cut rules out nothing
+        cut = min([d for _, d in scored.values()] + [hi for _, hi in bounds.values()],
+                  default=np.inf)
         best_nb, best_fit, best_delta = -1, None, np.inf
-        for nb in sorted(pool.neighbor_regions(graph, rid), key=pool.smallest):
-            fitted = pool.union_fit(rid, nb)
-            delta = pool.delta(rid, nb, fitted)
+        for nb in nbs:
+            if nb in bounds and bounds[nb][0] > cut:
+                continue  # its change exceeds the cut, which some neighbor meets
+            fitted, delta = scored[nb] if nb in scored else pool.score(rid, nb)
             if delta < best_delta:
                 best_nb, best_fit, best_delta = nb, fitted, delta
         if best_fit is None:
@@ -309,23 +411,26 @@ def kmodels_merge_stage(dataset: Dataset, graph: AdjacencyGraph,
 
     # fuse neighboring pairs with the smallest SSR increase until p remain
     adjacency = {rid: pool.neighbor_regions(graph, rid) for rid in pool.regions}
-    heap: list[tuple[float, int, int]] = []
-    for a in sorted(pool.regions):
-        for b in sorted(adjacency[a]):
-            if a < b:
-                heapq.heappush(heap, (pool.delta(a, b, pool.union_fit(a, b)), a, b))
+    heap: list[tuple[float, int, int, int]] = []
+    pairs = [(a, b) for a in sorted(pool.regions) for b in sorted(adjacency[a]) if a < b]
+    for entry in _fusion_entries(pool, pairs):
+        heapq.heappush(heap, entry)
     while len(pool.regions) > config.p:
-        delta, a, b = heapq.heappop(heap)
+        _, a, b, fitted = heapq.heappop(heap)
         if a not in pool.regions or b not in pool.regions:
             continue  # one side already merged away
+        if not fitted:
+            heapq.heappush(heap, (pool.score(a, b)[1], a, b, 1))
+            continue
         new = pool.merge(a, b, pool.union_fit(a, b))
         adjacency[new] = (adjacency.pop(a) | adjacency.pop(b)) - {a, b}
         for x in sorted(adjacency[new]):
             adjacency[x].discard(a)
             adjacency[x].discard(b)
             adjacency[x].add(new)
-            lo, hi = min(new, x), max(new, x)
-            heapq.heappush(heap, (pool.delta(lo, hi, pool.union_fit(lo, hi)), lo, hi))
+        # ids only grow, so the new region's id is the larger of each pair
+        for entry in _fusion_entries(pool, [(x, new) for x in sorted(adjacency[new])]):
+            heapq.heappush(heap, entry)
 
     ordered = [pool.regions[rid] for rid in sorted(pool.regions, key=pool.smallest)]
     assignment = np.empty(graph.n, dtype=np.int64)

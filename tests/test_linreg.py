@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from spregimes import (
@@ -8,8 +8,10 @@ from spregimes import (
     NumericalBreakdownError,
     Scaler,
     TooFewObservationsError,
+    absorb_delta,
     add_unit,
     fit_ols,
+    pooled_delta,
     predict,
     region_ssr,
     remove_unit,
@@ -414,6 +416,105 @@ class TestMergedRegionSsr:
             )
             joint = region_ssr(fit_ols(ds, range(40)), ds, range(40))
             assert joint >= separate - 1e-9
+
+
+@st.composite
+def merge_identity_cases(draw):
+    """A dataset, a block ``a`` of any size and 1 to 3 fitted blocks ``b``.
+
+    Responses range from noise-free to noisy and covariates over four
+    orders of magnitude, with an offset; ``b`` blocks have at least m+1
+    rows and ``a`` may have fewer.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = draw(st.integers(1, 3))
+    count = draw(st.integers(1, 3))
+    sizes = [draw(st.integers(m + 1, 30)) for _ in range(count)]
+    size_a = draw(st.integers(1, 30))
+    n = size_a + sum(sizes)
+    noise = draw(st.sampled_from([0.0, 1e-9, 1e-4]) | st.floats(0.0, 2.0))
+    x = rng.normal(size=(n, m)) * 10 ** draw(st.floats(-2, 2)) + draw(st.floats(-50, 50))
+    beta = rng.normal(size=m + 1) * 10 ** draw(st.floats(-2, 2))
+    ds = Dataset(X=x, y=beta[0] + x @ beta[1:] + noise * rng.normal(size=n))
+    order = rng.permutation(n)
+    a = np.sort(order[:size_a])
+    bounds = np.cumsum([size_a, *sizes])
+    blocks = [np.sort(order[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+    return ds, a, blocks
+
+
+def union_delta(ds, a, b, ssr_a, ssr_b):
+    """SSR change of merging ``a`` and ``b`` by an exact fit of the union."""
+    return fit_ols(ds, np.sort(np.concatenate((a, b)))).ssr - ssr_a - ssr_b
+
+
+def block_ssr(ds, members):
+    """SSR of a block's fit, 0.0 for a block of fewer than m+1 rows."""
+    return fit_ols(ds, members).ssr if len(members) > ds.m else 0.0
+
+
+class TestMergeIdentities:
+    """``absorb_delta`` and ``pooled_delta`` bound the exact union fits within ``err``."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(merge_identity_cases())
+    def test_absorb_within_err_of_union_fit(self, case):
+        ds, a, blocks = case
+        models = [fit_ols(ds, b) for b in blocks]
+        assume(all(mo.certificate is not None for mo in models))
+        ssr_a = block_ssr(ds, a)
+        delta, err = absorb_delta(models, ds.X[a], ds.y[a], ssr_a)
+        for b, mo, d, e in zip(blocks, models, delta, err):
+            assert 0.0 <= e < np.inf
+            assert abs(d - union_delta(ds, a, b, ssr_a, mo.ssr)) <= e
+
+    @settings(max_examples=300, deadline=None)
+    @given(merge_identity_cases())
+    def test_pooled_within_err_of_union_fit(self, case):
+        ds, a, blocks = case
+        assume(len(a) > ds.m)
+        model_a, models = fit_ols(ds, a), [fit_ols(ds, b) for b in blocks]
+        assume(all(mo.certificate is not None for mo in [model_a, *models]))
+        delta, err = pooled_delta([model_a] * len(models), models)
+        for b, mo, d, e in zip(blocks, models, delta, err):
+            assert 0.0 <= e < np.inf
+            assert abs(d - union_delta(ds, a, b, model_a.ssr, mo.ssr)) <= e
+
+    @pytest.mark.parametrize("eps", CONDITION_EPS)
+    @pytest.mark.parametrize("size_a", [1, 2, 12])
+    def test_condition_designs(self, eps, size_a):
+        ds = condition_design(eps)
+        a, b = np.arange(size_a), np.arange(size_a, 40)
+        model_b = fit_ols(ds, b)
+        if model_b.certificate is None:
+            with pytest.raises(ValueError, match="certified"):
+                absorb_delta([model_b], ds.X[a], ds.y[a], 0.0)
+            return
+        ssr_a = block_ssr(ds, a)
+        delta, err = absorb_delta([model_b], ds.X[a], ds.y[a], ssr_a)
+        assert abs(delta[0] - union_delta(ds, a, b, ssr_a, model_b.ssr)) <= err[0]
+        if len(a) > ds.m and fit_ols(ds, a).certificate is not None:
+            delta, err = pooled_delta([fit_ols(ds, a)], [model_b])
+            assert abs(delta[0] - union_delta(ds, a, b, ssr_a, model_b.ssr)) <= err[0]
+
+    def test_zero_response_bounds_are_exact_zeros(self, rng):
+        ds = Dataset(X=rng.normal(size=(30, 2)), y=np.zeros(30))
+        a, b = fit_ols(ds, range(10)), fit_ols(ds, range(10, 30))
+        for delta, err in (absorb_delta([b], ds.X[:2], ds.y[:2], 0.0), pooled_delta([a], [b])):
+            assert delta.tolist() == [0.0] and err.tolist() == [0.0]
+
+    def test_certificate_is_the_frobenius_product(self, rng):
+        ds = random_dataset(rng, 30, 2)
+        model = fit_ols(ds, range(30))
+        gram = ds.augmented.T @ ds.augmented
+        expected = np.sum(gram**2) * np.sum(np.linalg.inv(gram) ** 2)
+        assert model.certificate == pytest.approx(expected, rel=1e-9)
+        assert add_unit(model, ds.X[0], float(ds.y[0])).certificate is None
+        collinear = Dataset(X=np.column_stack([ds.X[:, 0], 2.0 * ds.X[:, 0]]), y=ds.y)
+        degenerate = fit_ols(collinear, range(30))
+        assert degenerate.degenerate and degenerate.certificate is None
+        with pytest.raises(ValueError, match="certified"):
+            pooled_delta([model], [degenerate])
 
 
 class TestScaler:

@@ -1,3 +1,6 @@
+import heapq
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -30,7 +33,7 @@ from spregimes import (
     ssr_decrease_if_removed,
     ssr_increase_if_added,
 )
-from spregimes import solvers
+from spregimes import linreg, solvers
 from spregimes.solvers import (
     SSR_TOLERANCE,
     _articulation_points,
@@ -225,15 +228,29 @@ class TestMergeStage:
             assert is_connected_subset(grid25, part.members(j))
 
     def test_region_without_finite_merge_raises_named_error(self, rng, monkeypatch):
-        g = build_grid_graph(4, 4)
-        ds = Dataset(X=rng.random((16, 1)), y=rng.random(16))
-        labels = np.ones(16, dtype=int)
-        labels[5] = 0  # an undersized region of one unit
         monkeypatch.setattr(
             solvers._RegionPool, "union_fit",
             lambda pool, a, b: solvers._Fit(pool.regions[a].units, None, float("nan")))
-        with pytest.raises(MergeInfeasibleError, match=r"size 1, smallest member 5"):
-            kmodels_merge_stage(ds, g, Partition(labels, 2), SolverConfig(p=2, min_obs=2))
+        bounded = []
+        absorb_bounds = solvers._RegionPool.absorb_bounds
+
+        def recording(pool, rid, nbs):
+            bounded.append(absorb_bounds(pool, rid, nbs))
+            return bounded[-1]
+
+        monkeypatch.setattr(solvers._RegionPool, "absorb_bounds", recording)
+        # on the 33x33 grid the union has 1,089 units, so the size repair
+        # bounds it first and only then finds that its fit is nan
+        for side in (4, 33):
+            n = side * side
+            g = build_grid_graph(side, side)
+            ds = Dataset(X=rng.random((n, 1)), y=rng.random(n))
+            labels = np.ones(n, dtype=int)
+            labels[5] = 0  # an undersized region of one unit
+            bounded.clear()
+            with pytest.raises(MergeInfeasibleError, match=r"size 1, smallest member 5"):
+                kmodels_merge_stage(ds, g, Partition(labels, 2), SolverConfig(p=2, min_obs=2))
+            assert [len(b) for b in bounded] == [int(n > solvers._SCREEN_UNION_UNITS)]
 
     def test_too_few_components_is_infeasible(self, rng):
         g = build_grid_graph(4, 4)
@@ -344,6 +361,151 @@ class TestRegionPool:
             expected = np.sort(np.concatenate((pool.regions[a].units, pool.regions[b].units)))
             assert np.array_equal(union.units, expected)
             pool.merge(a, b, union)
+
+
+def merge_stage_oracle(dataset, graph, micro_partition, config):
+    """Reference merge stage that fits every candidate union and bounds none."""
+    pool = _RegionPool(dataset, graph.n)
+    for j in range(micro_partition.p):
+        for comp in connected_components(graph, micro_partition.members(j)):
+            pool.add(_fit(dataset, np.asarray(comp, dtype=np.int64)))
+    repair = [(len(f.units), pool.smallest(rid), rid) for rid, f in pool.regions.items()
+              if len(f.units) < config.min_obs]
+    heapq.heapify(repair)
+    while repair:
+        rid = heapq.heappop(repair)[2]
+        if rid not in pool.regions:
+            continue
+        best_nb, best_fit, best_delta = -1, None, np.inf
+        for nb in sorted(pool.neighbor_regions(graph, rid), key=pool.smallest):
+            fitted = pool.union_fit(rid, nb)
+            delta = pool.delta(rid, nb, fitted)
+            if delta < best_delta:
+                best_nb, best_fit, best_delta = nb, fitted, delta
+        if best_fit is None:
+            raise MergeInfeasibleError("no finite merge")
+        new = pool.merge(rid, best_nb, best_fit)
+        if len(best_fit.units) < config.min_obs:
+            heapq.heappush(repair, (len(best_fit.units), pool.smallest(new), new))
+    if len(pool.regions) < config.p:
+        raise MergeInfeasibleError("too few regions")
+    adjacency = {rid: pool.neighbor_regions(graph, rid) for rid in pool.regions}
+    heap = []
+    for a in sorted(pool.regions):
+        for b in sorted(adjacency[a]):
+            if a < b:
+                heapq.heappush(heap, (pool.delta(a, b, pool.union_fit(a, b)), a, b))
+    while len(pool.regions) > config.p:
+        _, a, b = heapq.heappop(heap)
+        if a not in pool.regions or b not in pool.regions:
+            continue
+        new = pool.merge(a, b, pool.union_fit(a, b))
+        adjacency[new] = (adjacency.pop(a) | adjacency.pop(b)) - {a, b}
+        for x in sorted(adjacency[new]):
+            adjacency[x].discard(a)
+            adjacency[x].discard(b)
+            adjacency[x].add(new)
+            lo, hi = min(new, x), max(new, x)
+            heapq.heappush(heap, (pool.delta(lo, hi, pool.union_fit(lo, hi)), lo, hi))
+    ordered = [pool.regions[rid] for rid in sorted(pool.regions, key=pool.smallest)]
+    assignment = np.empty(graph.n, dtype=np.int64)
+    for label, f in enumerate(ordered):
+        assignment[f.units] = label
+    return Partition(assignment, len(ordered)), [f.model for f in ordered]
+
+
+def assert_same_merge(dataset, graph, micro, cfg):
+    """With every batch bounded, the merge stage equals the oracle bit for bit.
+
+    Returns how many union fits the screened run made and the oracle made.
+    """
+    fits = {"screened": 0, "oracle": 0}
+    union_fit = _RegionPool.union_fit
+
+    def counting(key):
+        def wrapper(pool, a, b):
+            fits[key] += 1
+            return union_fit(pool, a, b)
+        return wrapper
+
+    with mock.patch.object(_RegionPool, "union_fit", counting("oracle")):
+        expected, expected_models = merge_stage_oracle(dataset, graph, micro, cfg)
+    with mock.patch.object(solvers, "_SCREEN_UNION_UNITS", 0), \
+            mock.patch.object(_RegionPool, "union_fit", counting("screened")):
+        part, models = kmodels_merge_stage(dataset, graph, micro, cfg)
+    assert np.array_equal(part.assignment, expected.assignment)
+    for got, want in zip(models, expected_models, strict=True):
+        assert got.beta.tobytes() == want.beta.tobytes()
+        assert repr(got.ssr) == repr(want.ssr)
+    return fits["screened"], fits["oracle"]
+
+
+class TestMergeScreen:
+    """Bounding candidate unions first changes no merge, ties included."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(merge_cases())
+    def test_matches_oracle_with_every_batch_bounded(self, case):
+        screened, oracle = assert_same_merge(*case)
+        assert screened <= oracle
+
+    @settings(max_examples=40, deadline=None)
+    @given(merge_cases())
+    def test_matches_oracle_with_loose_bounds(self, case):
+        # a wider interval still holds every change; it only rules out
+        # fewer unions, and the order of the lower bounds no longer
+        # follows the order of the changes
+        with mock.patch.object(linreg, "MERGE_ERROR_FACTOR", 1e12):
+            assert_same_merge(*case)
+
+    def test_bounds_skip_union_fits(self):
+        rng = np.random.default_rng(5)
+        graph = build_grid_graph(12, 12)
+        labels = grow_initial_partition(graph, 12, 1, rng).assignment
+        scattered = rng.random(144) < 0.4
+        labels[scattered] = rng.integers(12, size=int(scattered.sum()))
+        x = rng.random((144, 1))
+        dataset = Dataset(X=x, y=np.where(labels % 2, 1.0, -1.0) * x[:, 0]
+                          + 0.1 * rng.normal(size=144))
+        screened, oracle = assert_same_merge(dataset, graph, Partition(labels, 12),
+                                             SolverConfig(p=3, min_obs=8))
+        assert screened < oracle / 2
+
+    @pytest.mark.parametrize("m, min_obs", [(2, 3), (1, 5)])
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_zero_response_ties_every_merge(self, p, m, min_obs):
+        # every SSR, change and bound is exactly 0.0, so each size-repair
+        # choice is a tie broken by smallest member, each bound meets the
+        # cut exactly, and fusion pops pairs by id; with min_obs above m+1
+        # fitted undersized regions are bounded by pooled_delta
+        rng = np.random.default_rng(3)
+        graph = build_grid_graph(6, 6)
+        labels = rng.integers(6, size=36)
+        labels[:6] = np.arange(6)
+        dataset = Dataset(X=rng.random((36, m)), y=np.zeros(36))
+        assert_same_merge(dataset, graph, Partition(labels, 6),
+                          SolverConfig(p=p, min_obs=min_obs))
+
+    def test_fusion_tie_goes_to_the_smaller_ids(self):
+        # four 5-unit blocks along a path; blocks 0 and 2 hold the same
+        # rows, as do blocks 1 and 3, so merging 0 with 1 and 2 with 3 fit
+        # identical rows and tie bit for bit, below the 1-2 merge
+        graph = build_grid_graph(1, 20)
+        rng = np.random.default_rng(8)
+        x = np.tile(rng.random((10, 1)), (2, 1))
+        y = np.tile(np.concatenate([x[:5, 0], 1.1 * x[5:10, 0]]), 2) + np.tile(
+            0.01 * rng.normal(size=10), 2)
+        labels = np.repeat(np.arange(4), 5)
+        dataset = Dataset(X=x, y=y)
+        pool = _RegionPool(dataset, 20)
+        for j in range(4):
+            pool.add(_fit(dataset, np.flatnonzero(labels == j)))
+        first, second = (pool.delta(a, b, pool.union_fit(a, b)) for a, b in [(0, 1), (2, 3)])
+        assert first == second < pool.delta(1, 2, pool.union_fit(1, 2))
+        assert_same_merge(dataset, graph, Partition(labels, 4), SolverConfig(p=3, min_obs=5))
+        part, _ = kmodels_merge_stage(dataset, graph, Partition(labels, 4),
+                                      SolverConfig(p=3, min_obs=5))
+        assert part.assignment.tolist() == [0] * 10 + [1] * 5 + [2] * 5
 
 
 class TestMergeStageProperties:
