@@ -29,7 +29,6 @@ from .graph import (
     grow_initial_partition,
     is_connected_subset,
     read_edge_list,
-    region_neighbors,
 )
 from .linreg import (
     Dataset,

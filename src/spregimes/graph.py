@@ -25,7 +25,6 @@ __all__ = [
     "read_edge_list",
     "is_connected_subset",
     "connected_components",
-    "region_neighbors",
     "grow_initial_partition",
 ]
 
@@ -56,13 +55,6 @@ class AdjacencyGraph:
         width = 1 + max(map(len, self.neighbors), default=0)
         return np.array([(i, *nb) + (i,) * (width - 1 - len(nb))
                          for i, nb in enumerate(self.neighbors)], dtype=np.int64)
-
-    @property
-    def edge_count(self) -> int:
-        return sum(map(len, self.neighbors)) // 2
-
-    def degree(self, unit: int) -> int:
-        return len(self.neighbors[unit])
 
 
 # Target points per knn search tile at the mean density of the bounding box.
@@ -398,18 +390,6 @@ class Partition:
         if self.assignment.min() < 0 or len(sizes) != self.p or sizes.min() == 0:
             raise ValueError("labels must be dense in 0..p-1 with no empty region")
 
-    @classmethod
-    def from_labels(cls, labels) -> "Partition":
-        """Build a Partition from arbitrary labels, compacted by first appearance."""
-        labels = list(labels)
-        mapping: dict = {}
-        assignment = np.empty(len(labels), dtype=np.int64)
-        for i, lab in enumerate(labels):
-            if lab not in mapping:
-                mapping[lab] = len(mapping)
-            assignment[i] = mapping[lab]
-        return cls(assignment, len(mapping))
-
     @property
     def n(self) -> int:
         return len(self.assignment)
@@ -421,16 +401,3 @@ class Partition:
 
     def sizes(self) -> np.ndarray:
         return np.bincount(self.assignment, minlength=self.p)
-
-
-def region_neighbors(graph: AdjacencyGraph, partition: Partition, region: int) -> set[int]:
-    """Units outside ``region`` having at least one neighbor inside it."""
-    if not 0 <= region < partition.p:
-        raise ValueError(f"unknown region {region}")
-    assignment = partition.assignment
-    out: set[int] = set()
-    for i in np.flatnonzero(assignment == region):
-        for v in graph.neighbors[i]:
-            if assignment[v] != region:
-                out.add(int(v))
-    return out

@@ -11,6 +11,7 @@ import csv
 import datetime
 import hashlib
 import json
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -180,22 +181,51 @@ def list_simulations(suite_dir) -> list[Path]:
     return dirs
 
 
-def load_simulation(sim_dir):
-    """Load one simulation directory back into (GroundTruth, manifest)."""
-    sim_dir = Path(sim_dir)
-    with open(sim_dir / "manifest.json", "r", encoding="utf-8") as fh:
-        manifest = json.load(fh)
-    spec = _spec_from_dict(manifest["spec"])
-    dataset = load_dataset_csv(sim_dir / "data.csv")
-    with open(sim_dir / "true_partition.csv", "r", encoding="utf-8", newline="") as fh:
+@contextmanager
+def _fields_of(path):
+    """Raise a missing key or wrongly typed field of ``path`` as a ValueError naming it."""
+    try:
+        yield
+    except (KeyError, TypeError, ValueError) as exc:
+        kind = type(exc).__name__
+        raise ValueError(f"{path}: missing or malformed field ({kind}: {exc})") from exc
+
+
+def _csv_rows(path) -> tuple[list[str], list[dict]]:
+    """Header and rows of a CSV with a header line and at least one row."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
-        labels = [int(row["region"]) for row in reader]
+        header, rows = reader.fieldnames, list(reader)
+    if header is None:
+        raise ValueError(f"{path}: empty file")
+    if not rows:
+        raise ValueError(f"{path}: no data rows")
+    return header, rows
+
+
+def load_simulation(sim_dir):
+    """Load one simulation directory back into (GroundTruth, manifest).
+
+    Raises ValueError naming the file for a missing key, an empty CSV or a
+    wrongly typed field.
+    """
+    sim_dir = Path(sim_dir)
+    path = sim_dir / "manifest.json"
+    with open(path, "r", encoding="utf-8") as fh, _fields_of(path):
+        manifest = json.load(fh)
+        spec = _spec_from_dict(manifest["spec"])
+    dataset = load_dataset_csv(sim_dir / "data.csv")
+    path = sim_dir / "true_partition.csv"
+    _, rows = _csv_rows(path)
+    with _fields_of(path):
+        labels = [int(row["region"]) for row in rows]
     if len(labels) != dataset.n:
         raise ValueError(f"{sim_dir}: partition covers {len(labels)} of {dataset.n} units")
-    with open(sim_dir / "true_coefficients.csv", "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        names = [f"b{c}" for c in range(len(reader.fieldnames) - 1)]  # all but "region"
-        coefficients = np.array([[float(row[name]) for name in names] for row in reader])
+    path = sim_dir / "true_coefficients.csv"
+    header, rows = _csv_rows(path)
+    with _fields_of(path):
+        names = [f"b{c}" for c in range(len(header) - 1)]  # all but "region"
+        coefficients = np.array([[float(row[name]) for name in names] for row in rows])
     partition = Partition(np.asarray(labels), int(max(labels)) + 1)
     truth = GroundTruth(partition, coefficients, dataset)
     return truth, {"spec": spec, "manifest": manifest}
@@ -270,32 +300,34 @@ def load_solve_result(path, unit_ids: list[str]) -> tuple[SolveResult, bool]:
 
     Reloaded models carry coefficients only (no cached normal-equation
     state). Returns the result and whether the solve ran on standardized
-    data.
+    data. Raises ValueError naming the file for a missing key or a wrongly
+    typed field.
     """
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8") as fh, _fields_of(path):
         payload = json.load(fh)
-    assignments = payload["assignments"]
+        assignments = dict(payload["assignments"])
     if set(assignments) != set(unit_ids):
         raise ValueError(f"{path}: assignment unit ids do not match the dataset")
-    labels = np.array([assignments[u] for u in unit_ids], dtype=np.int64)
-    models = [
-        RegionModel(
-            beta=np.concatenate(([entry["intercept"]], entry["coefficients"])),
-            gram_inv=None,
-            xty=None,
-            n_obs=entry["size"],
+    with _fields_of(path):
+        labels = np.array([int(assignments[u]) for u in unit_ids], dtype=np.int64)
+        models = [
+            RegionModel(
+                beta=np.array([entry["intercept"], *entry["coefficients"]], dtype=float),
+                gram_inv=None,
+                xty=None,
+                n_obs=int(entry["size"]),
+            )
+            for entry in payload["regions"]
+        ]
+        result = SolveResult(
+            partition=Partition(labels, len(models)),
+            models=models,
+            total_ssr=float(payload["total_ssr"]),
+            iterations_used=int(payload["iterations"]),
+            seed=int(payload["seed"]),
+            wall_time=float(payload["wall_time_sec"]),
+            trace=[float(v) for v in payload["trace"]],
         )
-        for entry in payload["regions"]
-    ]
-    result = SolveResult(
-        partition=Partition(labels, len(models)),
-        models=models,
-        total_ssr=payload["total_ssr"],
-        iterations_used=payload["iterations"],
-        seed=payload["seed"],
-        wall_time=payload["wall_time_sec"],
-        trace=list(payload["trace"]),
-    )
     return result, bool(payload.get("standardized", False))
 
 

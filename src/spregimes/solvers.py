@@ -209,23 +209,22 @@ class _RegionPool:
     union is one concatenate and a stable sort, which merges the two
     ascending runs in linear time, and its first entry is the region's
     smallest member. ``neighbor_regions`` reads ``region_of`` with one
-    gather over the region's neighbor lists. ``union_fit`` scores a
-    candidate merge with a ``_Fit``, and ``merge`` installs a scored
-    union's ``_Fit`` as is, so the winning union is not fitted again.
-    Regions too small for a unique fit carry no model and contribute no
-    residuals to merge comparisons; they only ever shrink in number.
-    Region ids are never reused: a merge retires both inputs and adds a
-    new id.
+    gather over the region's neighbor lists. ``union_fit`` is the only
+    place a candidate merge is fitted, and ``merge`` installs that
+    ``_Fit`` as is. Regions too small for a unique fit carry no model and
+    contribute no residuals to merge comparisons; they only ever shrink
+    in number. Region ids are never reused: a merge retires both inputs
+    and adds a new id.
 
-    ``absorb_bounds`` and ``pooled_bounds`` bound the SSR changes of a
-    batch of candidate unions from the cached fits, in one
-    ``linreg.absorb_delta`` or ``linreg.pooled_delta`` call, without
-    fitting them. A union is bounded only when its fitted sides carry a
-    ``certificate``, and a batch only when one of its unions has more
-    than ``_SCREEN_UNION_UNITS`` units. A batch call costs about as much
-    as fitting one union of 800 units, and one more union in a batch
-    costs far less than any fit (single-threaded BLAS on a 2-vCPU VM), so
-    a batch pays for itself when it rules out its largest union; small
+    ``lower_bounds`` bounds the SSR changes of a batch of candidate
+    unions from the cached fits, in one ``linreg.absorb_delta`` or
+    ``linreg.pooled_delta`` call, without fitting them. A union is
+    bounded only when its fitted sides carry a ``certificate``, and a
+    batch only when one of its unions has more than
+    ``_SCREEN_UNION_UNITS`` units. A batch call costs about as much as
+    fitting one union of 800 units, and one more union in a batch costs
+    far less than any fit (single-threaded BLAS on a 2-vCPU VM), so a
+    batch pays for itself when it rules out its largest union; small
     regions among small regions are fitted as before.
     """
 
@@ -258,54 +257,37 @@ class _RegionPool:
         """Total-SSR change of replacing regions ``a`` and ``b`` by ``fitted``."""
         return fitted.ssr - self.regions[a].ssr - self.regions[b].ssr
 
-    def score(self, a: int, b: int) -> tuple[_Fit, float]:
-        """``union_fit(a, b)`` and its ``delta``."""
-        fitted = self.union_fit(a, b)
-        return fitted, self.delta(a, b, fitted)
+    def lower_bounds(self, pairs: list[tuple[int, int]]) -> dict[tuple[int, int], float]:
+        """Certified lower bounds on ``delta(a, b, union_fit(a, b))``, keyed by pair.
 
-    def _certified(self, rid: int) -> bool:
-        model = self.regions[rid].model
-        return model is not None and model.certificate is not None
-
-    def _worth_bounding(self, pairs: list[tuple[int, int]]) -> bool:
-        return any(len(self.regions[a].units) + len(self.regions[b].units)
-                   > _SCREEN_UNION_UNITS for a, b in pairs)
-
-    def absorb_bounds(self, rid: int, nbs: list[int]) -> dict[int, tuple[float, float]]:
-        """``(lower, upper)`` bounds on ``delta(rid, nb, union_fit(rid, nb))``.
-
-        One entry per certified neighbor in ``nbs``, or none when no union
-        is large enough or ``rid`` has a model without a certificate;
-        neighbors left out must be fitted. A region of fewer than m+1
-        units is scored by ``absorb_delta`` over its rows, a fitted one by
-        ``pooled_delta``, so no bound costs more than O(m^3) per neighbor.
+        Pairs left out must be fitted: all of them when no union is large
+        enough, else those with an uncertified fitted side or a non-finite
+        interval. When every pair shares a first region without a model,
+        as in the size repair of a region below m+1 units, ``absorb_delta``
+        scores its rows against each neighbor's model; otherwise
+        ``pooled_delta`` scores the two models. So no bound costs more than
+        O(m^3) per pair.
         """
-        region = self.regions[rid]
-        if region.model is not None and region.model.certificate is None:
+        regions = self.regions
+        if not any(len(regions[a].units) + len(regions[b].units) > _SCREEN_UNION_UNITS
+                   for a, b in pairs):
             return {}
-        if not self._worth_bounding([(rid, nb) for nb in nbs]):
-            return {}
-        nbs = [nb for nb in nbs if self._certified(nb)]
-        if not nbs:
-            return {}
-        models = [self.regions[nb].model for nb in nbs]
-        if region.model is None:
-            units = region.units
-            delta, err = absorb_delta(models, self.dataset.X[units], self.dataset.y[units], 0.0)
-        else:
-            delta, err = pooled_delta([region.model] * len(nbs), models)
-        return _bounds(nbs, delta, err)
-
-    def pooled_bounds(self, pairs: list[tuple[int, int]]) -> dict[tuple[int, int], tuple[float, float]]:
-        """``(lower, upper)`` bounds on the SSR change of merging each certified pair."""
-        if not self._worth_bounding(pairs):
-            return {}
-        pairs = [(a, b) for a, b in pairs if self._certified(a) and self._certified(b)]
+        first = pairs[0][0]
+        absorb = regions[first].model is None and all(a == first for a, _ in pairs)
+        certified = {rid for pair in pairs for rid in pair if regions[rid].model is not None
+                     and regions[rid].model.certificate is not None}
+        pairs = [(a, b) for a, b in pairs if b in certified and (absorb or a in certified)]
         if not pairs:
             return {}
-        delta, err = pooled_delta([self.regions[a].model for a, _ in pairs],
-                                  [self.regions[b].model for _, b in pairs])
-        return _bounds(pairs, delta, err)
+        models = [regions[b].model for _, b in pairs]
+        if absorb:
+            units = regions[first].units
+            delta, err = absorb_delta(models, self.dataset.X[units], self.dataset.y[units], 0.0)
+        else:
+            delta, err = pooled_delta([regions[a].model for a, _ in pairs], models)
+        lower, upper = (delta - err).tolist(), (delta + err).tolist()
+        return {pair: lo for pair, lo, hi in zip(pairs, lower, upper)
+                if math.isfinite(lo) and math.isfinite(hi)}
 
     def neighbor_regions(self, graph: AdjacencyGraph, rid: int) -> set[int]:
         """Ids of the live regions other than ``rid`` that touch region ``rid``."""
@@ -316,18 +298,45 @@ class _RegionPool:
         return out
 
 
-def _bounds(keys: list, delta: np.ndarray, err: np.ndarray) -> dict:
-    """``{key: (delta - err, delta + err)}`` for the keys with a finite interval."""
-    lower, upper = (delta - err).tolist(), (delta + err).tolist()
-    return {key: (lo, hi) for key, lo, hi in zip(keys, lower, upper)
-            if math.isfinite(lo) and math.isfinite(hi)}
+def _push_exact(pool: _RegionPool, heap: list, tie: int, a: int, b: int):
+    """Fit the union of ``a`` and ``b`` and push it keyed by its finite SSR change."""
+    fitted = pool.union_fit(a, b)
+    delta = pool.delta(a, b, fitted)
+    if math.isfinite(delta):  # a non-finite change never wins
+        heapq.heappush(heap, (delta, tie, a, b, fitted))
 
 
-def _fusion_entries(pool: _RegionPool, pairs: list[tuple[int, int]]) -> list[tuple]:
-    """Fusion heap entries of ``pairs``: ``(lower, a, b, 0)`` or ``(delta, a, b, 1)``."""
-    bounds = pool.pooled_bounds(pairs)
-    return [(bounds[a, b][0], a, b, 0) if (a, b) in bounds else (pool.score(a, b)[1], a, b, 1)
-            for a, b in pairs]
+def _push_candidates(pool: _RegionPool, heap: list, candidates: list[tuple[int, int, int]]):
+    """Push each ``(tie, a, b)`` union keyed by its lower bound, or else fitted."""
+    lower = pool.lower_bounds([(a, b) for _, a, b in candidates])
+    for tie, a, b in candidates:
+        if (a, b) in lower:
+            heapq.heappush(heap, (lower[a, b], tie, a, b, None))
+        else:
+            _push_exact(pool, heap, tie, a, b)
+
+
+def _pop_cheapest(pool: _RegionPool, heap: list) -> tuple | None:
+    """Pop the fitted union of least ``(delta, tie, a, b)`` between live regions.
+
+    Entries are ``(key, tie, a, b, fit)``: a lower bound with ``fit`` None,
+    or an exact SSR change with the ``_Fit`` that gave it. A popped bound
+    is fitted and pushed back with its change. A bound never exceeds its
+    change, so the first exact entry to pop is the least over every
+    candidate, ties included. A heap holds at most one entry per pair, so
+    no two entries share ``(key, tie, a, b)`` and the heap never compares
+    two fits. Returns None when no live union with a finite change is
+    left.
+    """
+    while heap:
+        entry = heapq.heappop(heap)
+        _, tie, a, b, fitted = entry
+        if a not in pool.regions or b not in pool.regions:
+            continue  # one side already merged away
+        if fitted is not None:
+            return entry
+        _push_exact(pool, heap, tie, a, b)
+    return None
 
 
 def kmodels_merge_stage(dataset: Dataset, graph: AdjacencyGraph,
@@ -337,33 +346,27 @@ def kmodels_merge_stage(dataset: Dataset, graph: AdjacencyGraph,
     Disconnected micro-clusters are split into their connected components.
     Regions below ``min_obs`` are then repaired one at a time, in order of
     (size, smallest member), from a heap: the region is absorbed by the
-    neighboring region that minimizes the total SSR after the merge, with
-    neighbors tried in order of their smallest member and the first strict
-    minimum of the SSR change winning. The fit that scored the winning
-    union becomes the merged region's fit, so no union is fitted twice; a
-    merge result still below ``min_obs`` re-enters the heap. Finally, while
-    more than ``p`` regions remain, the neighboring pair whose merge
-    increases the total SSR the least is fused; the fusion heap keeps only
-    SSR changes, so each fused pair is fitted again when it is merged.
+    neighboring region that minimizes the total SSR after the merge, ties
+    going to the neighbor with the smallest member; a merge result still
+    below ``min_obs`` re-enters the heap. Finally, while more than ``p``
+    regions remain, the neighboring pair whose merge increases the total
+    SSR the least is fused, ties going to the smaller ids ``(a, b)``.
 
-    Candidate unions next to large regions are bounded before they are
-    fitted (``_RegionPool``), and only a union whose interval could hold
-    the winner is fitted. The size
-    repair fits the unbounded neighbors first; the cut is the least of
-    their SSR changes and of the bounded neighbors' upper bounds, and a
-    bounded neighbor whose lower bound exceeds the cut cannot win and is
-    skipped. The fusion heap holds ``(lower, a, b, 0)`` for a bounded pair
-    and ``(delta, a, b, 1)`` for a fitted one; a popped lower bound is
-    replaced by the pair's fitted change. A lower bound never exceeds its
-    change, so pairs are merged in the order of ``(delta, a, b)``, ties
-    included. Every comparison that picks a merge, and every installed
-    region, still comes from ``fit_ols``, so the result is the one of
-    fitting every union.
+    Both phases pick each merge with ``_pop_cheapest`` from a heap of
+    candidate unions: a fresh heap per undersized region, whose tie is
+    the neighbor's smallest member, and one fusion heap, whose tie is 0.
+    A union next to a large region enters keyed by its certified lower
+    bound (``_RegionPool.lower_bounds``) and is fitted only if that bound
+    reaches the top; any other union is fitted when it enters. The merge
+    installs the fit its winning entry carries, so no union is fitted
+    twice, and the result is the one of fitting every union. A
+    non-finite SSR change never wins.
 
     Returns ``(partition, models)`` with regions relabeled 0..p-1 by their
     smallest member. Raises MergeInfeasibleError if an undersized region
-    has no neighboring region with a finite SSR change, or if fewer than
-    ``p`` regions remain after the size repair.
+    has no neighboring region with a finite SSR change, if fewer than
+    ``p`` regions remain after the size repair, or if fusion runs out of
+    neighboring pairs with a finite SSR change before ``p`` remain.
     """
     pool = _RegionPool(dataset, graph.n)
     for j in range(micro_partition.p):
@@ -379,29 +382,20 @@ def kmodels_merge_stage(dataset: Dataset, graph: AdjacencyGraph,
         rid = heapq.heappop(repair)[2]
         if rid not in pool.regions:
             continue  # merged away since it was queued
-        nbs = sorted(pool.neighbor_regions(graph, rid), key=pool.smallest)
-        bounds = pool.absorb_bounds(rid, nbs)
-        scored = {nb: pool.score(rid, nb) for nb in nbs if nb not in bounds}
-        # nan changes never win; min() passes over them unless one comes
-        # first, and a nan cut rules out nothing
-        cut = min([d for _, d in scored.values()] + [hi for _, hi in bounds.values()],
-                  default=np.inf)
-        best_nb, best_fit, best_delta = -1, None, np.inf
-        for nb in nbs:
-            if nb in bounds and bounds[nb][0] > cut:
-                continue  # its change exceeds the cut, which some neighbor meets
-            fitted, delta = scored[nb] if nb in scored else pool.score(rid, nb)
-            if delta < best_delta:
-                best_nb, best_fit, best_delta = nb, fitted, delta
-        if best_fit is None:
+        heap: list[tuple] = []
+        _push_candidates(pool, heap, [(pool.smallest(nb), rid, nb)
+                                      for nb in pool.neighbor_regions(graph, rid)])
+        best = _pop_cheapest(pool, heap)
+        if best is None:
             raise MergeInfeasibleError(
                 f"undersized region (size {len(pool.regions[rid].units)}, smallest member "
                 f"{pool.smallest(rid)}) has no neighboring region with a finite SSR "
                 "change to merge into"
             )
-        new = pool.merge(rid, best_nb, best_fit)
-        if len(best_fit.units) < config.min_obs:
-            heapq.heappush(repair, (len(best_fit.units), pool.smallest(new), new))
+        _, _, _, nb, fitted = best
+        new = pool.merge(rid, nb, fitted)
+        if len(fitted.units) < config.min_obs:
+            heapq.heappush(repair, (len(fitted.units), pool.smallest(new), new))
 
     if len(pool.regions) < config.p:
         raise MergeInfeasibleError(
@@ -411,26 +405,25 @@ def kmodels_merge_stage(dataset: Dataset, graph: AdjacencyGraph,
 
     # fuse neighboring pairs with the smallest SSR increase until p remain
     adjacency = {rid: pool.neighbor_regions(graph, rid) for rid in pool.regions}
-    heap: list[tuple[float, int, int, int]] = []
-    pairs = [(a, b) for a in sorted(pool.regions) for b in sorted(adjacency[a]) if a < b]
-    for entry in _fusion_entries(pool, pairs):
-        heapq.heappush(heap, entry)
+    heap = []
+    _push_candidates(pool, heap, [(0, a, b) for a in sorted(pool.regions)
+                                  for b in sorted(adjacency[a]) if a < b])
     while len(pool.regions) > config.p:
-        _, a, b, fitted = heapq.heappop(heap)
-        if a not in pool.regions or b not in pool.regions:
-            continue  # one side already merged away
-        if not fitted:
-            heapq.heappush(heap, (pool.score(a, b)[1], a, b, 1))
-            continue
-        new = pool.merge(a, b, pool.union_fit(a, b))
+        best = _pop_cheapest(pool, heap)
+        if best is None:
+            raise MergeInfeasibleError(
+                f"{len(pool.regions)} regions remain but no neighboring pair has a finite "
+                f"SSR change to fuse, and p={config.p} were requested"
+            )
+        _, _, a, b, fitted = best
+        new = pool.merge(a, b, fitted)
         adjacency[new] = (adjacency.pop(a) | adjacency.pop(b)) - {a, b}
         for x in sorted(adjacency[new]):
             adjacency[x].discard(a)
             adjacency[x].discard(b)
             adjacency[x].add(new)
         # ids only grow, so the new region's id is the larger of each pair
-        for entry in _fusion_entries(pool, [(x, new) for x in sorted(adjacency[new])]):
-            heapq.heappush(heap, entry)
+        _push_candidates(pool, heap, [(0, x, new) for x in sorted(adjacency[new])])
 
     ordered = [pool.regions[rid] for rid in sorted(pool.regions, key=pool.smallest)]
     assignment = np.empty(graph.n, dtype=np.int64)

@@ -1,4 +1,5 @@
 import json
+import shutil
 
 import pytest
 
@@ -177,6 +178,51 @@ class TestEvalCommand:
                      "--result", str(tmp_path / "nope.json"),
                      "--output", str(tmp_path)])
         assert code == 2
+
+    @pytest.fixture(scope="class")
+    def result_path(self, suite_dir, tmp_path_factory):
+        run_dir = tmp_path_factory.mktemp("eval_run")
+        assert main([
+            "solve", "--data", str(suite_dir / "sim_000" / "data.csv"),
+            "--adjacency", "grid", "10x10", "--algorithm", "kmodels",
+            "--p", "2", "--min-obs", "10", "--K", "6", "--seed", "4",
+            "--output", str(run_dir),
+        ]) == 0
+        return run_dir / "result.json"
+
+    @pytest.mark.parametrize("name, content", [
+        ("true_coefficients.csv", ""),
+        ("true_coefficients.csv", "region,b0,b1\n"),
+        ("true_coefficients.csv", "region,b0,b1\n0,1.0\n"),
+        ("true_partition.csv", "unit,label\n0,0\n"),
+        ("manifest.json", "{}"),
+    ], ids=["empty", "header-only", "short-row", "no-region-column", "no-spec"])
+    def test_malformed_truth_exits_two_naming_the_file(self, suite_dir, result_path, tmp_path,
+                                                       capsys, name, content):
+        truth = tmp_path / "truth"
+        shutil.copytree(suite_dir / "sim_000", truth)
+        (truth / name).write_text(content)
+        code = main(["eval", "--truth", str(truth), "--result", str(result_path),
+                     "--output", str(tmp_path / "eval")])
+        assert code == 2
+        assert str(truth / name) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit", [
+        lambda payload: payload.pop("trace"),
+        lambda payload: payload.update(trace=5),
+        lambda payload: payload.update(regions=[{"size": 10}]),
+        lambda payload: payload.update(total_ssr="low"),
+    ], ids=["no-trace", "trace-not-a-list", "region-without-coefficients", "text-ssr"])
+    def test_malformed_result_exits_two_naming_the_file(self, suite_dir, result_path, tmp_path,
+                                                        capsys, edit):
+        payload = json.loads(result_path.read_text())
+        edit(payload)
+        broken = tmp_path / "result.json"
+        broken.write_text(json.dumps(payload))
+        code = main(["eval", "--truth", str(suite_dir / "sim_000"), "--result", str(broken),
+                     "--output", str(tmp_path / "eval")])
+        assert code == 2
+        assert str(broken) in capsys.readouterr().err
 
 
 class TestBenchmarkCommand:

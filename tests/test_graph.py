@@ -13,7 +13,6 @@ from spregimes import (
     connected_components,
     is_connected_subset,
     read_edge_list,
-    region_neighbors,
 )
 
 
@@ -26,12 +25,12 @@ class TestGridGraph:
     def test_single_cell(self):
         g = build_grid_graph(1, 1)
         assert g.n == 1
-        assert g.edge_count == 0
+        assert len(edge_set(g)) == 0
 
     def test_two_by_two(self):
         g = build_grid_graph(2, 2)
         assert g.n == 4
-        assert g.edge_count == 4
+        assert len(edge_set(g)) == 4
         assert g.neighbors[0] == (1, 2)
 
     def test_25_by_25_edge_count_matches_enumeration(self):
@@ -47,7 +46,7 @@ class TestGridGraph:
             if (r1, c1) < (r2, c2) and abs(r1 - r2) + abs(c1 - c2) == 1
         )
         assert expected == 25 * 24 * 2
-        assert g.edge_count == expected
+        assert len(edge_set(g)) == expected
 
     def test_rejects_empty_grid(self):
         with pytest.raises(ValueError):
@@ -57,7 +56,7 @@ class TestGridGraph:
 class TestEdgeListGraph:
     def test_path_graph(self):
         g = build_edge_list_graph(3, [(0, 1), (1, 2)])
-        assert g.edge_count == 2
+        assert len(edge_set(g)) == 2
         assert is_connected_subset(g, range(3))
 
     def test_isolated_node_rejected(self):
@@ -66,7 +65,7 @@ class TestEdgeListGraph:
 
     def test_symmetrize_then_dedup(self):
         g = build_edge_list_graph(4, [(0, 1), (1, 0), (1, 2), (2, 3)])
-        assert g.edge_count == 3
+        assert len(edge_set(g)) == 3
 
     def test_self_loop_rejected(self):
         with pytest.raises(ValueError, match="self-loop"):
@@ -85,7 +84,7 @@ class TestKnnGraph:
     def test_k_equals_n_minus_one_gives_complete_graph(self, rng):
         pts = rng.random((6, 2))
         g = build_knn_graph(pts, k=5)
-        assert g.edge_count == 15
+        assert len(edge_set(g)) == 15
 
     def test_unit_square_k2_is_a_cycle_without_diagonals(self):
         pts = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
@@ -286,11 +285,6 @@ class TestPartition:
         with pytest.raises(ValueError):
             Partition(np.array([0, 2, 2]), 3)
 
-    def test_from_labels_compacts(self):
-        part = Partition.from_labels(["b", "a", "b", "c"])
-        assert list(part.assignment) == [0, 1, 0, 2]
-        assert part.p == 3
-
     def test_members_and_sizes(self):
         part = Partition(np.array([0, 1, 0, 1, 1]), 2)
         assert list(part.members(0)) == [0, 2]
@@ -299,41 +293,10 @@ class TestPartition:
             part.members(2)
 
 
-class TestRegionNeighbors:
-    def test_whole_grid_region_has_no_neighbors(self, grid25):
-        part = Partition(np.zeros(grid25.n, dtype=int), 1)
-        assert region_neighbors(grid25, part, 0) == set()
-
-    def test_two_by_two_corner(self):
-        g = build_grid_graph(2, 2)
-        part = Partition(np.array([0, 1, 1, 1]), 2)
-        assert region_neighbors(g, part, 0) == {1, 2}
-
-    def test_stripe_boundary(self, grid25):
-        labels = np.zeros(625, dtype=int)
-        labels[125:] = 1  # rows 0-4 vs rows 5-24
-        part = Partition(labels, 2)
-        assert region_neighbors(grid25, part, 0) == set(range(125, 150))
-
-    def test_never_contains_own_members(self, grid25, rng):
-        labels = rng.integers(0, 4, size=625)
-        labels[:4] = np.arange(4)  # keep all labels populated
-        part = Partition(labels, 4)
-        for region in range(4):
-            neighbors = region_neighbors(grid25, part, region)
-            assert neighbors.isdisjoint(set(map(int, part.members(region))))
-
-    def test_unknown_region(self, grid25):
-        part = Partition(np.zeros(625, dtype=int), 1)
-        with pytest.raises(ValueError, match="unknown region"):
-            region_neighbors(grid25, part, 3)
-
-
 class TestGraphInvariants:
     def test_neighbor_lists_are_symmetric(self, grid25, rng):
         pts = rng.random((40, 2))
         for g in (grid25, build_knn_graph(pts, 4)):
             for i in range(g.n):
-                assert g.degree(i) == len(g.neighbors[i])
                 for j in g.neighbors[i]:
                     assert i in g.neighbors[j]

@@ -232,13 +232,13 @@ class TestMergeStage:
             solvers._RegionPool, "union_fit",
             lambda pool, a, b: solvers._Fit(pool.regions[a].units, None, float("nan")))
         bounded = []
-        absorb_bounds = solvers._RegionPool.absorb_bounds
+        lower_bounds = solvers._RegionPool.lower_bounds
 
-        def recording(pool, rid, nbs):
-            bounded.append(absorb_bounds(pool, rid, nbs))
+        def recording(pool, pairs):
+            bounded.append(lower_bounds(pool, pairs))
             return bounded[-1]
 
-        monkeypatch.setattr(solvers._RegionPool, "absorb_bounds", recording)
+        monkeypatch.setattr(solvers._RegionPool, "lower_bounds", recording)
         # on the 33x33 grid the union has 1,089 units, so the size repair
         # bounds it first and only then finds that its fit is nan
         for side in (4, 33):
@@ -251,6 +251,19 @@ class TestMergeStage:
             with pytest.raises(MergeInfeasibleError, match=r"size 1, smallest member 5"):
                 kmodels_merge_stage(ds, g, Partition(labels, 2), SolverConfig(p=2, min_obs=2))
             assert [len(b) for b in bounded] == [int(n > solvers._SCREEN_UNION_UNITS)]
+
+    @pytest.mark.parametrize("screen_units", [0, solvers._SCREEN_UNION_UNITS])
+    def test_fusion_without_a_finite_change_raises(self, rng, screen_units):
+        # four 4-unit rows, each already at min_obs, so only fusion merges;
+        # with every union fit nan, no pair may be fused
+        graph = build_grid_graph(4, 4)
+        dataset = Dataset(X=rng.random((16, 1)), y=rng.random(16))
+        nan_fit = lambda pool, a, b: solvers._Fit(pool.regions[a].units, None, float("nan"))
+        with mock.patch.object(solvers, "_SCREEN_UNION_UNITS", screen_units), \
+                mock.patch.object(_RegionPool, "union_fit", nan_fit), \
+                pytest.raises(MergeInfeasibleError, match="4 regions remain"):
+            kmodels_merge_stage(dataset, graph, Partition(np.repeat(np.arange(4), 4), 4),
+                                SolverConfig(p=2, min_obs=4))
 
     def test_too_few_components_is_infeasible(self, rng):
         g = build_grid_graph(4, 4)
@@ -417,14 +430,16 @@ def merge_stage_oracle(dataset, graph, micro_partition, config):
 def assert_same_merge(dataset, graph, micro, cfg):
     """With every batch bounded, the merge stage equals the oracle bit for bit.
 
-    Returns how many union fits the screened run made and the oracle made.
+    The screened run must fit no union twice, since each merge installs
+    the fit that scored it. Returns how many union fits the screened run
+    made and the oracle made.
     """
-    fits = {"screened": 0, "oracle": 0}
+    fits = {"screened": [], "oracle": []}
     union_fit = _RegionPool.union_fit
 
     def counting(key):
         def wrapper(pool, a, b):
-            fits[key] += 1
+            fits[key].append(frozenset((a, b)))
             return union_fit(pool, a, b)
         return wrapper
 
@@ -437,7 +452,8 @@ def assert_same_merge(dataset, graph, micro, cfg):
     for got, want in zip(models, expected_models, strict=True):
         assert got.beta.tobytes() == want.beta.tobytes()
         assert repr(got.ssr) == repr(want.ssr)
-    return fits["screened"], fits["oracle"]
+    assert len(fits["screened"]) == len(set(fits["screened"]))
+    return len(fits["screened"]), len(fits["oracle"])
 
 
 class TestMergeScreen:
@@ -524,6 +540,41 @@ class TestMergeStageProperties:
         assert np.array_equal(again.assignment, part.assignment)
         for a, b in zip(models, again_models):
             assert np.array_equal(a.beta, b.beta)
+
+
+@st.composite
+def kmodels_cases(draw):
+    """Holey grid or knn graph, random data and a small K-Models config."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    graph = draw_graph(draw, rng, (4, 9), (20, 80), 4)
+    n, m = graph.n, draw(st.integers(1, 2))
+    p = draw(st.integers(1, 3))
+    assume(n >= 2 * p * (m + 1))
+    min_obs = draw(st.integers(m + 1, n // (2 * p)))
+    k = draw(st.integers(p + 1, min(4 * p + 4, n // (m + 1))))
+    dataset = Dataset(X=rng.random((n, m)), y=rng.normal(size=n))
+    # about half the cases stop the partition stage at a small cap
+    max_iter = draw(st.one_of(st.just(1000), st.integers(1, 5)))
+    return dataset, graph, SolverConfig(p=p, min_obs=min_obs, K=k, max_iter=max_iter,
+                                        seed=draw(st.integers(0, 999)))
+
+
+class TestKModelsProperties:
+    @settings(max_examples=40, deadline=None)
+    @given(case=kmodels_cases())
+    def test_invariants_and_reproducibility(self, case):
+        dataset, graph, cfg = case
+        try:
+            res = solve_kmodels(dataset, graph, cfg)
+        except (MergeInfeasibleError, InitializationFailedError):
+            assume(False)
+        assert np.array_equal(np.unique(res.partition.assignment), np.arange(cfg.p))
+        assert_feasible(graph, res, p=cfg.p, min_obs=cfg.min_obs)
+        assert_monotone(res.trace)
+        again = solve_kmodels(dataset, graph, cfg)
+        assert np.array_equal(again.partition.assignment, res.partition.assignment)
+        assert again.total_ssr == res.total_ssr
+        assert again.trace == res.trace
 
 
 def grown_subset(graph, size, rng):
