@@ -15,7 +15,7 @@ from pathlib import Path
 
 from .exceptions import SpatialRegimesError
 from .graph import build_grid_graph
-from .io import list_simulations, load_simulation
+from .io import list_simulations, load_simulation, write_csv
 from .linreg import Scaler
 from .metrics import EvaluationReport, evaluate
 from .solvers import SOLVERS, SolveResult, SolverConfig, solve_with_restarts
@@ -67,11 +67,13 @@ class BenchmarkReport:
         sums: dict[tuple[str, str], list[float]] = {}
         for cell in self.cells:
             if cell.best is not None:
-                key = (cell.dataset_kind, cell.algorithm)
-                sums.setdefault(key, []).append(
-                    sum(run.wall_time for run in cell.runs)
-                )
+                sums.setdefault((cell.dataset_kind, cell.algorithm), []).append(_wall_time(cell))
         return {key: sum(vals) / len(vals) for key, vals in sums.items()}
+
+
+def _wall_time(cell: BenchmarkRun) -> float:
+    """Wall time of every restart of one cell."""
+    return sum(run.wall_time for run in cell.runs)
 
 
 def _cell_metrics(cell: BenchmarkRun) -> list[tuple[str, float]]:
@@ -166,20 +168,12 @@ def write_benchmark_csvs(out_dir, report: BenchmarkReport) -> dict[str, Path]:
         "summary": out_dir / "benchmark_summary.csv",
         "timings": out_dir / "benchmark_timings.csv",
     }
-    with open(paths["runs"], "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("dataset,algorithm,simulation,metric,value\n")
-        for kind, algorithm, sim, metric, value in report.metric_rows():
-            fh.write(f"{kind},{algorithm},{sim},{metric},{value!r}\n")
-    with open(paths["summary"], "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("dataset,algorithm,metric,mean\n")
-        for (kind, algorithm, metric), mean in sorted(report.summary().items()):
-            fh.write(f"{kind},{algorithm},{metric},{mean!r}\n")
-    with open(paths["timings"], "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("dataset,algorithm,simulation,wall_time_sec\n")
-        for cell in report.cells:
-            if cell.best is not None:
-                total = sum(run.wall_time for run in cell.runs)
-                fh.write(f"{cell.dataset_kind},{cell.algorithm},{cell.simulation},{total!r}\n")
-        for (kind, algorithm), mean in sorted(report.mean_wall_time().items()):
-            fh.write(f"{kind},{algorithm},mean,{mean!r}\n")
+    write_csv(paths["runs"], ("dataset", "algorithm", "simulation", "metric", "value"),
+              report.metric_rows())
+    write_csv(paths["summary"], ("dataset", "algorithm", "metric", "mean"),
+              [(*key, mean) for key, mean in sorted(report.summary().items())])
+    write_csv(paths["timings"], ("dataset", "algorithm", "simulation", "wall_time_sec"),
+              [(cell.dataset_kind, cell.algorithm, cell.simulation, _wall_time(cell))
+               for cell in report.cells if cell.best is not None]
+              + [(*key, "mean", mean) for key, mean in sorted(report.mean_wall_time().items())])
     return paths

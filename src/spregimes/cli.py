@@ -104,7 +104,7 @@ def cmd_solve(args, argv) -> int:
     write_solve_result(result_path, best, dataset.unit_ids(), args.standardize,
                        manifest=manifest, runs=runs)
     if args.assignments_csv:
-        write_assignments_csv(args.output / "assignments.csv", best, dataset.unit_ids())
+        write_assignments_csv(args.output / "assignments.csv", best.partition, dataset.unit_ids())
     sizes = ", ".join(str(s) for s in best.partition.sizes())
     print(f"algorithm={args.algorithm} regions={best.partition.p} sizes=[{sizes}]")
     print(f"total_ssr={best.total_ssr:.6g} iterations={best.iterations_used} "

@@ -1,8 +1,9 @@
 """File formats: dataset CSV, suite layout, result JSON, run manifests.
 
-All floats are written with shortest round-trip repr so that reruns with
-the same seed produce byte-identical files. Times and timestamps live
-only in manifests, which are exempt from that guarantee.
+Every CSV goes through ``write_csv`` and ``read_csv``. All floats are
+written with shortest round-trip repr so that reruns with the same seed
+produce byte-identical files. Times and timestamps live only in
+manifests, which are exempt from that guarantee.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import datetime
 import hashlib
 import json
 from contextlib import contextmanager
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +27,8 @@ from .synthgen import GroundTruth, SimulationSpec
 
 __all__ = [
     "SCHEMA_VERSION",
+    "write_csv",
+    "read_csv",
     "load_dataset_csv",
     "write_dataset_csv",
     "write_suite",
@@ -44,19 +48,49 @@ COORD_COLUMNS = ("x_coord", "y_coord")
 RESPONSE_COLUMN = "y"
 
 
-def _fmt(value: float) -> str:
-    return repr(float(value))
+def write_csv(path, header, rows):
+    """Write a header line and rows as RFC 4180 CSV in UTF-8, one line per row.
+
+    A field that holds a comma, a quote or a newline is quoted. Floats are
+    written as their shortest round-trip repr, so pass Python floats
+    (``ndarray.tolist()``), never numpy scalars.
+    """
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def read_csv(path) -> tuple[list[str], list[list[str]]]:
+    """Header and data rows of a CSV file, skipping blank lines.
+
+    Raises ValueError naming the file when it is empty, has no data rows,
+    or has a row whose field count differs from the header's.
+    """
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        rows = []
+        try:
+            header = next((row for row in reader if row), None)
+            if header is None:
+                raise ValueError(f"{path}: empty file")
+            for row in reader:
+                if len(row) == len(header):
+                    rows.append(row)
+                elif row:
+                    raise ValueError(f"{path}: line {reader.line_num} has {len(row)} "
+                                     f"fields but the header has {len(header)}")
+        except csv.Error as exc:
+            raise ValueError(f"{path}: line {reader.line_num}: {exc}") from exc
+    if not rows:
+        raise ValueError(f"{path}: no data rows")
+    return header, rows
 
 
 def load_dataset_csv(path) -> Dataset:
     """Read a dataset CSV: optional ``id``/coordinate columns, covariates,
     and a ``y`` response column."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise ValueError(f"{path}: empty file")
-        rows = [row for row in reader if row]
+    header, rows = read_csv(path)
     if RESPONSE_COLUMN not in header:
         raise ValueError(f"{path}: no '{RESPONSE_COLUMN}' column")
     covariate_cols = [
@@ -66,9 +100,6 @@ def load_dataset_csv(path) -> Dataset:
     if not covariate_cols:
         raise ValueError(f"{path}: no covariate columns")
     index = {name: header.index(name) for name in header}
-    n = len(rows)
-    if n == 0:
-        raise ValueError(f"{path}: no data rows")
     ids = [row[index[ID_COLUMN]] for row in rows] if ID_COLUMN in header else None
     try:
         x = np.array(
@@ -80,7 +111,7 @@ def load_dataset_csv(path) -> Dataset:
             coords = np.array(
                 [[float(row[index[c]]) for c in COORD_COLUMNS] for row in rows]
             )
-    except (ValueError, IndexError) as exc:
+    except ValueError as exc:
         raise ValueError(f"{path}: malformed data row ({exc})") from exc
     return Dataset(X=x, y=y, ids=ids, coords=coords)
 
@@ -90,44 +121,21 @@ def write_dataset_csv(path, dataset: Dataset, covariate_names: list[str] | None 
     if len(names) != dataset.m:
         raise ValueError("one covariate name per column required")
     header = [ID_COLUMN]
+    columns = [dataset.X, dataset.y[:, None]]
     if dataset.coords is not None:
         header += list(COORD_COLUMNS)
+        columns.insert(0, dataset.coords)
     header += names + [RESPONSE_COLUMN]
-    ids = dataset.unit_ids()
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for i in range(dataset.n):
-            row = [ids[i]]
-            if dataset.coords is not None:
-                row += [_fmt(dataset.coords[i, 0]), _fmt(dataset.coords[i, 1])]
-            row += [_fmt(v) for v in dataset.X[i]] + [_fmt(dataset.y[i])]
-            fh.write(",".join(row) + "\n")
-
-
-def _spec_to_dict(spec: SimulationSpec) -> dict:
-    return {
-        "rows": spec.rows,
-        "cols": spec.cols,
-        "scheme": spec.scheme,
-        "region_count": spec.region_count,
-        "min_region_units": spec.min_region_units,
-        "sigma": spec.sigma,
-        "coefficient_pool": list(spec.coefficient_pool),
-        "seed": spec.seed,
-    }
+    values = np.hstack(columns).tolist()
+    write_csv(path, header, ([uid, *row] for uid, row in zip(dataset.unit_ids(), values)))
 
 
 def _spec_from_dict(payload: dict) -> SimulationSpec:
-    return SimulationSpec(
-        rows=payload["rows"],
-        cols=payload["cols"],
-        scheme=payload["scheme"],
-        region_count=payload["region_count"],
-        min_region_units=payload["min_region_units"],
-        sigma=payload["sigma"],
-        coefficient_pool=tuple(payload["coefficient_pool"]),
-        seed=payload["seed"],
-    )
+    """Inverse of ``asdict`` on a spec; every field must be present."""
+    missing = [f.name for f in fields(SimulationSpec) if f.name not in payload]
+    if missing:
+        raise KeyError(f"spec lacks {missing}")
+    return SimulationSpec(**{**payload, "coefficient_pool": tuple(payload["coefficient_pool"])})
 
 
 def _write_json(path, payload: dict):
@@ -149,26 +157,23 @@ def write_suite(suite_dir, spec: SimulationSpec, truths: list[GroundTruth]):
     _write_json(suite_dir / "manifest.json", {
         "schema_version": SCHEMA_VERSION,
         "kind": "suite",
-        "spec": _spec_to_dict(spec),
+        "spec": asdict(spec),
         "count": len(truths),
     })
     for i, truth in enumerate(truths):
         sim_dir = suite_dir / f"sim_{i:03d}"
         sim_dir.mkdir(exist_ok=True)
         write_dataset_csv(sim_dir / "data.csv", truth.dataset)
-        with open(sim_dir / "true_partition.csv", "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("unit,region\n")
-            for unit, region in enumerate(truth.true_partition.assignment):
-                fh.write(f"{unit},{int(region)}\n")
-        with open(sim_dir / "true_coefficients.csv", "w", encoding="utf-8", newline="\n") as fh:
-            width = truth.true_coefficients.shape[1]
-            fh.write("region," + ",".join(f"b{c}" for c in range(width)) + "\n")
-            for region, row in enumerate(truth.true_coefficients):
-                fh.write(f"{region}," + ",".join(_fmt(v) for v in row) + "\n")
+        partition = truth.true_partition
+        write_assignments_csv(sim_dir / "true_partition.csv", partition, range(partition.n))
+        coefficients = np.asarray(truth.true_coefficients, dtype=float)
+        write_csv(sim_dir / "true_coefficients.csv",
+                  ["region"] + [f"b{c}" for c in range(coefficients.shape[1])],
+                  ([region, *row] for region, row in enumerate(coefficients.tolist())))
         _write_json(sim_dir / "manifest.json", {
             "schema_version": SCHEMA_VERSION,
             "kind": "simulation",
-            "spec": _spec_to_dict(spec),
+            "spec": asdict(spec),
             "simulation_index": i,
             "adjacency": {"type": "grid", "rows": spec.rows, "cols": spec.cols},
         })
@@ -191,23 +196,11 @@ def _fields_of(path):
         raise ValueError(f"{path}: missing or malformed field ({kind}: {exc})") from exc
 
 
-def _csv_rows(path) -> tuple[list[str], list[dict]]:
-    """Header and rows of a CSV with a header line and at least one row."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        header, rows = reader.fieldnames, list(reader)
-    if header is None:
-        raise ValueError(f"{path}: empty file")
-    if not rows:
-        raise ValueError(f"{path}: no data rows")
-    return header, rows
-
-
 def load_simulation(sim_dir):
     """Load one simulation directory back into (GroundTruth, manifest).
 
-    Raises ValueError naming the file for a missing key, an empty CSV or a
-    wrongly typed field.
+    Raises ValueError naming the file for a missing key, an empty CSV, a
+    ragged row or a wrongly typed field.
     """
     sim_dir = Path(sim_dir)
     path = sim_dir / "manifest.json"
@@ -216,16 +209,17 @@ def load_simulation(sim_dir):
         spec = _spec_from_dict(manifest["spec"])
     dataset = load_dataset_csv(sim_dir / "data.csv")
     path = sim_dir / "true_partition.csv"
-    _, rows = _csv_rows(path)
+    header, rows = read_csv(path)
     with _fields_of(path):
-        labels = [int(row["region"]) for row in rows]
+        column = header.index("region")
+        labels = [int(row[column]) for row in rows]
     if len(labels) != dataset.n:
         raise ValueError(f"{sim_dir}: partition covers {len(labels)} of {dataset.n} units")
     path = sim_dir / "true_coefficients.csv"
-    header, rows = _csv_rows(path)
+    header, rows = read_csv(path)
     with _fields_of(path):
-        names = [f"b{c}" for c in range(len(header) - 1)]  # all but "region"
-        coefficients = np.array([[float(row[name]) for name in names] for row in rows])
+        columns = [header.index(f"b{c}") for c in range(len(header) - 1)]  # all but "region"
+        coefficients = np.array([[float(row[c]) for c in columns] for row in rows])
     partition = Partition(np.asarray(labels), int(max(labels)) + 1)
     truth = GroundTruth(partition, coefficients, dataset)
     return truth, {"spec": spec, "manifest": manifest}
@@ -251,15 +245,21 @@ def build_manifest(argv: list[str], config_dict: dict, fingerprint: dict) -> dic
     }
 
 
+def _run_summary(result: SolveResult) -> dict:
+    return {
+        "seed": result.seed,
+        "total_ssr": result.total_ssr,
+        "iterations": result.iterations_used,
+        "wall_time_sec": result.wall_time,
+    }
+
+
 def solve_result_to_dict(result: SolveResult, unit_ids: list[str],
                          standardized: bool) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
         "standardized": standardized,
-        "seed": result.seed,
-        "total_ssr": result.total_ssr,
-        "iterations": result.iterations_used,
-        "wall_time_sec": result.wall_time,
+        **_run_summary(result),
         "trace": list(result.trace),
         "assignments": {
             unit_ids[i]: int(label) for i, label in enumerate(result.partition.assignment)
@@ -281,15 +281,7 @@ def write_solve_result(path, result: SolveResult, unit_ids: list[str],
                        runs: list[SolveResult] | None = None):
     payload = solve_result_to_dict(result, unit_ids, standardized)
     if runs is not None:
-        payload["runs"] = [
-            {
-                "seed": run.seed,
-                "total_ssr": run.total_ssr,
-                "iterations": run.iterations_used,
-                "wall_time_sec": run.wall_time,
-            }
-            for run in runs
-        ]
+        payload["runs"] = [_run_summary(run) for run in runs]
     if manifest is not None:
         payload["manifest"] = manifest
     _write_json(path, payload)
@@ -337,8 +329,6 @@ def write_eval_report(path, report: EvaluationReport):
     _write_json(path, payload)
 
 
-def write_assignments_csv(path, result: SolveResult, unit_ids: list[str]):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("unit,region\n")
-        for i, label in enumerate(result.partition.assignment):
-            fh.write(f"{unit_ids[i]},{int(label)}\n")
+def write_assignments_csv(path, partition: Partition, unit_ids):
+    """Write one ``unit,region`` row per unit, in unit order."""
+    write_csv(path, ("unit", "region"), zip(unit_ids, partition.assignment.tolist()))

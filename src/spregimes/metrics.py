@@ -9,6 +9,7 @@ Entropies use natural logarithms.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,16 +37,32 @@ def _labels(partition) -> list:
     return list(assignment)
 
 
-def _counts(labels: list) -> dict:
-    out: dict = {}
-    for lab in labels:
-        out[lab] = out.get(lab, 0) + 1
-    return out
+def _contingency(truth, estimate) -> tuple[int, dict, dict, dict]:
+    """Unit count, cell counts and row and column totals of two partitions.
 
-
-def _check_same_n(a: list, b: list):
+    Totals are summed from the cells, so each dict keeps its labels in
+    first-appearance order and every sum over it runs in that order.
+    """
+    a, b = _labels(truth), _labels(estimate)
     if len(a) != len(b):
         raise ValueError(f"partitions cover {len(a)} vs {len(b)} units")
+    cells = Counter(zip(a, b))
+    rows, cols = {}, {}
+    for (x, y), c in cells.items():
+        rows[x] = rows.get(x, 0) + c
+        cols[y] = cols.get(y, 0) + c
+    return len(a), cells, rows, cols
+
+
+def _entropy(n: int, counts) -> float:
+    return -sum(c / n * math.log(c / n) for c in counts)
+
+
+def _mutual_information(n: int, cells: dict, rows: dict, cols: dict) -> float:
+    return sum(
+        c / n * math.log(n * c / (rows[x] * cols[y]))
+        for (x, y), c in cells.items()
+    )
 
 
 def rand_index(truth, estimate) -> float:
@@ -57,16 +74,13 @@ def rand_index(truth, estimate) -> float:
     Pair counts come from the contingency table, so the arithmetic is
     exact integer work.
     """
-    a, b = _labels(truth), _labels(estimate)
-    _check_same_n(a, b)
-    n = len(a)
+    n, cells, rows, cols = _contingency(truth, estimate)
     total = n * (n - 1) // 2
     if total == 0:
         return 1.0
-    cells = _counts(list(zip(a, b)))
     tp = sum(c * (c - 1) for c in cells.values()) // 2
-    same_truth = sum(c * (c - 1) for c in _counts(a).values()) // 2
-    same_est = sum(c * (c - 1) for c in _counts(b).values()) // 2
+    same_truth = sum(c * (c - 1) for c in rows.values()) // 2
+    same_est = sum(c * (c - 1) for c in cols.values()) // 2
     tn = total - same_truth - same_est + tp
     return (tp + tn) / total
 
@@ -74,8 +88,7 @@ def rand_index(truth, estimate) -> float:
 def entropy(partition) -> float:
     """Shannon entropy of region sizes, in nats; 0 for a single region."""
     a = _labels(partition)
-    n = len(a)
-    return -sum(c / n * math.log(c / n) for c in _counts(a).values())
+    return _entropy(len(a), Counter(a).values())
 
 
 def mutual_information(truth, estimate) -> float:
@@ -84,16 +97,7 @@ def mutual_information(truth, estimate) -> float:
     Empty intersections contribute nothing; the value is non-negative up
     to floating-point round-off.
     """
-    a, b = _labels(truth), _labels(estimate)
-    _check_same_n(a, b)
-    n = len(a)
-    rows = _counts(a)
-    cols = _counts(b)
-    cells = _counts(list(zip(a, b)))
-    return sum(
-        c / n * math.log(n * c / (rows[x] * cols[y]))
-        for (x, y), c in cells.items()
-    )
+    return _mutual_information(*_contingency(truth, estimate))
 
 
 def nmi(truth, estimate) -> float:
@@ -104,12 +108,11 @@ def nmi(truth, estimate) -> float:
     partition has zero entropy the result is 1 for identical partitions
     and 0 otherwise.
     """
-    a, b = _labels(truth), _labels(estimate)
-    _check_same_n(a, b)
-    h_truth, h_est = entropy(a), entropy(b)
+    n, cells, rows, cols = _contingency(truth, estimate)
+    h_truth, h_est = _entropy(n, rows.values()), _entropy(n, cols.values())
     if h_truth == 0.0 or h_est == 0.0:
         return 1.0 if h_truth == h_est else 0.0
-    mi = mutual_information(a, b)
+    mi = _mutual_information(n, cells, rows, cols)
     return min(1.0, max(0.0, mi / math.sqrt(h_truth * h_est)))
 
 
@@ -125,7 +128,8 @@ def coefficient_mae(truth: GroundTruth, result: SolveResult,
     """
     true_part = _labels(truth.true_partition)
     est_part = _labels(result.partition)
-    _check_same_n(true_part, est_part)
+    if len(true_part) != len(est_part):
+        raise ValueError(f"partitions cover {len(true_part)} vs {len(est_part)} units")
     truth_rows = truth.true_coefficients if true_coefficients is None else true_coefficients
     est_rows = np.stack([model.beta for model in result.models])
     per_unit = np.abs(est_rows[est_part] - np.asarray(truth_rows)[true_part])

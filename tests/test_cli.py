@@ -1,3 +1,4 @@
+import csv
 import json
 import shutil
 
@@ -131,6 +132,21 @@ class TestSolveCommand:
                      "--output", str(tmp_path / "x")])
         assert code == 2
 
+    def test_assignments_csv_quotes_ids(self, tmp_path):
+        ids = ["tract 3, county A", 'the "old" mill'] + [f"u{i}" for i in range(2, 9)]
+        data = tmp_path / "data.csv"
+        with open(data, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows([["id", "x1", "y"]]
+                                     + [[uid, 0.1 * i, 0.3 * i] for i, uid in enumerate(ids)])
+        out = tmp_path / "run"
+        assert main(["solve", "--data", str(data), "--adjacency", "grid", "3x3",
+                     "--algorithm", "azp", "--p", "2", "--min-obs", "2", "--seed", "1",
+                     "--output", str(out), "--assignments-csv"]) == 0
+        assignments = json.loads((out / "result.json").read_text())["assignments"]
+        with open(out / "assignments.csv", newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        assert rows == [["unit", "region"]] + [[uid, str(assignments[uid])] for uid in ids]
+
     def test_infeasible_layout_exits_three(self, tmp_path):
         # hub-and-leaves adjacency: no connected 2-partition has two regions
         # of two or more units, so initialization must give up
@@ -196,7 +212,12 @@ class TestEvalCommand:
         ("true_coefficients.csv", "region,b0,b1\n0,1.0\n"),
         ("true_partition.csv", "unit,label\n0,0\n"),
         ("manifest.json", "{}"),
-    ], ids=["empty", "header-only", "short-row", "no-region-column", "no-spec"])
+        ("manifest.json", '{"spec": {"rows": 10, "cols": 10}}'),
+        ("data.csv", "x1,x2,y\n1.0,2.0,3.0,99\n" + "1.0,2.0,3.0\n" * 99),
+        ("true_partition.csv",
+         "unit,region\n0,0,99\n" + "".join(f"{i},0\n" for i in range(1, 100))),
+    ], ids=["empty", "header-only", "short-row", "no-region-column", "no-spec", "partial-spec",
+            "data-extra-field", "partition-extra-field"])
     def test_malformed_truth_exits_two_naming_the_file(self, suite_dir, result_path, tmp_path,
                                                        capsys, name, content):
         truth = tmp_path / "truth"

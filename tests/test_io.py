@@ -52,7 +52,7 @@ class TestDatasetCsv:
         ds = Dataset(
             X=rng.random((6, 2)),
             y=rng.random(6),
-            ids=[f"unit-{i}" for i in range(6)],
+            ids=[f"unit-{i}" for i in range(4)] + ["tract 3, county A", 'the "old" mill'],
             coords=rng.random((6, 2)),
         )
         path = tmp_path / "data.csv"
@@ -71,9 +71,12 @@ class TestDatasetCsv:
 
     def test_malformed_value(self, tmp_path):
         path = tmp_path / "bad.csv"
-        path.write_text("x1,y\n1.0,2.0\noops,3.0\n")
-        with pytest.raises(ValueError, match="malformed"):
-            load_dataset_csv(path)
+        for content, message in (("x1,y\n1.0,2.0\noops,3.0\n", "malformed"),
+                                 ("x1,y\n1.0,2.0,99\n", "line 2 has 3 fields"),
+                                 ("x1,y\n\n1.0,2.0\n3.0\n", "line 4 has 1 fields")):
+            path.write_text(content)
+            with pytest.raises(ValueError, match=message):
+                load_dataset_csv(path)
 
     def test_covariate_order_follows_header(self, tmp_path):
         path = tmp_path / "data.csv"
