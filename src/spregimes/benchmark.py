@@ -19,6 +19,7 @@ from .io import list_simulations, load_simulation, write_csv
 from .linreg import Scaler
 from .metrics import EvaluationReport, evaluate
 from .solvers import SOLVERS, SolveResult, SolverConfig, solve_with_restarts
+from .synthgen import GroundTruth, SimulationSpec
 
 __all__ = ["BenchmarkRun", "BenchmarkReport", "run_benchmark", "write_benchmark_csvs"]
 
@@ -93,10 +94,8 @@ def _cell_metrics(cell: BenchmarkRun) -> list[tuple[str, float]]:
     return rows
 
 
-def _run_cell(sim_dir: str, sim_index: int, algorithm: str, config: SolverConfig,
-              repeats: int, standardize: bool) -> BenchmarkRun:
-    truth, info = load_simulation(sim_dir)
-    spec = info["spec"]
+def _run_cell(truth: GroundTruth, spec: SimulationSpec, sim_index: int, algorithm: str,
+              config: SolverConfig, repeats: int, standardize: bool) -> BenchmarkRun:
     cell = BenchmarkRun(dataset_kind=spec.scheme, algorithm=algorithm, simulation=sim_index)
     try:
         graph = build_grid_graph(spec.rows, spec.cols)
@@ -123,8 +122,9 @@ def run_benchmark(suite_dir, algorithms: list[str], config: SolverConfig,
     Per-cell failures are recorded, not raised; callers decide how to
     surface them. Options that are invalid whatever the simulation
     (``repeats``, ``max_iter`` or ``p`` below 1) raise ValueError before
-    any cell runs. With ``jobs > 1`` cells run in separate processes;
-    outputs are identical to a serial run.
+    any cell runs. Each simulation is loaded once, before any cell runs,
+    and shared by every algorithm's cell. With ``jobs > 1`` cells run in
+    separate processes; outputs are identical to a serial run.
     """
     if not algorithms:
         raise ValueError("at least one algorithm is required")
@@ -137,11 +137,11 @@ def run_benchmark(suite_dir, algorithms: list[str], config: SolverConfig,
         raise ValueError("max_iter must be >= 1")
     if config.p < 1:
         raise ValueError(f"p must be >= 1, got {config.p}")
-    sim_dirs = list_simulations(suite_dir)
+    simulations = [load_simulation(sim_dir) for sim_dir in list_simulations(suite_dir)]
     tasks = [
-        (str(sim_dir), sim_index, algorithm, config, repeats, standardize)
+        (truth, info["spec"], sim_index, algorithm, config, repeats, standardize)
         for algorithm in algorithms
-        for sim_index, sim_dir in enumerate(sim_dirs)
+        for sim_index, (truth, info) in enumerate(simulations)
     ]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:

@@ -2,13 +2,14 @@
 
 Units are dense integer indices 0..n-1. Graphs are undirected, have no
 self-loops, and must be connected as a whole; builders reject anything
-else. Instances are treated as immutable and may be shared freely across
-concurrent solver runs.
+else. A graph is stored as two read-only int64 arrays in compressed
+sparse row (CSR) form, so building one and checking connectivity create
+no Python object per edge. Instances are immutable and may be shared
+freely across concurrent solver runs.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -29,36 +30,67 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AdjacencyGraph:
-    """Symmetric neighborhood structure over ``n`` spatial units.
+    """Symmetric neighborhood structure over ``n`` spatial units, in CSR form.
 
     Attributes
     ----------
     n : int
         Number of units.
-    neighbors : tuple of tuple of int
-        Sorted neighbor list per unit.
+    indptr : ndarray of int64, shape (n + 1,)
+        Unit ``i``'s neighbors are ``indices[indptr[i]:indptr[i + 1]]``.
+    indices : ndarray of int64
+        Every unit's neighbors, row after row, each row ascending.
 
-    ``padded_neighbors`` is an ``(n, 1 + max degree)`` int64 view for
-    vectorised scans: row ``i`` is ``[i, neighbors of i ascending]``,
-    padded with ``i``. It is built on first access and cached outside the
-    dataclass fields, so equality and hashing ignore it. Building it is
-    idempotent, so a graph shared across runs stays safe to share.
+    Both arrays are read-only. Two views are derived from them on first
+    access and cached outside the dataclass fields, so equality and
+    hashing (by value, over the arrays) ignore them:
+
+    - ``neighbors``, a tuple of ascending neighbor tuples, one per unit,
+      for loops that visit units one at a time (the AZP/RKM cut-vertex
+      search);
+    - ``padded_neighbors``, an ``(n, 1 + max degree)`` int64 array for
+      vectorised scans: row ``i`` is ``[i, neighbors of i ascending]``,
+      padded with ``i``.
+
+    Building a view is idempotent, so a graph shared across runs stays
+    safe to share.
     """
 
     n: int
-    neighbors: tuple
+    indptr: np.ndarray
+    indices: np.ndarray
+
+    def __eq__(self, other):
+        if not isinstance(other, AdjacencyGraph):
+            return NotImplemented
+        return (self.n == other.n and np.array_equal(self.indptr, other.indptr)
+                and np.array_equal(self.indices, other.indices))
+
+    def __hash__(self):
+        return hash((self.n, self.indptr.tobytes(), self.indices.tobytes()))
+
+    @cached_property
+    def neighbors(self) -> tuple:
+        flat, bounds = self.indices.tolist(), self.indptr.tolist()
+        return tuple(tuple(flat[a:b]) for a, b in zip(bounds, bounds[1:]))
 
     @cached_property
     def padded_neighbors(self) -> np.ndarray:
-        width = 1 + max(map(len, self.neighbors), default=0)
-        return np.array([(i, *nb) + (i,) * (width - 1 - len(nb))
-                         for i, nb in enumerate(self.neighbors)], dtype=np.int64)
+        degree = np.diff(self.indptr)
+        width = 1 + int(degree.max(initial=0))
+        pad = np.repeat(np.arange(self.n), width).reshape(self.n, width)
+        rows = np.repeat(np.arange(self.n), degree)
+        pad[rows, 1 + np.arange(len(self.indices)) - self.indptr[rows]] = self.indices
+        pad.flags.writeable = False
+        return pad
 
 
 # Target points per knn search tile at the mean density of the bounding box.
-_TILE_POINTS = 256
+# Chosen from a sweep of 32 to 512 on 20,000 points with k=18: 64 was
+# fastest, and every size gave the same neighbor sets.
+_TILE_POINTS = 64
 # Most entries of one distance block (64 MB of float64).
 _BLOCK_ENTRIES = 8_000_000
 
@@ -66,25 +98,30 @@ _BLOCK_ENTRIES = 8_000_000
 def _finalize_graph(n: int, i: np.ndarray, j: np.ndarray) -> AdjacencyGraph:
     """Freeze directed unit pairs ``i[t] -> j[t]`` into an AdjacencyGraph.
 
-    The pairs are symmetrized and deduplicated by sorting the keys
-    ``src * n + dst``, which also leaves every neighbor list ascending.
-    Raises DisconnectedGraphError unless the graph is connected.
+    The pairs are symmetrized into the keys ``src * n + dst``, built in
+    one array, and deduplicated by sorting them, which also leaves every
+    row ascending: row ``r`` is the keys in ``[r * n, (r + 1) * n)``, and
+    a key's remainder is its neighbor. Raises DisconnectedGraphError
+    unless the graph is connected.
     """
-    src = np.concatenate([i, j]).astype(np.int64)
-    dst = np.concatenate([j, i]).astype(np.int64)
-    key = np.sort(src * n + dst)
+    m = len(i)
+    key = np.empty(2 * m, dtype=np.int64)
+    np.multiply(i, n, out=key[:m], dtype=np.int64)
+    np.add(key[:m], j, out=key[:m])
+    np.multiply(j, n, out=key[m:], dtype=np.int64)
+    np.add(key[m:], i, out=key[m:])
+    key.sort()
     fresh = np.ones(len(key), dtype=bool)
-    fresh[1:] = key[1:] != key[:-1]
-    src, dst = np.divmod(key[fresh], n)
-    bounds = np.searchsorted(src, np.arange(n + 1)).tolist()
-    flat = dst.tolist()
-    neighbors = tuple(tuple(flat[a:b]) for a, b in zip(bounds, bounds[1:]))
-    graph = AdjacencyGraph(n=n, neighbors=neighbors)
-    if n > 0 and not is_connected_subset(graph, range(n)):
+    np.not_equal(key[1:], key[:-1], out=fresh[1:])
+    key = key[fresh]
+    indptr = np.searchsorted(key, np.arange(n + 1) * n)
+    indices = np.remainder(key, n, out=key)
+    indptr.flags.writeable = indices.flags.writeable = False
+    if not (_component_roots(indptr, indices) == 0).all():
         raise DisconnectedGraphError(
             "adjacency input does not form a single connected component"
         )
-    return graph
+    return AdjacencyGraph(n, indptr, indices)
 
 
 def build_grid_graph(rows: int, cols: int) -> AdjacencyGraph:
@@ -133,7 +170,7 @@ def build_knn_graph(points, k: int) -> AdjacencyGraph:
     from the origin they lie.
 
     The search is exact. The points are bucketed into square tiles of
-    about 256 points at the mean density, and each tile's rows are
+    about 64 points at the mean density, and each tile's rows are
     searched among the points inside the tile's bounding box widened by
     a margin of about twice the k-th neighbor distance at that density.
     A row is accepted only if its k-th distance is certified below the
@@ -141,7 +178,7 @@ def build_knn_graph(points, k: int) -> AdjacencyGraph:
     (outliers, sparse tiles) are searched over all ``n`` points. On
     evenly spread points each row meets a few hundred candidates, so
     the cost is near-linear in ``n``: 20,000 points with ``k=18`` take
-    about half a CPU-second. Tightly clustered points degrade toward the
+    about 0.2 CPU-seconds. Tightly clustered points degrade toward the
     full ``n`` x ``n`` scan, in blocks of bounded memory.
 
     Raises ValueError on non-finite coordinates, DisconnectedGraphError
@@ -156,7 +193,9 @@ def build_knn_graph(points, k: int) -> AdjacencyGraph:
     n = len(pts)
     if not 1 <= k < n:
         raise ValueError(f"k must satisfy 1 <= k < n, got k={k}, n={n}")
-    if len(np.unique(pts, axis=0)) != n:
+    # equal rows are adjacent after sorting; 0.0 and -0.0 compare equal
+    ordered = pts[np.lexsort((pts[:, 1], pts[:, 0]))]
+    if (ordered[1:] == ordered[:-1]).all(axis=1).any():
         raise DuplicatePointsError("coordinate list contains repeated points")
 
     rows, nearest = _knn_search(pts, k)
@@ -245,15 +284,20 @@ def _nearest(row_pts, self_col, cols, col_pts, k):
     """The ``k`` nearest of ``cols`` to each row and the k-th squared distance.
 
     ``self_col[r]`` is the column holding row ``r`` itself, which is
-    excluded. Ties at the k-th distance go to the lower unit index.
+    excluded. Ties at the k-th distance go to the lower unit index. The
+    k-th distance comes from a partition of the distances themselves;
+    a row with exactly ``k`` columns within it keeps those, in column
+    order.
     """
     dist = ((row_pts[:, None, 0] - col_pts[None, :, 0]) ** 2
             + (row_pts[:, None, 1] - col_pts[None, :, 1]) ** 2)
     dist[np.arange(len(row_pts)), self_col] = np.inf
-    part = np.argpartition(dist, k - 1, axis=1)[:, :k]
-    cutoff = np.take_along_axis(dist, part, axis=1).max(axis=1)
-    chosen = cols[part]
-    tied = np.count_nonzero(dist <= cutoff[:, None], axis=1) > k
+    cutoff = np.partition(dist, k - 1, axis=1)[:, k - 1]
+    within = dist <= cutoff[:, None]
+    tied = np.count_nonzero(within, axis=1) > k
+    within[tied] = False
+    chosen = np.empty((len(row_pts), k), dtype=cols.dtype)
+    chosen[~tied] = cols[np.flatnonzero(within) % len(cols)].reshape(-1, k)
     for r in np.flatnonzero(tied):
         cand = np.flatnonzero(dist[r] <= cutoff[r])
         order = np.lexsort((cols[cand], dist[r, cand]))
@@ -276,36 +320,86 @@ def read_edge_list(path) -> list[tuple[int, int]]:
     return pairs
 
 
+def _component_roots(indptr: np.ndarray, indices: np.ndarray) -> np.ndarray:
+    """Smallest member of each vertex's connected component, for a CSR graph.
+
+    Array min-label hooking with pointer jumping (Shiloach & Vishkin,
+    J. Algorithms 3(1), 1982). ``label`` always maps a vertex to a smaller
+    or equal vertex of its component. Each round every vertex takes the
+    least label among its neighbors with one ``minimum.reduceat`` over its
+    row, and the roots of those that found a smaller one are hooked onto
+    it; jumping then points every label at a root again. A round with no
+    hook leaves every edge inside one tree, so each component is a star
+    whose root is its smallest member. Hooks join whole trees, so the
+    rounds do not grow with the diameter the way a level-by-level search
+    does: a 25 x 25 grid takes 2 rounds and a 20,000-point knn graph 6,
+    the last of each finding nothing to hook.
+    """
+    rows = np.flatnonzero(np.diff(indptr))  # reduceat needs non-empty rows
+    starts = indptr[rows]
+    label = np.arange(len(indptr) - 1)
+    while len(rows):
+        low = np.minimum.reduceat(label[indices], starts)
+        roots = label[rows]
+        hook = low < roots
+        if not hook.any():
+            break
+        np.minimum.at(label, roots[hook], low[hook])
+        while True:
+            up = label[label]
+            if np.array_equal(up, label):
+                break
+            label = up
+    return label
+
+
+def _induced_roots(graph: AdjacencyGraph, subset) -> tuple[np.ndarray, np.ndarray]:
+    """The ``subset`` units, ascending and distinct, and their component roots.
+
+    The roots are ``_component_roots`` of the subgraph the units induce,
+    built as a CSR graph over their positions, so each root is the
+    position of its component's smallest member.
+    """
+    if not isinstance(subset, np.ndarray):
+        subset = np.fromiter(subset, dtype=np.int64)
+    units = np.unique(subset.astype(np.int64, copy=False))
+    local = np.full(graph.n, -1, dtype=np.int64)
+    local[units] = np.arange(len(units))
+    starts = graph.indptr[units]
+    lengths = graph.indptr[units + 1] - starts
+    ends = np.cumsum(lengths)
+    gather = np.arange(ends[-1] if len(ends) else 0) + np.repeat(starts - ends + lengths, lengths)
+    nbrs = local[graph.indices[gather]]
+    inside = nbrs >= 0
+    kept = np.concatenate(([0], np.cumsum(inside)))
+    indptr = kept[np.concatenate(([0], ends))]
+    return units, _component_roots(indptr, nbrs[inside])
+
+
 def is_connected_subset(graph: AdjacencyGraph, subset) -> bool:
     """True iff the subgraph induced by ``subset`` is connected."""
-    sub = set(subset)
-    if not sub:
+    units, roots = _induced_roots(graph, subset)
+    if not len(units):
         raise ValueError("subset must be non-empty")
-    return len(connected_components(graph, sub)) == 1
+    return bool((roots == 0).all())
 
 
 def connected_components(graph: AdjacencyGraph, subset) -> list[list[int]]:
     """Connected components of the induced subgraph, as sorted index lists.
 
     Components are ordered by their smallest member, so the result is
-    deterministic for a given subset.
+    deterministic for a given subset. They come from one
+    ``_component_roots`` call over the induced subgraph, however many
+    there are.
     """
-    sub = set(subset)
-    components: list[list[int]] = []
-    for seed in sorted(sub):
-        if seed not in sub:
-            continue
-        comp = {seed}
-        queue = deque([seed])
-        while queue:
-            u = queue.popleft()
-            for v in graph.neighbors[u]:
-                if v in sub and v not in comp:
-                    comp.add(v)
-                    queue.append(v)
-        sub -= comp
-        components.append(sorted(comp))
-    return components
+    units, roots = _induced_roots(graph, subset)
+    if not len(units):
+        return []
+    order = np.argsort(roots, kind="stable")
+    roots = roots[order]
+    flat = units[order].tolist()
+    cuts = [0, *(np.flatnonzero(roots[1:] != roots[:-1]) + 1).tolist(), len(flat)]
+    return [flat[a:b] for a, b in zip(cuts, cuts[1:])]
 
 
 def grow_initial_partition(graph: AdjacencyGraph, count: int, min_obs: int,
@@ -317,9 +411,12 @@ def grow_initial_partition(graph: AdjacencyGraph, count: int, min_obs: int,
     assigned. If any region ends up below ``min_obs`` the whole procedure
     restarts with fresh seeds, up to ``restart_limit`` attempts. The growth
     loop walks a Python list of labels, which is converted to an int64
-    array once per attempt.
+    array once per attempt. Each absorbed unit's CSR row is read as a
+    slice of a memoryview, whose items are Python ints, so no row is
+    copied into a list.
     """
     n = graph.n
+    indptr, indices = graph.indptr.tolist(), memoryview(graph.indices)
     if not 1 <= count <= n:
         raise ValueError(f"count must be in [1, n], got {count}")
     if count * min_obs > n:
@@ -334,7 +431,7 @@ def grow_initial_partition(graph: AdjacencyGraph, count: int, min_obs: int,
         frontier_lists: list[list[int]] = []
         frontier_sets: list[set[int]] = []
         for s in seeds:
-            fresh = [v for v in graph.neighbors[s] if assignment[v] == -1]
+            fresh = [v for v in indices[indptr[s]:indptr[s + 1]] if assignment[v] == -1]
             frontier_lists.append(fresh)
             frontier_sets.append(set(fresh))
         remaining = n - count
@@ -352,7 +449,7 @@ def grow_initial_partition(graph: AdjacencyGraph, count: int, min_obs: int,
                         continue  # grabbed by another region since queued
                     assignment[u] = r
                     remaining -= 1
-                    for w in graph.neighbors[u]:
+                    for w in indices[indptr[u]:indptr[u + 1]]:
                         if assignment[w] == -1 and w not in fset:
                             flist.append(w)
                             fset.add(w)

@@ -48,15 +48,31 @@ COORD_COLUMNS = ("x_coord", "y_coord")
 RESPONSE_COLUMN = "y"
 
 
+class _LineFeedRows:
+    """Write end of a ``csv.writer`` that ends each row with ``"\\n"``.
+
+    The writer runs with the terminator ``"\\r\\n"``: before Python 3.13,
+    minimal quoting quotes a lone ``"\\r"`` only when the terminator holds
+    it. Each row then loses its ``"\\r"`` here, so every Python version
+    writes the bytes that 3.13 writes with ``"\\n"``.
+    """
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def write(self, row: str):
+        return self.fh.write(row[:-2] + "\n")
+
+
 def write_csv(path, header, rows):
     """Write a header line and rows as RFC 4180 CSV in UTF-8, one line per row.
 
-    A field that holds a comma, a quote or a newline is quoted. Floats are
-    written as their shortest round-trip repr, so pass Python floats
-    (``ndarray.tolist()``), never numpy scalars.
+    A field that holds a comma, a quote, a line feed or a carriage return
+    is quoted. Floats are written as their shortest round-trip repr, so
+    pass Python floats (``ndarray.tolist()``), never numpy scalars.
     """
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
+        writer = csv.writer(_LineFeedRows(fh), lineterminator="\r\n")
         writer.writerow(header)
         writer.writerows(rows)
 

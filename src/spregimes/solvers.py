@@ -209,7 +209,7 @@ class _RegionPool:
     union is one concatenate and a stable sort, which merges the two
     ascending runs in linear time, and its first entry is the region's
     smallest member. ``neighbor_regions`` reads ``region_of`` with one
-    gather over the region's neighbor lists. ``union_fit`` is the only
+    gather over the region's CSR rows. ``union_fit`` is the only
     place a candidate merge is fitted, and ``merge`` installs that
     ``_Fit`` as is. Regions too small for a unique fit carry no model and
     contribute no residuals to merge comparisons; they only ever shrink
@@ -291,8 +291,10 @@ class _RegionPool:
 
     def neighbor_regions(self, graph: AdjacencyGraph, rid: int) -> set[int]:
         """Ids of the live regions other than ``rid`` that touch region ``rid``."""
-        nbrs = graph.neighbors
-        touched = [v for u in self.regions[rid].units.tolist() for v in nbrs[u]]
+        units = self.regions[rid].units
+        indices = graph.indices
+        touched = np.concatenate([indices[a:b] for a, b in zip(graph.indptr[units].tolist(),
+                                                               graph.indptr[units + 1].tolist())])
         out = set(self.region_of[touched].tolist())
         out.discard(rid)
         return out
@@ -646,7 +648,7 @@ class _LocalSearch:
             ), "unit moved into a region it does not touch"
             for units, _, _ in self.regions:
                 assert len(units) >= self.config.min_obs, "region dropped below the minimum size"
-                assert is_connected_subset(self.graph, units.tolist()), "region lost connectivity"
+                assert is_connected_subset(self.graph, units), "region lost connectivity"
 
     def run(self, step) -> SolveResult:
         """Call ``step(self)`` until it moves nothing or ``max_iter`` times."""

@@ -15,6 +15,11 @@ from spregimes import (
     read_edge_list,
 )
 
+try:
+    import networkx as nx  # test oracle only
+except ImportError:
+    nx = None
+
 
 def edge_set(graph):
     """Unordered unit pairs ``(i, j)``, ``i < j``, read off the neighbor lists."""
@@ -94,6 +99,46 @@ class TestKnnGraph:
     def test_duplicate_points_rejected(self):
         with pytest.raises(DuplicatePointsError):
             build_knn_graph([(0.0, 0.0), (0.0, 0.0), (1.0, 1.0)], k=1)
+
+    @pytest.mark.parametrize("points, k", [
+        # the repeated point sorts last, so only the last adjacent pair shows it
+        ([(0.0, 0.0), (1.0, 1.0), (2.0, 2.0), (2.0, 2.0)], 2),
+        # 0.0 and -0.0 are the same coordinate
+        ([(0.0, 1.0), (3.0, 3.0), (-0.0, 1.0)], 1),
+        ([(1.0, -0.0), (5.0, 1.0), (1.0, 0.0)], 1),
+        # more copies of one point than k neighbors
+        ([(0.5, 0.5)] * 5 + [(0.0, 0.0), (1.0, 1.0), (0.0, 1.0)], 2),
+    ])
+    def test_repeated_coordinates_rejected(self, points, k):
+        with pytest.raises(DuplicatePointsError, match="^coordinate list contains repeated points$"):
+            build_knn_graph(points, k)
+
+    def test_points_one_ulp_apart_are_distinct(self):
+        x = np.nextafter(1.0, 2.0)
+        g = build_knn_graph([(1.0, 1.0), (x, 1.0), (1.0, x), (3.0, 3.0)], k=2)
+        assert g.n == 4
+
+    @pytest.mark.parametrize("build, error, message", [
+        (lambda: build_grid_graph(0, 3), ValueError, "rows and cols must be >= 1"),
+        (lambda: build_edge_list_graph(0, []), ValueError, "n must be >= 1"),
+        (lambda: build_edge_list_graph(3, [(0, 1), (2, 3)]), IndexError,
+         "edge (2, 3) out of range for n=3"),
+        (lambda: build_edge_list_graph(3, [(0, 1), (2, 2)]), ValueError, "self-loop on unit 2"),
+        (lambda: build_edge_list_graph(3, [(0, 1)]), DisconnectedGraphError,
+         "adjacency input does not form a single connected component"),
+        (lambda: build_knn_graph(np.zeros((3, 3)), 1), ValueError,
+         "points must be an (n, 2) array of coordinates"),
+        (lambda: build_knn_graph([(0.0, 0.0), (np.inf, 1.0)], 1), ValueError,
+         "points must have finite coordinates"),
+        (lambda: build_knn_graph([(0.0, 0.0), (1.0, 1.0)], 2), ValueError,
+         "k must satisfy 1 <= k < n, got k=2, n=2"),
+        (lambda: build_knn_graph([(0.0, 0.0), (0.1, 0.0), (9.0, 0.0), (9.1, 0.0)], 1),
+         DisconnectedGraphError, "k=1 nearest neighbors leave the graph disconnected; increase k"),
+    ])
+    def test_builder_errors_and_messages(self, build, error, message):
+        with pytest.raises(error) as info:
+            build()
+        assert str(info.value) == message
 
     def test_non_finite_coordinates_rejected(self):
         with pytest.raises(ValueError, match="finite"):
@@ -216,6 +261,107 @@ class TestKnnReference:
     def test_criterion_9_graph_matches_reference(self):
         points = np.random.default_rng(909).random((20_000, 2)) * 100.0
         assert_knn_matches_reference(points, 18)
+
+
+def reference_views(n, pairs):
+    """``neighbors`` and ``padded_neighbors`` built the way the graph built them
+    before it stored CSR arrays: a neighbor set per unit, sorted into tuples,
+    and padded rows stacked from those tuples."""
+    sets = [set() for _ in range(n)]
+    for i, j in pairs:
+        sets[i].add(j)
+        sets[j].add(i)
+    neighbors = tuple(tuple(sorted(s)) for s in sets)
+    width = 1 + max(map(len, neighbors), default=0)
+    padded = np.array([(i, *nb) + (i,) * (width - 1 - len(nb))
+                       for i, nb in enumerate(neighbors)], dtype=np.int64)
+    return neighbors, padded
+
+
+@st.composite
+def builder_cases(draw):
+    """One builder call and the edges it must produce, connected or not.
+
+    Returns ``(n, pairs, build, message)``: ``build()`` calls a builder
+    over ``n`` units whose undirected edges are ``pairs``, and
+    ``message`` is the DisconnectedGraphError text it must raise when
+    those edges leave the units disconnected. Families: grids with holes
+    (a full grid through ``build_grid_graph``), knn graphs over clustered
+    points, and random edge lists with repeats and both directions.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    family = draw(st.sampled_from(["grid", "knn", "edges"]))
+    disconnected = "adjacency input does not form a single connected component"
+    if family == "grid":
+        rows, cols = draw(st.integers(1, 14)), draw(st.integers(1, 14))
+        holes = set(rng.choice(rows * cols, size=draw(st.integers(0, rows * cols // 3)),
+                               replace=False).tolist())
+        index = {c: i for i, c in enumerate(c for c in range(rows * cols) if c not in holes)}
+        pairs = [(index[c], index[d]) for c in index
+                 for d in (c + 1 if (c + 1) % cols else -1, c + cols) if d in index]
+        n = len(index)
+        if not holes:
+            return n, pairs, lambda: build_grid_graph(rows, cols), disconnected
+        return n, pairs, lambda: build_edge_list_graph(n, pairs), disconnected
+    if family == "knn":
+        n = draw(st.integers(2, 300))
+        centers = rng.random((draw(st.integers(1, 4)), 2)) * 100.0
+        pts = centers[rng.integers(len(centers), size=n)] + rng.normal(0.0, 1.0, (n, 2))
+        k = draw(st.integers(1, min(n - 1, 8)))
+        _, edges = reference_knn_graph(pts, k)
+        return (n, sorted(edges), lambda: build_knn_graph(pts, k),
+                f"k={k} nearest neighbors leave the graph disconnected; increase k")
+    n = draw(st.integers(1, 40))
+    ends = rng.integers(n, size=(draw(st.integers(0, 3 * n)), 2))
+    pairs = [(i, j) for i, j in ends.tolist() if i != j]
+    return n, pairs, lambda: build_edge_list_graph(n, pairs), disconnected
+
+
+@pytest.mark.skipif(nx is None, reason="networkx is a test-only oracle")
+class TestCsrGraphOracles:
+    @settings(max_examples=200, deadline=None)
+    @given(builder_cases(), st.integers(0, 2**32 - 1))
+    def test_builders_match_oracles(self, case, seed):
+        n, pairs, build, message = case
+        oracle = nx.Graph()
+        oracle.add_nodes_from(range(n))
+        oracle.add_edges_from(pairs)
+        if not nx.is_connected(oracle):
+            with pytest.raises(DisconnectedGraphError) as info:
+                build()
+            assert str(info.value) == message
+            return
+        g = build()
+        assert g.n == n
+        assert g.indptr.dtype == g.indices.dtype == np.int64
+        assert g.indptr[0] == 0 and g.indptr[-1] == len(g.indices)
+        rows = np.repeat(np.arange(n), np.diff(g.indptr))
+        same_row = rows[1:] == rows[:-1]
+        assert (g.indices[1:][same_row] > g.indices[:-1][same_row]).all()
+        assert (g.indices != rows).all()
+        arcs = set(zip(rows.tolist(), g.indices.tolist()))
+        assert arcs == {(j, i) for i, j in arcs}
+        neighbors, padded = reference_views(n, pairs)
+        assert g.neighbors == neighbors
+        assert np.array_equal(g.padded_neighbors, padded)
+        assert g.padded_neighbors.dtype == np.int64
+
+        rng = np.random.default_rng(seed)
+        subsets = [range(n), [int(rng.integers(n))], []]
+        subsets += [np.flatnonzero(rng.random(n) < density) for density in (0.3, 0.6, 0.9)]
+        for subset in subsets:
+            expected = sorted(sorted(c) for c in nx.connected_components(oracle.subgraph(subset)))
+            assert connected_components(g, subset) == expected
+            if len(subset):
+                assert is_connected_subset(g, set(subset)) == (len(expected) == 1)
+
+    def test_stored_arrays_are_read_only(self, rng):
+        for g in (build_grid_graph(4, 5), build_edge_list_graph(3, [(0, 1), (1, 2)]),
+                  build_knn_graph(rng.random((30, 2)), 4)):
+            for array in (g.indptr, g.indices, g.padded_neighbors):
+                assert not array.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    array[0] = 1
 
 
 class TestEdgeListFile:

@@ -4,12 +4,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from spregimes import Dataset, build_grid_graph, evaluate, generate_suite, solve_kmodels
+from spregimes import Dataset, Partition, build_grid_graph, evaluate, generate_suite, solve_kmodels
+from spregimes import benchmark
 from spregimes.io import (
     list_simulations,
     load_dataset_csv,
     load_simulation,
     load_solve_result,
+    read_csv,
+    write_assignments_csv,
     write_dataset_csv,
     write_solve_result,
     write_suite,
@@ -86,7 +89,32 @@ class TestDatasetCsv:
         assert np.array_equal(ds.y, [9.0, 8.0])
 
 
+class TestCsvQuoting:
+    def test_carriage_return_in_unit_id_round_trips(self, tmp_path):
+        path = tmp_path / "assignments.csv"
+        write_assignments_csv(path, Partition(np.array([0, 1]), 2), ["a\rb", "c"])
+        assert path.read_bytes() == b'unit,region\n"a\rb",0\nc,1\n'
+        assert read_csv(path) == (["unit", "region"], [["a\rb", "0"], ["c", "1"]])
+
+
 class TestSuiteLayout:
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_benchmark_loads_each_simulation_once(self, small_suite, monkeypatch, jobs):
+        _, _, suite_dir = small_suite
+        loaded = []
+
+        def counting(sim_dir):
+            loaded.append(sim_dir)
+            return load_simulation(sim_dir)
+
+        monkeypatch.setattr(benchmark, "load_simulation", counting)
+        report = benchmark.run_benchmark(suite_dir, ["kmodels", "azp", "rkm"],
+                                         SolverConfig(p=2, min_obs=10, K=4), jobs=jobs)
+        assert loaded == list_simulations(suite_dir)
+        assert [(c.algorithm, c.simulation) for c in report.cells] == [
+            (a, i) for a in ("kmodels", "azp", "rkm") for i in range(2)]
+        assert not report.failures()
+
     def test_directory_contents(self, small_suite):
         _, _, suite_dir = small_suite
         sims = list_simulations(suite_dir)

@@ -941,8 +941,10 @@ class TestSolveKmodels:
         dataset = Dataset(X=rng.random((300, 2)), y=rng.normal(size=300))
         solve_kmodels(dataset, graph, SolverConfig(p=3, min_obs=20, K=9, seed=0))
         assert "padded_neighbors" not in vars(graph)
+        assert "neighbors" not in vars(graph)
         solve_regional_kmodels(dataset, graph, SolverConfig(p=3, min_obs=20, seed=0))
         assert "padded_neighbors" in vars(graph)
+        assert "neighbors" in vars(graph)
 
     def test_k_not_exceeding_p_rejected(self, rect_sim, grid25):
         with pytest.raises(ValueError, match="exceed"):
