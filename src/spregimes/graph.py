@@ -3,9 +3,10 @@
 Units are dense integer indices 0..n-1. Graphs are undirected, have no
 self-loops, and must be connected as a whole; builders reject anything
 else. A graph is stored as two read-only int64 arrays in compressed
-sparse row (CSR) form, so building one and checking connectivity create
-no Python object per edge. Instances are immutable and may be shared
-freely across concurrent solver runs.
+sparse row (CSR) form, so building one, checking connectivity and the
+solvers' candidate scans create no Python object per edge; only the
+cut-vertex search reads a cached tuple view. Instances are immutable and
+may be shared freely across concurrent solver runs.
 """
 
 from __future__ import annotations
@@ -43,19 +44,15 @@ class AdjacencyGraph:
     indices : ndarray of int64
         Every unit's neighbors, row after row, each row ascending.
 
-    Both arrays are read-only. Two views are derived from them on first
-    access and cached outside the dataclass fields, so equality and
-    hashing (by value, over the arrays) ignore them:
-
-    - ``neighbors``, a tuple of ascending neighbor tuples, one per unit,
-      for loops that visit units one at a time (the AZP/RKM cut-vertex
-      search);
-    - ``padded_neighbors``, an ``(n, 1 + max degree)`` int64 array for
-      vectorised scans: row ``i`` is ``[i, neighbors of i ascending]``,
-      padded with ``i``.
-
-    Building a view is idempotent, so a graph shared across runs stays
-    safe to share.
+    Both arrays are read-only, and vectorised scans (the AZP/RKM
+    candidate scans, connectivity) index them directly. One view is
+    derived from them: ``neighbors``, a tuple of ascending neighbor
+    tuples, one per unit, for loops that visit units one at a time (the
+    AZP/RKM cut-vertex search, which walks tuples faster than CSR
+    slices). It is built on first access and cached outside the
+    dataclass fields, so equality and hashing (by value, over the
+    arrays) ignore it; building it is idempotent, so a graph shared
+    across runs stays safe to share.
     """
 
     n: int
@@ -75,16 +72,6 @@ class AdjacencyGraph:
     def neighbors(self) -> tuple:
         flat, bounds = self.indices.tolist(), self.indptr.tolist()
         return tuple(tuple(flat[a:b]) for a, b in zip(bounds, bounds[1:]))
-
-    @cached_property
-    def padded_neighbors(self) -> np.ndarray:
-        degree = np.diff(self.indptr)
-        width = 1 + int(degree.max(initial=0))
-        pad = np.repeat(np.arange(self.n), width).reshape(self.n, width)
-        rows = np.repeat(np.arange(self.n), degree)
-        pad[rows, 1 + np.arange(len(self.indices)) - self.indptr[rows]] = self.indices
-        pad.flags.writeable = False
-        return pad
 
 
 # Target points per knn search tile at the mean density of the bounding box.

@@ -70,9 +70,6 @@ class SolverConfig:
 RESTART_LIMIT = 100
 # AZP treats SSR changes within this tolerance as ties, to avoid oscillation.
 SSR_TOLERANCE = 1e-9
-# The merge stage bounds a batch of candidate unions before fitting them
-# only when one of them has more units than this (see _RegionPool).
-_SCREEN_UNION_UNITS = 1024
 
 
 def _resolve_config(dataset: Dataset, graph: AdjacencyGraph, config: SolverConfig,
@@ -216,16 +213,12 @@ class _RegionPool:
     in number. Region ids are never reused: a merge retires both inputs
     and adds a new id.
 
-    ``lower_bounds`` bounds the SSR changes of a batch of candidate
+    ``lower_bounds`` bounds the SSR changes of every batch of candidate
     unions from the cached fits, in one ``linreg.absorb_delta`` or
     ``linreg.pooled_delta`` call, without fitting them. A union is
-    bounded only when its fitted sides carry a ``certificate``, and a
-    batch only when one of its unions has more than
-    ``_SCREEN_UNION_UNITS`` units. A batch call costs about as much as
-    fitting one union of 800 units, and one more union in a batch costs
-    far less than any fit (single-threaded BLAS on a 2-vCPU VM), so a
-    batch pays for itself when it rules out its largest union; small
-    regions among small regions are fitted as before.
+    bounded only when its fitted sides carry a ``certificate``. One more
+    union in a batch costs far less than any fit, so a batch pays for
+    itself once it rules out one union that would otherwise be fitted.
     """
 
     def __init__(self, dataset: Dataset, n: int):
@@ -260,17 +253,15 @@ class _RegionPool:
     def lower_bounds(self, pairs: list[tuple[int, int]]) -> dict[tuple[int, int], float]:
         """Certified lower bounds on ``delta(a, b, union_fit(a, b))``, keyed by pair.
 
-        Pairs left out must be fitted: all of them when no union is large
-        enough, else those with an uncertified fitted side or a non-finite
-        interval. When every pair shares a first region without a model,
-        as in the size repair of a region below m+1 units, ``absorb_delta``
-        scores its rows against each neighbor's model; otherwise
-        ``pooled_delta`` scores the two models. So no bound costs more than
-        O(m^3) per pair.
+        Pairs left out must be fitted: those with an uncertified fitted
+        side or a non-finite interval. When every pair shares a first
+        region without a model, as in the size repair of a region below
+        m+1 units, ``absorb_delta`` scores its rows against each
+        neighbor's model; otherwise ``pooled_delta`` scores the two
+        models. So no bound costs more than O(m^3) per pair.
         """
         regions = self.regions
-        if not any(len(regions[a].units) + len(regions[b].units) > _SCREEN_UNION_UNITS
-                   for a, b in pairs):
+        if not pairs:
             return {}
         first = pairs[0][0]
         absorb = regions[first].model is None and all(a == first for a, _ in pairs)
@@ -357,7 +348,7 @@ def kmodels_merge_stage(dataset: Dataset, graph: AdjacencyGraph,
     Both phases pick each merge with ``_pop_cheapest`` from a heap of
     candidate unions: a fresh heap per undersized region, whose tie is
     the neighbor's smallest member, and one fusion heap, whose tie is 0.
-    A union next to a large region enters keyed by its certified lower
+    A union whose fitted sides are certified enters keyed by its lower
     bound (``_RegionPool.lower_bounds``) and is fitted only if that bound
     reaches the top; any other union is fitted when it enters. The merge
     installs the fit its winning entry carries, so no union is fitted
@@ -507,21 +498,22 @@ def _articulation_points(graph: AdjacencyGraph, labels: list[int], root: int) ->
     return cuts
 
 
-def _rank_one(test, model: RegionModel, x: np.ndarray, y: np.ndarray
+def _rank_one(model: RegionModel, x: np.ndarray, y: np.ndarray
               ) -> tuple[np.ndarray, np.ndarray]:
-    """A rank-one SSR ``test`` over a row stack, and which rows it decided.
+    """The rank-one removal test over a row stack, and which rows it decided.
 
-    One stacked call scores every row. If it raises
-    NumericalBreakdownError, each row is scored alone, and the rows whose
-    own test raises are marked undecided.
+    One stacked ``ssr_decrease_if_removed`` call scores every row. If it
+    raises NumericalBreakdownError (a row of leverage ~1), each row is
+    scored alone, and the rows whose own test raises are marked
+    undecided.
     """
     try:
-        return test(model, x, y), np.ones(len(y), dtype=bool)
+        return ssr_decrease_if_removed(model, x, y), np.ones(len(y), dtype=bool)
     except NumericalBreakdownError:
         out, ok = np.zeros(len(y)), np.ones(len(y), dtype=bool)
         for i in range(len(y)):
             try:
-                out[i] = test(model, x[i], float(y[i]))
+                out[i] = ssr_decrease_if_removed(model, x[i], float(y[i]))
             except NumericalBreakdownError:
                 ok[i] = False
         return out, ok
@@ -537,9 +529,10 @@ class _LocalSearch:
     calls the policy until a step moves nothing or ``max_iter`` steps
     have run, and appends the total SSR to the trace after every step, so
     ``iterations_used == len(trace) - 1``. The step policies find their
-    candidates with numpy over the graph's ``padded_neighbors`` and the
-    label array (``_azp_candidates``, ``_rkm_candidates``), not with a
-    Python loop over units.
+    candidates with numpy over the graph's CSR arrays and the label array
+    (``_azp_candidates``, ``_rkm_candidates``), not with a Python loop
+    over units; ``rows`` maps each entry of ``graph.indices`` to the unit
+    whose row holds it, and is built once per search.
 
     A move inserts the unit into one member array and drops it from the
     other, and refits both regions with ``_fit`` (``moved_fits``), unless
@@ -574,6 +567,7 @@ class _LocalSearch:
         initial = grow_initial_partition(graph, config.p, config.min_obs, self.rng,
                                          RESTART_LIMIT)
         self.assign = initial.assignment.copy()
+        self.rows = np.repeat(np.arange(graph.n), np.diff(graph.indptr))
         self.regions = _fit_labels(dataset, self.assign, config.p)
         self.trace = [_total(self.regions)]
         self.cuts: list[set[int] | None] = [None] * config.p
@@ -598,11 +592,13 @@ class _LocalSearch:
 
         Rank-one identities give the exact changes in O(m^2) per
         candidate: one stacked ``ssr_increase_if_added`` against region
-        ``j`` and one stacked ``ssr_decrease_if_removed`` per donor.
+        ``j`` and one stacked removal test per donor (``_rank_one``).
         Returns ``(delta, refit)``; ``refit`` marks the candidates whose
         change only ``refit_delta`` can give, because either model is
-        degenerate or the candidate's own rank-one test breaks down. Their
-        ``delta`` is nan.
+        degenerate or the candidate's removal test breaks down. Their
+        ``delta`` is nan. The add identity divides by 1 + h >= 1 and does
+        not break down; should it raise NumericalBreakdownError all the
+        same, every candidate goes to refits.
         """
         x, y = self.dataset.X[candidates], self.dataset.y[candidates]
         delta = np.full(len(candidates), np.nan)
@@ -610,17 +606,19 @@ class _LocalSearch:
         target = self.regions[j].model
         if target.degenerate:
             return delta, refit
-        gain, gained = _rank_one(ssr_increase_if_added, target, x, y)
+        try:
+            gain = ssr_increase_if_added(target, x, y)
+        except NumericalBreakdownError:
+            return delta, refit
         for d in np.unique(donors).tolist():
             donor = self.regions[d].model
             if donor.degenerate:
                 continue
             rows = np.flatnonzero(donors == d)
-            loss, lost = _rank_one(ssr_decrease_if_removed, donor, x[rows], y[rows])
-            rows, loss = rows[lost], loss[lost]
-            delta[rows] = gain[rows] - loss
-            refit[rows] = ~gained[rows]
-        delta[refit] = np.nan
+            loss, lost = _rank_one(donor, x[rows], y[rows])
+            rows = rows[lost]
+            delta[rows] = gain[rows] - loss[lost]
+            refit[rows] = False
         return delta, refit
 
     def refit_delta(self, v: int, d: int, j: int) -> tuple[float, tuple[_Fit, _Fit]]:
@@ -668,40 +666,51 @@ class _LocalSearch:
         )
 
 
-def _azp_candidates(pad: np.ndarray, assign: np.ndarray, j: int) -> np.ndarray:
+def _azp_candidates(graph: AdjacencyGraph, rows: np.ndarray, assign: np.ndarray,
+                    j: int) -> np.ndarray:
     """Units outside region ``j`` with a neighbor inside it, ascending.
 
-    ``pad`` is the graph's ``padded_neighbors``: a unit's own column and
-    its padding hold its own label, which ``assign != j`` rules out.
+    ``rows[t]`` is the unit whose CSR row holds ``graph.indices[t]``, so
+    the units owning an entry labelled ``j`` are the ones touching ``j``.
     """
-    return np.flatnonzero((assign != j) & (assign[pad] == j).any(axis=1))
+    touch = np.zeros(graph.n, dtype=bool)
+    touch[rows[assign[graph.indices] == j]] = True
+    return np.flatnonzero((assign != j) & touch)
 
 
-def _rkm_candidates(pad: np.ndarray, assign: np.ndarray, resid: np.ndarray,
-                    sizes: np.ndarray, min_obs: int) -> tuple[np.ndarray, np.ndarray]:
+def _rkm_candidates(graph: AdjacencyGraph, rows: np.ndarray, assign: np.ndarray,
+                    resid: np.ndarray, sizes: np.ndarray, min_obs: int
+                    ) -> tuple[np.ndarray, np.ndarray]:
     """RKM candidate units, ascending, and the region each would move to.
 
     A unit's best adjacent region is the one among its own and its
-    neighbors' regions (the labels of its ``pad`` row) with the lowest
-    ``resid`` entry, ties to the lower region index. A unit is a
-    candidate when that region is not its own and its own region has
-    more than ``min_obs`` units.
+    neighbors' regions with the lowest ``resid`` entry, ties to the lower
+    region index. A unit is a candidate when that region is not its own
+    and its own region has more than ``min_obs`` units. The neighbors'
+    entries are gathered along the CSR arrays (``rows`` as in
+    ``_azp_candidates``) and reduced per row with ``reduceat``, which
+    needs every row non-empty. That holds here: local-search graphs are
+    connected and have n >= p * min_obs >= 2 units.
     """
-    labs = assign[pad]
-    vals = np.take_along_axis(resid, labs, axis=1)
+    starts, p = graph.indptr[:-1], resid.shape[1]
+    labs = assign[graph.indices]
+    vals = resid[rows, labs]
+    own = resid[np.arange(graph.n), assign]
+    low = np.minimum(own, np.minimum.reduceat(vals, starts))
     # the lowest label among the row's minima; p stands in for the others
-    best = np.where(vals == vals.min(axis=1)[:, None], labs, resid.shape[1]).min(axis=1)
+    best = np.minimum(np.where(own == low, assign, p),
+                      np.minimum.reduceat(np.where(vals == low[rows], labs, p), starts))
     candidates = np.flatnonzero((best != assign) & (sizes[assign] > min_obs))
     return candidates, best[candidates]
 
 
 def _azp_pass(search: _LocalSearch) -> bool:
     """One AZP pass: at most one unit moves into each region, in index order."""
-    pad, assign, regions = search.graph.padded_neighbors, search.assign, search.regions
+    graph, rows, assign, regions = search.graph, search.rows, search.assign, search.regions
     min_obs = search.config.min_obs
     moved = False
     for j in range(search.config.p):
-        candidates = _azp_candidates(pad, assign, j)
+        candidates = _azp_candidates(graph, rows, assign, j)
         donors = assign[candidates]
         delta, refit = search.screen(candidates, donors, j)
         sizes = np.array([len(f.units) for f in regions])
@@ -730,7 +739,7 @@ def _rkm_move(search: _LocalSearch) -> bool:
     betas = np.column_stack([f.model.beta for f in search.regions])
     resid = np.abs(dataset.y[:, None] - dataset.augmented @ betas)
     sizes = np.array([len(f.units) for f in search.regions])
-    candidates, targets = _rkm_candidates(search.graph.padded_neighbors, assign, resid,
+    candidates, targets = _rkm_candidates(search.graph, search.rows, assign, resid,
                                           sizes, search.config.min_obs)
     candidates, targets = candidates.tolist(), targets.tolist()
     # uniform draw from the valid set via a shuffled first-hit scan
@@ -783,7 +792,7 @@ def solve_regional_kmodels(dataset: Dataset, graph: AdjacencyGraph, config: Solv
     moved (simultaneous moves could break donor contiguity) and the two
     affected models are refit. Terminates when no candidate exists or
     after ``max_iter`` moves. The candidates come from one vectorised
-    scan of the residual matrix over the graph's padded neighbor rows
+    scan of the residual matrix along the graph's CSR arrays
     (``_rkm_candidates``), in ascending unit order.
 
     The connectivity check is a lookup in the donor's cached cut vertices

@@ -80,6 +80,13 @@ class TestEdgeListGraph:
         with pytest.raises(IndexError):
             build_edge_list_graph(2, [(0, 2)])
 
+    def test_equal_graphs_compare_and_hash_alike(self):
+        graph = build_edge_list_graph(4, [(0, 1), (1, 2), (1, 3)])
+        assert graph.neighbors == ((1,), (0, 2, 3), (1,), (1,))
+        fresh = build_edge_list_graph(4, [(3, 1), (2, 1), (1, 0)])
+        assert graph == fresh and hash(graph) == hash(fresh)
+        assert graph != build_edge_list_graph(4, [(0, 1), (1, 2), (2, 3)])
+
 
 class TestKnnGraph:
     def test_collinear_points(self):
@@ -263,19 +270,14 @@ class TestKnnReference:
         assert_knn_matches_reference(points, 18)
 
 
-def reference_views(n, pairs):
-    """``neighbors`` and ``padded_neighbors`` built the way the graph built them
-    before it stored CSR arrays: a neighbor set per unit, sorted into tuples,
-    and padded rows stacked from those tuples."""
+def reference_neighbors(n, pairs):
+    """``neighbors`` built the way the graph built it before it stored CSR
+    arrays: a neighbor set per unit, sorted into tuples."""
     sets = [set() for _ in range(n)]
     for i, j in pairs:
         sets[i].add(j)
         sets[j].add(i)
-    neighbors = tuple(tuple(sorted(s)) for s in sets)
-    width = 1 + max(map(len, neighbors), default=0)
-    padded = np.array([(i, *nb) + (i,) * (width - 1 - len(nb))
-                       for i, nb in enumerate(neighbors)], dtype=np.int64)
-    return neighbors, padded
+    return tuple(tuple(sorted(s)) for s in sets)
 
 
 @st.composite
@@ -341,10 +343,7 @@ class TestCsrGraphOracles:
         assert (g.indices != rows).all()
         arcs = set(zip(rows.tolist(), g.indices.tolist()))
         assert arcs == {(j, i) for i, j in arcs}
-        neighbors, padded = reference_views(n, pairs)
-        assert g.neighbors == neighbors
-        assert np.array_equal(g.padded_neighbors, padded)
-        assert g.padded_neighbors.dtype == np.int64
+        assert g.neighbors == reference_neighbors(n, pairs)
 
         rng = np.random.default_rng(seed)
         subsets = [range(n), [int(rng.integers(n))], []]
@@ -358,7 +357,7 @@ class TestCsrGraphOracles:
     def test_stored_arrays_are_read_only(self, rng):
         for g in (build_grid_graph(4, 5), build_edge_list_graph(3, [(0, 1), (1, 2)]),
                   build_knn_graph(rng.random((30, 2)), 4)):
-            for array in (g.indptr, g.indices, g.padded_neighbors):
+            for array in (g.indptr, g.indices):
                 assert not array.flags.writeable
                 with pytest.raises(ValueError, match="read-only"):
                     array[0] = 1

@@ -239,8 +239,8 @@ class TestMergeStage:
             return bounded[-1]
 
         monkeypatch.setattr(solvers._RegionPool, "lower_bounds", recording)
-        # on the 33x33 grid the union has 1,089 units, so the size repair
-        # bounds it first and only then finds that its fit is nan
+        # at either size the size repair bounds the one union first and
+        # only then finds that its fit is nan
         for side in (4, 33):
             n = side * side
             g = build_grid_graph(side, side)
@@ -250,17 +250,15 @@ class TestMergeStage:
             bounded.clear()
             with pytest.raises(MergeInfeasibleError, match=r"size 1, smallest member 5"):
                 kmodels_merge_stage(ds, g, Partition(labels, 2), SolverConfig(p=2, min_obs=2))
-            assert [len(b) for b in bounded] == [int(n > solvers._SCREEN_UNION_UNITS)]
+            assert [len(b) for b in bounded] == [1]
 
-    @pytest.mark.parametrize("screen_units", [0, solvers._SCREEN_UNION_UNITS])
-    def test_fusion_without_a_finite_change_raises(self, rng, screen_units):
+    def test_fusion_without_a_finite_change_raises(self, rng):
         # four 4-unit rows, each already at min_obs, so only fusion merges;
         # with every union fit nan, no pair may be fused
         graph = build_grid_graph(4, 4)
         dataset = Dataset(X=rng.random((16, 1)), y=rng.random(16))
         nan_fit = lambda pool, a, b: solvers._Fit(pool.regions[a].units, None, float("nan"))
-        with mock.patch.object(solvers, "_SCREEN_UNION_UNITS", screen_units), \
-                mock.patch.object(_RegionPool, "union_fit", nan_fit), \
+        with mock.patch.object(_RegionPool, "union_fit", nan_fit), \
                 pytest.raises(MergeInfeasibleError, match="4 regions remain"):
             kmodels_merge_stage(dataset, graph, Partition(np.repeat(np.arange(4), 4), 4),
                                 SolverConfig(p=2, min_obs=4))
@@ -428,7 +426,7 @@ def merge_stage_oracle(dataset, graph, micro_partition, config):
 
 
 def assert_same_merge(dataset, graph, micro, cfg):
-    """With every batch bounded, the merge stage equals the oracle bit for bit.
+    """The merge stage, which bounds every batch, equals the oracle bit for bit.
 
     The screened run must fit no union twice, since each merge installs
     the fit that scored it. Returns how many union fits the screened run
@@ -445,8 +443,7 @@ def assert_same_merge(dataset, graph, micro, cfg):
 
     with mock.patch.object(_RegionPool, "union_fit", counting("oracle")):
         expected, expected_models = merge_stage_oracle(dataset, graph, micro, cfg)
-    with mock.patch.object(solvers, "_SCREEN_UNION_UNITS", 0), \
-            mock.patch.object(_RegionPool, "union_fit", counting("screened")):
+    with mock.patch.object(_RegionPool, "union_fit", counting("screened")):
         part, models = kmodels_merge_stage(dataset, graph, micro, cfg)
     assert np.array_equal(part.assignment, expected.assignment)
     for got, want in zip(models, expected_models, strict=True):
@@ -713,6 +710,11 @@ def rkm_candidates_loop(graph, assign, resid, sizes, min_obs):
     return candidates, targets
 
 
+def csr_rows(graph):
+    """The unit whose CSR row holds each entry of ``graph.indices``."""
+    return np.repeat(np.arange(graph.n), np.diff(graph.indptr))
+
+
 def azp_candidates_loop(graph, assign, j):
     """Reference AZP candidate set: the comprehension ``_azp_candidates`` replaced."""
     members = np.flatnonzero(assign == j).tolist()
@@ -779,7 +781,7 @@ class TestSsrScreen:
         dataset, graph, labels, p = case
         search = search_state(dataset, graph, labels, p)
         for j in range(p):
-            candidates = _azp_candidates(graph.padded_neighbors, labels, j)
+            candidates = _azp_candidates(graph, csr_rows(graph), labels, j)
             donors = labels[candidates]
             delta, refit = search.screen(candidates, donors, j)
             for pos, v in enumerate(candidates.tolist()):
@@ -818,7 +820,7 @@ class TestSsrScreen:
         sizes = np.array([len(f.units) for f in search.regions])
         improving = set()
         for j in range(cfg.p):
-            candidates = _azp_candidates(grid25.padded_neighbors, search.assign, j)
+            candidates = _azp_candidates(grid25, search.rows, search.assign, j)
             donors = search.assign[candidates]
             delta, refit = search.screen(candidates, donors, j)
             viable = (sizes[donors] > cfg.min_obs) & (refit | (delta < -SSR_TOLERANCE))
@@ -894,7 +896,10 @@ class TestCandidateScans:
     @given(scan_cases())
     def test_rkm_scan_matches_loop(self, case):
         graph, assign, resid, sizes, min_obs = case
-        candidates, targets = _rkm_candidates(graph.padded_neighbors, assign, resid,
+        # the scan needs every unit to have a neighbor, as a local search's
+        # graph of n >= p * min_obs >= 2 connected units does
+        assume(graph.n >= 2)
+        candidates, targets = _rkm_candidates(graph, csr_rows(graph), assign, resid,
                                               sizes, min_obs)
         assert (candidates.tolist(), targets.tolist()) == rkm_candidates_loop(
             graph, assign, resid, sizes, min_obs)
@@ -903,17 +908,10 @@ class TestCandidateScans:
     @given(scan_cases())
     def test_azp_scan_matches_loop(self, case):
         graph, assign = case[:2]
+        rows = csr_rows(graph)
         for j in range(int(assign.max()) + 1):
-            assert (_azp_candidates(graph.padded_neighbors, assign, j).tolist()
+            assert (_azp_candidates(graph, rows, assign, j).tolist()
                     == azp_candidates_loop(graph, assign, j))
-
-    def test_padded_neighbors_rows(self):
-        graph = build_edge_list_graph(4, [(0, 1), (1, 2), (1, 3)])
-        assert graph.padded_neighbors.tolist() == [
-            [0, 1, 0, 0], [1, 0, 2, 3], [2, 1, 2, 2], [3, 1, 3, 3]]
-        assert graph.padded_neighbors.dtype == np.int64
-        fresh = build_edge_list_graph(4, [(0, 1), (1, 2), (1, 3)])
-        assert graph == fresh and hash(graph) == hash(fresh)
 
 
 class TestSolveKmodels:
@@ -935,15 +933,13 @@ class TestSolveKmodels:
         res = solve_kmodels(rect_sim.dataset, grid25, SolverConfig(p=5, min_obs=10, seed=5))
         assert_feasible(grid25, res, p=5, min_obs=10)
 
-    def test_knn_solve_leaves_padded_view_unbuilt(self):
+    def test_knn_solve_builds_neighbor_tuples_only_for_local_search(self):
         rng = np.random.default_rng(3)
         graph = build_knn_graph(rng.random((300, 2)), 6)
         dataset = Dataset(X=rng.random((300, 2)), y=rng.normal(size=300))
         solve_kmodels(dataset, graph, SolverConfig(p=3, min_obs=20, K=9, seed=0))
-        assert "padded_neighbors" not in vars(graph)
         assert "neighbors" not in vars(graph)
         solve_regional_kmodels(dataset, graph, SolverConfig(p=3, min_obs=20, seed=0))
-        assert "padded_neighbors" in vars(graph)
         assert "neighbors" in vars(graph)
 
     def test_k_not_exceeding_p_rejected(self, rect_sim, grid25):
