@@ -252,16 +252,30 @@ class TestMergeStage:
                 kmodels_merge_stage(ds, g, Partition(labels, 2), SolverConfig(p=2, min_obs=2))
             assert [len(b) for b in bounded] == [1]
 
-    def test_fusion_without_a_finite_change_raises(self, rng):
+    @pytest.mark.parametrize("screen_units", [0, 1024])
+    def test_fusion_without_a_finite_change_raises(self, rng, screen_units):
         # four 4-unit rows, each already at min_obs, so only fusion merges;
-        # with every union fit nan, no pair may be fused
+        # with every union fit nan, no pair may be fused. With 0 every
+        # union enters keyed by its lower bound, as the solver does; with
+        # 1024 this 16-unit graph's batches get no bounds, so every union
+        # is fitted on entry, as an uncertified one is
         graph = build_grid_graph(4, 4)
         dataset = Dataset(X=rng.random((16, 1)), y=rng.random(16))
         nan_fit = lambda pool, a, b: solvers._Fit(pool.regions[a].units, None, float("nan"))
+        bounded = []
+        lower_bounds = _RegionPool.lower_bounds
+
+        def screened(pool, pairs):
+            bounded.append(lower_bounds(pool, pairs) if len(pool.region_of) > screen_units
+                           else {})
+            return bounded[-1]
+
         with mock.patch.object(_RegionPool, "union_fit", nan_fit), \
+                mock.patch.object(_RegionPool, "lower_bounds", screened), \
                 pytest.raises(MergeInfeasibleError, match="4 regions remain"):
             kmodels_merge_stage(dataset, graph, Partition(np.repeat(np.arange(4), 4), 4),
                                 SolverConfig(p=2, min_obs=4))
+        assert any(bounded) == (screen_units == 0)
 
     def test_too_few_components_is_infeasible(self, rng):
         g = build_grid_graph(4, 4)
