@@ -13,6 +13,7 @@ down or by degenerate models.
 """
 
 import hashlib
+from functools import partial
 
 import numpy as np
 import pytest
@@ -138,23 +139,26 @@ def test_refit_fallback_golden_fingerprint(monkeypatch):
                                    "7f9ed5b7d08a9c0a62dc859d86fe97f6365fb428")
 
 
-# name: (solver, repr(total_ssr), sha1 of int64 assignment) on the 15x15 case
-# with its first covariate in both columns, so every fit is degenerate
+# name: (solver, config, repr(total_ssr), sha1 of int64 assignment) on the
+# 15x15 case with its first covariate in both columns, so every fit is
+# degenerate and every K-Models merge-stage union has a singular Gram
+LOCAL_DUP = SolverConfig(p=5, min_obs=10, seed=7)
 DEGENERATE = {
-    "azp-rect15-dup": (solve_azp, "51.4464539545476",
-                       "8d3e85c5d470f5ccc19a3f1870e9a0cd3327e394"),
-    "rkm-rect15-dup": (solve_regional_kmodels, "56.58431988003274",
-                       "b9df37a40300f21d2d0f8b01bda723b48118c052"),
+    "azp-rect15-dup": (partial(solve_azp, check_invariants=True), LOCAL_DUP,
+                       "51.4464539545476", "8d3e85c5d470f5ccc19a3f1870e9a0cd3327e394"),
+    "rkm-rect15-dup": (partial(solve_regional_kmodels, check_invariants=True), LOCAL_DUP,
+                       "56.58431988003274", "b9df37a40300f21d2d0f8b01bda723b48118c052"),
+    "kmodels-rect15-dup": (solve_kmodels, SolverConfig(p=5, min_obs=10, K=20, seed=7),
+                           "41.91416532534024", "8e1b8856f26e82d4c7ba192d9bf314b470cec424"),
 }
 
 
 @pytest.mark.parametrize("name", sorted(DEGENERATE))
 def test_degenerate_golden_fingerprint(name):
-    solver, ssr_repr, labels_sha1 = DEGENERATE[name]
+    solver, config, ssr_repr, labels_sha1 = DEGENERATE[name]
     dataset, graph = grid_case(15, 15, "rectangular", 101)
     x1 = dataset.X[:, 0]
     dataset = Dataset(X=np.column_stack((x1, x1)), y=dataset.y)
-    result = solver(dataset, graph, SolverConfig(p=5, min_obs=10, seed=7),
-                    check_invariants=True)
+    result = solver(dataset, graph, config)
     assert all(model.degenerate for model in result.models)
     assert fingerprint(result) == (ssr_repr, labels_sha1)
