@@ -34,10 +34,8 @@ from .linreg import (
     Dataset,
     RegionModel,
     Scaler,
-    absorb_delta,
     add_unit,
     fit_ols,
-    pooled_delta,
     predict,
     region_ssr,
     remove_unit,

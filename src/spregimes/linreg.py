@@ -14,14 +14,15 @@ screened for rank deficiency by a Frobenius-norm bound on the condition
 number of its Gram matrix, and only fits the bound cannot certify pay for
 an SVD (see ``fit_ols``).
 
-The SSR change of merging two fitted regions follows from their cached
-state in O(m^3) plus the rows of a small block, without gathering the
-union: ``absorb_delta`` scores a fitted region absorbing a block of rows
-and ``pooled_delta`` scores pooling two fitted regions (Chan, Golub &
-LeVeque 1983 on pooled sums of squares; Golub & Van Loan on updating
-least squares). Each returns a rounding bound ``err`` with the estimate,
-so that ``fit_ols`` over the union lies within ``err`` of it; callers use
-the interval to skip union fits that cannot change a decision.
+The SSR change of merging two regions follows from cross-products alone,
+without gathering the union's rows: with ``Z = [1 X y]`` over a region's
+rows, the union's ``Z'Z`` is the sum of its two sides' (Chan, Golub &
+LeVeque 1983 on pooled sums of squares), and its SSR is
+``y'y - xty' G^-1 xty`` from the blocks of that sum. ``union_delta``
+scores a stack of unions so and returns a rounding bound ``err`` with
+each estimate, so that ``fit_ols`` over the union lies within ``err`` of
+it; callers use the interval to skip union fits that cannot change a
+decision.
 """
 
 from __future__ import annotations
@@ -43,8 +44,7 @@ __all__ = [
     "remove_unit",
     "ssr_increase_if_added",
     "ssr_decrease_if_removed",
-    "absorb_delta",
-    "pooled_delta",
+    "union_delta",
 ]
 
 # Gram matrices above this condition estimate are treated as rank deficient
@@ -168,12 +168,7 @@ class RegionModel:
     ``ssr`` is the sum of squared residuals over the rows the model was
     fitted on, equal bit for bit to ``region_ssr`` over them; it is set
     only by ``fit_ols`` and is None for models reloaded from files or
-    updated by ``add_unit``/``remove_unit``. ``certificate`` is the
-    product ``||G||_F^2 ||G^-1||_F^2`` that certified the fit as well
-    conditioned (its square root bounds cond2(G)); like ``ssr`` it is set
-    only by ``fit_ols``, and it is None when the fit needed the SVD. Only
-    models with a certificate can be scored by ``absorb_delta`` and
-    ``pooled_delta``.
+    updated by ``add_unit``/``remove_unit``.
     """
 
     beta: np.ndarray
@@ -182,7 +177,6 @@ class RegionModel:
     n_obs: int
     degenerate: bool = False
     ssr: float | None = None
-    certificate: float | None = None
 
     @property
     def intercept(self) -> float:
@@ -224,8 +218,7 @@ def fit_ols(dataset: Dataset, members) -> RegionModel:
     threshold, so the result equals deciding every fit by the SVD.
 
     The member rows are gathered once; the model's ``ssr`` is computed
-    from the same rows, as ``region_ssr`` would compute it. A fit that
-    passes the Frobenius screen keeps its product as ``certificate``.
+    from the same rows, as ``region_ssr`` would compute it.
     """
     idx = _member_index(members)
     if len(idx) < dataset.m + 1:
@@ -240,9 +233,7 @@ def fit_ols(dataset: Dataset, members) -> RegionModel:
         gram_inv = np.linalg.inv(gram)
     except np.linalg.LinAlgError:
         gram_inv = None
-    certificate = None if gram_inv is None else _frobenius_condition_sq(gram, gram_inv)
-    if certificate is None or not certificate < _CERTIFIED_CONDITION_SQ:
-        certificate = None
+    if gram_inv is None or not _frobenius_condition_sq(gram, gram_inv) < _CERTIFIED_CONDITION_SQ:
         cond = np.linalg.cond(gram)
         if not np.isfinite(cond) or cond > RANK_DEFICIENT_CONDITION:
             beta = np.linalg.lstsq(Xa, y, rcond=None)[0]
@@ -251,8 +242,7 @@ def fit_ols(dataset: Dataset, members) -> RegionModel:
         if gram_inv is None:
             gram_inv = np.linalg.inv(gram)  # raises LinAlgError again
     beta = gram_inv @ xty
-    return RegionModel(beta, gram_inv, xty, len(idx), ssr=_ssr(Xa, y, beta),
-                       certificate=certificate)
+    return RegionModel(beta, gram_inv, xty, len(idx), ssr=_ssr(Xa, y, beta))
 
 
 def _ssr(Xa: np.ndarray, y: np.ndarray, beta: np.ndarray) -> float:
@@ -261,14 +251,16 @@ def _ssr(Xa: np.ndarray, y: np.ndarray, beta: np.ndarray) -> float:
     return float(resid @ resid)
 
 
-def _frobenius_condition_sq(gram: np.ndarray, gram_inv: np.ndarray) -> float:
+def _frobenius_condition_sq(gram: np.ndarray, gram_inv: np.ndarray):
     """``||G||_F^2 ||G^-1||_F^2``, the square of a bound on cond2(G).
 
-    A non-finite inverse gives inf or nan, which fails the screen's
-    comparison.
+    Takes one Gram matrix and its inverse, or a stack of each, and
+    returns one product per matrix. A non-finite inverse gives inf or
+    nan, which fails the screen's comparison.
     """
-    g, gi = gram.ravel(), gram_inv.ravel()
-    return float((g @ g) * (gi @ gi))
+    g = gram.reshape(*gram.shape[:-2], -1)
+    gi = gram_inv.reshape(*gram_inv.shape[:-2], -1)
+    return np.vecdot(g, g) * np.vecdot(gi, gi)
 
 
 def predict(model: RegionModel, x) -> float:
@@ -369,79 +361,47 @@ def ssr_decrease_if_removed(model: RegionModel, x, y) -> float | np.ndarray:
     return loss if np.ndim(loss) else float(loss)
 
 
-def _stacked(models) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Stacked ``beta``, ``gram_inv``, ``ssr``, kappa_F and ``y'y`` of certified models.
+def _merge_error(delta, kappa, n, ssr, yy) -> np.ndarray:
+    """Rounding bound on the gap between ``union_delta`` and a union fit.
 
-    ``y'y`` over a model's rows is ``ssr + beta . xty`` (the residual and
-    fitted sums of squares).
+    ``C u (kappa_F + n) (ssr + |delta| + y'y)`` with u the machine
+    epsilon, kappa_F the Frobenius bound on the union Gram's condition, n
+    the union's size, ``ssr`` its two sides' SSRs summed and ``y'y`` its
+    sum of squared responses, read from the rows' cross-products. Both
+    the identity and the fit round their residuals relative to the
+    responses, not to the residuals, so the ``y'y`` term keeps the bound
+    valid on nearly noise-free data, where a bound in the SSRs alone reads
+    about zero. The largest ratio of ``|delta - exact|`` to
+    ``u (kappa_F + n) (...)`` measured is 0.38 over 113,362 unions that
+    K-Models merge stages bounded (the 20,000-point knn data of
+    perfbench, data seeds 909, 1 and 2, and forty 25x25 grid solves) and
+    0.54 over 39,500 random designs (noise 0 to 2, offsets up to 50,
+    scales 1e-2 to 1e2, near-collinear columns, cross-products summed
+    over random chunks); ``MERGE_ERROR_FACTOR`` C = 16 leaves a margin
+    of 30.
     """
-    if any(mo.certificate is None for mo in models):
-        raise ValueError("merge identities need models certified by fit_ols")
-    beta = np.array([mo.beta for mo in models])
-    ssr = np.array([mo.ssr for mo in models])
-    yy = ssr + (beta * np.array([mo.xty for mo in models])).sum(axis=1)
-    kappa = np.sqrt([mo.certificate for mo in models])
-    return beta, np.array([mo.gram_inv for mo in models]), ssr, kappa, yy
-
-
-def _merge_error(delta, kappa, n, ssr_a, ssr_b, yy) -> np.ndarray:
-    """Rounding bound on the gap between a merge identity and a union fit.
-
-    ``C u (kappa_F + n) (ssr_a + ssr_b + |delta| + y'y)`` with u the
-    machine epsilon, kappa_F the Frobenius bound on the fitted Gram
-    matrices' condition, n the union's size and ``y'y`` the union's sum
-    of squared responses. Both sides round their residuals relative to
-    the responses, not to the residuals, so the ``y'y`` term keeps the
-    bound valid on nearly noise-free data, where a bound in the SSRs
-    alone reads about zero. The largest ratio of ``|delta - exact|`` to
-    ``u (kappa_F + n) (...)`` measured is 0.11, over about 75,000 unions
-    that K-Models merge stages fit (the 20,000-point knn data of
-    perfbench, data seeds 909, 1 and 2, and its 25x25 sweep suites) and
-    7,000 random designs (noise 0 to 2, scales 1e-2 to 1e2, near-collinear
-    columns); ``MERGE_ERROR_FACTOR`` C = 16 leaves a margin of 140.
-    """
-    scale = ssr_a + ssr_b + np.abs(delta) + yy
+    scale = ssr + np.abs(delta) + yy
     return MERGE_ERROR_FACTOR * np.finfo(float).eps * (kappa + n) * scale
 
 
-def absorb_delta(models, x, y, ssr_a: float) -> tuple[np.ndarray, np.ndarray]:
-    """SSR change of each fitted region absorbing the rows ``(x, y)`` of a region.
+def union_delta(cross, ssr, n) -> tuple[np.ndarray, np.ndarray]:
+    """SSR change of each union in a stack, from its cross-products alone.
 
-    Block form of the recursive least-squares identity: model b with
-    inverse Gram G_b^-1 absorbing the ``(k, m)`` rows ``x`` (Z with the
-    constant column) raises its SSR by ``e' (I + Z G_b^-1 Z')^-1 e`` with
-    ``e = y - Z beta_b``. The merge's change of the total SSR is that
-    increase minus ``ssr_a``, the SSR of the absorbed region (0.0 when
-    it has fewer than m+1 rows and so no model). ``models`` must carry a
-    ``certificate``. Returns ``(delta, err)`` arrays, one entry per model:
-    ``fit_ols`` over the union, minus both regions' SSRs, lies within
-    ``err`` of ``delta`` (see ``_merge_error``).
+    ``cross`` is a ``(k, m+2, m+2)`` stack of each union's ``Z'Z`` with
+    ``Z = [1 X y]`` over its rows: the sum of its two sides'. ``ssr``
+    holds the two sides' SSRs summed (0.0 for a side without a model) and
+    ``n`` the union's size. With ``G``, ``xty`` and ``y'y`` the blocks of
+    ``Z'Z``, the union's SSR is ``y'y - xty' G^-1 xty``, and its change is
+    that minus ``ssr``. Returns ``(delta, err)`` arrays, one entry per
+    union: ``fit_ols`` over the union, minus ``ssr``, lies within ``err``
+    of ``delta`` (see ``_merge_error``). ``err`` is nan where ``G`` fails
+    the Frobenius screen of ``fit_ols``, and ``np.linalg.inv`` raises
+    LinAlgError for the whole stack when one ``G`` is exactly singular.
     """
-    beta, gram_inv, ssr_b, kappa, yy_b = _stacked(models)
-    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-    z = np.empty((len(y), beta.shape[1]))
-    z[:, 0] = 1.0
-    z[:, 1:] = x
-    e = y - beta @ z.T
-    s = z @ gram_inv @ z.T + np.eye(len(y))
-    delta = (e * np.linalg.solve(s, e[..., None])[..., 0]).sum(axis=1) - ssr_a
-    yy = yy_b + float(y @ y)
-    n = np.array([mo.n_obs for mo in models]) + len(y)
-    return delta, _merge_error(delta, kappa, n, ssr_a, ssr_b, yy)
-
-
-def pooled_delta(models_a, models_b) -> tuple[np.ndarray, np.ndarray]:
-    """SSR change of pooling each fitted region of ``models_a`` with its pair in ``models_b``.
-
-    Pooled-regression identity: the union's SSR exceeds the two SSRs by
-    ``d' (G_a^-1 + G_b^-1)^-1 d`` with ``d = beta_a - beta_b``, from the
-    cached state alone. Every model must carry a ``certificate``. Returns
-    ``(delta, err)`` arrays, one entry per pair, with the bound of
-    ``absorb_delta``; kappa_F is the sum of the pair's.
-    """
-    beta_a, gram_inv_a, ssr_a, kappa_a, yy_a = _stacked(models_a)
-    beta_b, gram_inv_b, ssr_b, kappa_b, yy_b = _stacked(models_b)
-    d = beta_a - beta_b
-    delta = (d * np.linalg.solve(gram_inv_a + gram_inv_b, d[..., None])[..., 0]).sum(axis=1)
-    n = np.array([mo.n_obs for mo in models_a]) + np.array([mo.n_obs for mo in models_b])
-    return delta, _merge_error(delta, kappa_a + kappa_b, n, ssr_a, ssr_b, yy_a + yy_b)
+    cross = np.asarray(cross, dtype=float)
+    gram, xty, yy = cross[:, :-1, :-1], cross[:, :-1, -1], cross[:, -1, -1]
+    gram_inv = np.linalg.inv(gram)
+    delta = yy - np.vecdot(xty, (gram_inv @ xty[..., None])[..., 0]) - ssr
+    screen = _frobenius_condition_sq(gram, gram_inv)
+    kappa = np.where(screen < _CERTIFIED_CONDITION_SQ, np.sqrt(screen), np.nan)
+    return delta, _merge_error(delta, kappa, n, ssr, yy)

@@ -27,12 +27,11 @@ from .graph import (
 from .linreg import (
     Dataset,
     RegionModel,
-    absorb_delta,
     fit_ols,
-    pooled_delta,
     region_ssr,
     ssr_decrease_if_removed,
     ssr_increase_if_added,
+    union_delta,
 )
 from .result import SolveResult
 
@@ -213,24 +212,32 @@ class _RegionPool:
     in number. Region ids are never reused: a merge retires both inputs
     and adds a new id.
 
-    ``lower_bounds`` bounds the SSR changes of every batch of candidate
-    unions from the cached fits, in one ``linreg.absorb_delta`` or
-    ``linreg.pooled_delta`` call, without fitting them. A union is
-    bounded only when its fitted sides carry a ``certificate``. One more
+    ``cross`` maps a live region id to ``Z'Z`` with ``Z = [1 X y]`` over
+    its rows. A split fragment's comes from its rows; a merged region's
+    is the sum of its two sides', with no gather. ``lower_bounds`` bounds
+    the SSR changes of every batch of candidate unions from these sums,
+    in one ``linreg.union_delta`` call, without fitting them. One more
     union in a batch costs far less than any fit, so a batch pays for
     itself once it rules out one union that would otherwise be fitted.
     """
 
     def __init__(self, dataset: Dataset, n: int):
         self.dataset = dataset
+        self.rows = np.column_stack((dataset.augmented, dataset.y))
         self.regions: dict[int, _Fit] = {}
+        self.cross: dict[int, np.ndarray] = {}
         self.region_of = np.empty(n, dtype=np.int64)
         self.next_id = 0
 
-    def add(self, fitted: _Fit) -> int:
+    def add(self, fitted: _Fit, cross: np.ndarray | None = None) -> int:
+        """Add the region ``fitted`` with ``cross`` its ``Z'Z``, computed from its rows if None."""
+        if cross is None:
+            z = self.rows[fitted.units]
+            cross = z.T @ z
         rid = self.next_id
         self.next_id += 1
         self.regions[rid] = fitted
+        self.cross[rid] = cross
         self.region_of[fitted.units] = rid
         return rid
 
@@ -244,7 +251,7 @@ class _RegionPool:
     def merge(self, a: int, b: int, fitted: _Fit) -> int:
         """Replace regions ``a`` and ``b`` by their union, fitted as ``union_fit(a, b)``."""
         del self.regions[a], self.regions[b]
-        return self.add(fitted)
+        return self.add(fitted, self.cross.pop(a) + self.cross.pop(b))
 
     def delta(self, a: int, b: int, fitted: _Fit) -> float:
         """Total-SSR change of replacing regions ``a`` and ``b`` by ``fitted``."""
@@ -253,29 +260,27 @@ class _RegionPool:
     def lower_bounds(self, pairs: list[tuple[int, int]]) -> dict[tuple[int, int], float]:
         """Certified lower bounds on ``delta(a, b, union_fit(a, b))``, keyed by pair.
 
-        Pairs left out must be fitted: those with an uncertified fitted
-        side or a non-finite interval. When every pair shares a first
-        region without a model, as in the size repair of a region below
-        m+1 units, ``absorb_delta`` scores its rows against each
-        neighbor's model; otherwise ``pooled_delta`` scores the two
-        models. So no bound costs more than O(m^3) per pair.
+        Every union of more than m units is scored by one ``union_delta``
+        call on the sums of its sides' ``cross``. Pairs left out must be
+        fitted: unions of at most m units, which ``_fit`` leaves without a
+        model and without calling ``fit_ols``; unions whose Gram fails the
+        Frobenius screen, so their interval is not finite; and the whole
+        batch when a Gram is exactly singular. No bound costs more than
+        O(m^3) per pair.
         """
-        regions = self.regions
+        regions, cross = self.regions, self.cross
+        sizes = {pair: len(regions[pair[0]].units) + len(regions[pair[1]].units)
+                 for pair in pairs}
+        pairs = [pair for pair in pairs if sizes[pair] > self.dataset.m]
         if not pairs:
             return {}
-        first = pairs[0][0]
-        absorb = regions[first].model is None and all(a == first for a, _ in pairs)
-        certified = {rid for pair in pairs for rid in pair if regions[rid].model is not None
-                     and regions[rid].model.certificate is not None}
-        pairs = [(a, b) for a, b in pairs if b in certified and (absorb or a in certified)]
-        if not pairs:
+        try:
+            delta, err = union_delta(np.array([cross[a] + cross[b] for a, b in pairs]),
+                                     np.array([regions[a].ssr + regions[b].ssr
+                                               for a, b in pairs]),
+                                     np.array([sizes[pair] for pair in pairs]))
+        except np.linalg.LinAlgError:
             return {}
-        models = [regions[b].model for _, b in pairs]
-        if absorb:
-            units = regions[first].units
-            delta, err = absorb_delta(models, self.dataset.X[units], self.dataset.y[units], 0.0)
-        else:
-            delta, err = pooled_delta([regions[a].model for a, _ in pairs], models)
         lower, upper = (delta - err).tolist(), (delta + err).tolist()
         return {pair: lo for pair, lo, hi in zip(pairs, lower, upper)
                 if math.isfinite(lo) and math.isfinite(hi)}
@@ -348,7 +353,8 @@ def kmodels_merge_stage(dataset: Dataset, graph: AdjacencyGraph,
     Both phases pick each merge with ``_pop_cheapest`` from a heap of
     candidate unions: a fresh heap per undersized region, whose tie is
     the neighbor's smallest member, and one fusion heap, whose tie is 0.
-    A union whose fitted sides are certified enters keyed by its lower
+    A union of more than m units whose Gram, summed from its sides'
+    cross-products, passes the Frobenius screen enters keyed by its lower
     bound (``_RegionPool.lower_bounds``) and is fitted only if that bound
     reaches the top; any other union is fitted when it enters. The merge
     installs the fit its winning entry carries, so no union is fitted

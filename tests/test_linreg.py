@@ -8,16 +8,16 @@ from spregimes import (
     NumericalBreakdownError,
     Scaler,
     TooFewObservationsError,
-    absorb_delta,
     add_unit,
     fit_ols,
-    pooled_delta,
     predict,
     region_ssr,
     remove_unit,
     ssr_decrease_if_removed,
     ssr_increase_if_added,
 )
+
+from spregimes.linreg import _CERTIFIED_CONDITION_SQ, _frobenius_condition_sq, union_delta
 
 from conftest import rank_one_rounding
 
@@ -420,11 +420,11 @@ class TestMergedRegionSsr:
 
 @st.composite
 def merge_identity_cases(draw):
-    """A dataset, a block ``a`` of any size and 1 to 3 fitted blocks ``b``.
+    """A dataset, a block ``a`` of any size, 1 to 3 fitted blocks ``b`` and an rng.
 
     Responses range from noise-free to noisy and covariates over four
     orders of magnitude, with an offset; ``b`` blocks have at least m+1
-    rows and ``a`` may have fewer.
+    rows and ``a`` may have fewer. The rng cuts blocks into chunks.
     """
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     m = draw(st.integers(1, 3))
@@ -440,12 +440,22 @@ def merge_identity_cases(draw):
     a = np.sort(order[:size_a])
     bounds = np.cumsum([size_a, *sizes])
     blocks = [np.sort(order[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
-    return ds, a, blocks
+    return ds, a, blocks, rng
 
 
-def union_delta(ds, a, b, ssr_a, ssr_b):
-    """SSR change of merging ``a`` and ``b`` by an exact fit of the union."""
-    return fit_ols(ds, np.sort(np.concatenate((a, b)))).ssr - ssr_a - ssr_b
+def cross(ds, members, rng=None):
+    """``Z'Z`` with ``Z = [1 X y]`` over ``members``.
+
+    With an ``rng`` it is summed over up to four random chunks of the
+    members, as the merge stage sums it over a region's merge history.
+    """
+    z = np.column_stack((ds.augmented, ds.y))[members]
+    if rng is None:
+        return z.T @ z
+    cuts = rng.choice(np.arange(1, len(z) + 1), size=min(int(rng.integers(4)), len(z)),
+                      replace=False)
+    chunks = np.split(z[rng.permutation(len(z))], np.sort(cuts))
+    return sum(c.T @ c for c in chunks if len(c))
 
 
 def block_ssr(ds, members):
@@ -453,68 +463,67 @@ def block_ssr(ds, members):
     return fit_ols(ds, members).ssr if len(members) > ds.m else 0.0
 
 
+def score_unions(ds, a, blocks, rng=None):
+    """``union_delta`` of ``a`` with each block, and each union's exact change by ``fit_ols``."""
+    ssr_a, cross_a = block_ssr(ds, a), cross(ds, a, rng)
+    ssr = np.array([ssr_a + block_ssr(ds, b) for b in blocks])
+    delta, err = union_delta(np.array([cross_a + cross(ds, b, rng) for b in blocks]), ssr,
+                             np.array([len(a) + len(b) for b in blocks]))
+    exact = [fit_ols(ds, np.sort(np.concatenate((a, b)))).ssr - s for b, s in zip(blocks, ssr)]
+    return delta, err, np.array(exact)
+
+
 class TestMergeIdentities:
-    """``absorb_delta`` and ``pooled_delta`` bound the exact union fits within ``err``."""
+    """``union_delta`` bounds the exact union fits within ``err``."""
 
     @settings(max_examples=300, deadline=None)
     @given(merge_identity_cases())
-    def test_absorb_within_err_of_union_fit(self, case):
-        ds, a, blocks = case
-        models = [fit_ols(ds, b) for b in blocks]
-        assume(all(mo.certificate is not None for mo in models))
-        ssr_a = block_ssr(ds, a)
-        delta, err = absorb_delta(models, ds.X[a], ds.y[a], ssr_a)
-        for b, mo, d, e in zip(blocks, models, delta, err):
-            assert 0.0 <= e < np.inf
-            assert abs(d - union_delta(ds, a, b, ssr_a, mo.ssr)) <= e
-
-    @settings(max_examples=300, deadline=None)
-    @given(merge_identity_cases())
-    def test_pooled_within_err_of_union_fit(self, case):
-        ds, a, blocks = case
-        assume(len(a) > ds.m)
-        model_a, models = fit_ols(ds, a), [fit_ols(ds, b) for b in blocks]
-        assume(all(mo.certificate is not None for mo in [model_a, *models]))
-        delta, err = pooled_delta([model_a] * len(models), models)
-        for b, mo, d, e in zip(blocks, models, delta, err):
-            assert 0.0 <= e < np.inf
-            assert abs(d - union_delta(ds, a, b, model_a.ssr, mo.ssr)) <= e
+    def test_within_err_of_union_fit(self, case):
+        ds, a, blocks, rng = case
+        delta, err, exact = score_unions(ds, a, blocks, rng)
+        certified = np.isfinite(err)
+        assume(certified.any())
+        assert (err[certified] >= 0.0).all()
+        assert (np.abs(delta - exact)[certified] <= err[certified]).all()
 
     @pytest.mark.parametrize("eps", CONDITION_EPS)
     @pytest.mark.parametrize("size_a", [1, 2, 12])
     def test_condition_designs(self, eps, size_a):
         ds = condition_design(eps)
         a, b = np.arange(size_a), np.arange(size_a, 40)
-        model_b = fit_ols(ds, b)
-        if model_b.certificate is None:
-            with pytest.raises(ValueError, match="certified"):
-                absorb_delta([model_b], ds.X[a], ds.y[a], 0.0)
+        gram = ds.augmented.T @ ds.augmented
+        try:
+            certified = _frobenius_condition_sq(gram, np.linalg.inv(gram)) < \
+                _CERTIFIED_CONDITION_SQ
+        except np.linalg.LinAlgError:
+            certified = False
+        try:
+            delta, err, exact = score_unions(ds, a, [b])
+        except np.linalg.LinAlgError:
+            # the summed Gram is exactly singular; the batch gets no bound
+            assert not certified
             return
-        ssr_a = block_ssr(ds, a)
-        delta, err = absorb_delta([model_b], ds.X[a], ds.y[a], ssr_a)
-        assert abs(delta[0] - union_delta(ds, a, b, ssr_a, model_b.ssr)) <= err[0]
-        if len(a) > ds.m and fit_ols(ds, a).certificate is not None:
-            delta, err = pooled_delta([fit_ols(ds, a)], [model_b])
-            assert abs(delta[0] - union_delta(ds, a, b, ssr_a, model_b.ssr)) <= err[0]
+        # err is nan where the union's fit fails the Frobenius screen too
+        assert np.isfinite(err[0]) == certified
+        if certified:
+            assert abs(delta[0] - exact[0]) <= err[0]
 
     def test_zero_response_bounds_are_exact_zeros(self, rng):
         ds = Dataset(X=rng.normal(size=(30, 2)), y=np.zeros(30))
-        a, b = fit_ols(ds, range(10)), fit_ols(ds, range(10, 30))
-        for delta, err in (absorb_delta([b], ds.X[:2], ds.y[:2], 0.0), pooled_delta([a], [b])):
+        for a in (np.arange(2), np.arange(10)):
+            delta, err, _ = score_unions(ds, a, [np.arange(10, 30)])
             assert delta.tolist() == [0.0] and err.tolist() == [0.0]
 
-    def test_certificate_is_the_frobenius_product(self, rng):
-        ds = random_dataset(rng, 30, 2)
-        model = fit_ols(ds, range(30))
-        gram = ds.augmented.T @ ds.augmented
-        expected = np.sum(gram**2) * np.sum(np.linalg.inv(gram) ** 2)
-        assert model.certificate == pytest.approx(expected, rel=1e-9)
-        assert add_unit(model, ds.X[0], float(ds.y[0])).certificate is None
-        collinear = Dataset(X=np.column_stack([ds.X[:, 0], 2.0 * ds.X[:, 0]]), y=ds.y)
-        degenerate = fit_ols(collinear, range(30))
-        assert degenerate.degenerate and degenerate.certificate is None
-        with pytest.raises(ValueError, match="certified"):
-            pooled_delta([model], [degenerate])
+    def test_unions_without_two_certified_fits_are_bounded(self, rng):
+        # two pieces too small for a model, and a piece whose fit the SVD
+        # decided, each joined with a well-conditioned region
+        x = rng.normal(size=(30, 2))
+        x[:3, 1] = 2.0 * x[:3, 0]
+        ds = Dataset(X=x, y=rng.normal(size=30))
+        assert fit_ols(ds, np.arange(3)).degenerate
+        for a, b in [(np.arange(3, 5), np.arange(5, 7)), (np.arange(3), np.arange(3, 30))]:
+            delta, err, exact = score_unions(ds, a, [b])
+            assert np.isfinite(err[0]) and abs(delta[0] - exact[0]) <= err[0]
 
 
 class TestScaler:

@@ -315,10 +315,11 @@ def merge_cases(draw):
 
     The micro partition grows K connected clusters and then relabels a
     random share of units at random, which splits most clusters into
-    undersized pieces. ``min_obs`` is drawn up to n / 2p, and the case is
-    kept only when at least p split components already reach it, since
-    the size repair never merges two such components and so cannot leave
-    fewer than p regions.
+    undersized pieces. With two covariates the second is sometimes a copy
+    of the first, so that every union Gram is singular. ``min_obs`` is
+    drawn up to n / 2p, and the case is kept only when at least p split
+    components already reach it, since the size repair never merges two
+    such components and so cannot leave fewer than p regions.
     """
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     graph = draw_graph(draw, rng, (5, 10), (30, 120), 5)
@@ -338,7 +339,10 @@ def merge_cases(draw):
         for comp in connected_components(graph, micro.members(j))
     )
     assume(big >= p)
-    dataset = Dataset(X=rng.random((n, m)), y=rng.normal(size=n))
+    x = rng.random((n, m))
+    if m == 2 and draw(st.booleans()):
+        x[:, 1] = x[:, 0]  # every Gram is singular, so every fit is degenerate
+    dataset = Dataset(X=x, y=rng.normal(size=n))
     return dataset, graph, micro, SolverConfig(p=p, min_obs=min_obs)
 
 
@@ -386,6 +390,28 @@ class TestRegionPool:
             expected = np.sort(np.concatenate((pool.regions[a].units, pool.regions[b].units)))
             assert np.array_equal(union.units, expected)
             pool.merge(a, b, union)
+
+
+    def test_cross_products_follow_merges_and_bound_every_union_above_m(self, rng):
+        # m = 2 and single-unit regions: no region has a model, and each
+        # union of three or more units is bounded from its summed Z'Z
+        graph = build_grid_graph(3, 4)
+        dataset = Dataset(X=rng.random((12, 2)), y=rng.normal(size=12))
+        pool = _RegionPool(dataset, 12)
+        for u in range(12):
+            pool.add(_fit(dataset, np.array([u])))
+        assert pool.lower_bounds([(0, 1)]) == {}
+        first = pool.merge(0, 1, pool.union_fit(0, 1))
+        second = pool.merge(2, 3, pool.union_fit(2, 3))
+        pairs = [(first, 4), (first, second), (5, 6)]
+        lower = pool.lower_bounds(pairs)
+        assert sorted(lower) == pairs[:2]
+        for a, b in pairs[:2]:
+            assert lower[a, b] <= pool.delta(a, b, pool.union_fit(a, b))
+        rows = np.column_stack((dataset.augmented, dataset.y))
+        for rid, f in pool.regions.items():
+            z = rows[f.units]
+            assert np.allclose(pool.cross[rid], z.T @ z, rtol=1e-14, atol=1e-14)
 
 
 def merge_stage_oracle(dataset, graph, micro_partition, config):
@@ -504,7 +530,7 @@ class TestMergeScreen:
         # every SSR, change and bound is exactly 0.0, so each size-repair
         # choice is a tie broken by smallest member, each bound meets the
         # cut exactly, and fusion pops pairs by id; with min_obs above m+1
-        # fitted undersized regions are bounded by pooled_delta
+        # fitted undersized regions are repaired too
         rng = np.random.default_rng(3)
         graph = build_grid_graph(6, 6)
         labels = rng.integers(6, size=36)
