@@ -300,10 +300,11 @@ def read_edge_list(path) -> list[tuple[int, int]]:
             text = line.split("#", 1)[0].strip()
             if not text:
                 continue
-            parts = text.split()
-            if len(parts) != 2:
-                raise ValueError(f"{path}:{lineno}: expected 'i j', got {text!r}")
-            pairs.append((int(parts[0]), int(parts[1])))
+            try:
+                i, j = map(int, text.split())  # a wrong count fails the unpacking
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: expected 'i j', got {text!r}") from None
+            pairs.append((i, j))
     return pairs
 
 
@@ -468,10 +469,12 @@ class Partition:
         self.assignment = np.asarray(self.assignment, dtype=np.int64)
         if self.assignment.ndim != 1 or len(self.assignment) == 0:
             raise ValueError("assignment must be a non-empty 1-D label array")
+        if self.assignment.min() < 0:
+            raise ValueError(f"labels must be dense in 0..p-1, got {self.assignment.min()}")
         if self.p == 0:
             self.p = int(self.assignment.max()) + 1
         sizes = np.bincount(self.assignment, minlength=self.p)
-        if self.assignment.min() < 0 or len(sizes) != self.p or sizes.min() == 0:
+        if len(sizes) != self.p or sizes.min() == 0:
             raise ValueError("labels must be dense in 0..p-1 with no empty region")
 
     @property

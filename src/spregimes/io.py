@@ -216,7 +216,8 @@ def load_simulation(sim_dir):
     """Load one simulation directory back into (GroundTruth, manifest).
 
     Raises ValueError naming the file for a missing key, an empty CSV, a
-    ragged row or a wrongly typed field.
+    ragged row, a wrongly typed field or region labels that are not dense
+    in 0..p-1.
     """
     sim_dir = Path(sim_dir)
     path = sim_dir / "manifest.json"
@@ -231,12 +232,13 @@ def load_simulation(sim_dir):
         labels = [int(row[column]) for row in rows]
     if len(labels) != dataset.n:
         raise ValueError(f"{sim_dir}: partition covers {len(labels)} of {dataset.n} units")
+    with _fields_of(path):
+        partition = Partition(np.asarray(labels))
     path = sim_dir / "true_coefficients.csv"
     header, rows = read_csv(path)
     with _fields_of(path):
         columns = [header.index(f"b{c}") for c in range(len(header) - 1)]  # all but "region"
         coefficients = np.array([[float(row[c]) for c in columns] for row in rows])
-    partition = Partition(np.asarray(labels), int(max(labels)) + 1)
     truth = GroundTruth(partition, coefficients, dataset)
     return truth, {"spec": spec, "manifest": manifest}
 

@@ -216,8 +216,12 @@ class TestEvalCommand:
         ("data.csv", "x1,x2,y\n1.0,2.0,3.0,99\n" + "1.0,2.0,3.0\n" * 99),
         ("true_partition.csv",
          "unit,region\n0,0,99\n" + "".join(f"{i},0\n" for i in range(1, 100))),
+        ("true_partition.csv",
+         "unit,region\n0,-1\n" + "".join(f"{i},0\n" for i in range(1, 100))),
+        ("true_partition.csv",
+         "unit,region\n0,2\n" + "".join(f"{i},0\n" for i in range(1, 100))),
     ], ids=["empty", "header-only", "short-row", "no-region-column", "no-spec", "partial-spec",
-            "data-extra-field", "partition-extra-field"])
+            "data-extra-field", "partition-extra-field", "negative-label", "label-gap"])
     def test_malformed_truth_exits_two_naming_the_file(self, suite_dir, result_path, tmp_path,
                                                        capsys, name, content):
         truth = tmp_path / "truth"

@@ -375,6 +375,13 @@ class TestEdgeListFile:
         with pytest.raises(ValueError, match="expected"):
             read_edge_list(path)
 
+    @pytest.mark.parametrize("line", ["1 x", "0.5 1"])
+    def test_non_integer_token_names_path_and_line(self, tmp_path, line):
+        path = tmp_path / "bad.edges"
+        path.write_text(f"0 1\n{line}\n")
+        with pytest.raises(ValueError, match=f"bad.edges:2: expected 'i j', got '{line}'"):
+            read_edge_list(path)
+
 
 class TestConnectivity:
     def test_singleton_is_connected(self, grid25):
