@@ -105,10 +105,20 @@ def read_csv(path) -> tuple[list[str], list[list[str]]]:
 
 def load_dataset_csv(path) -> Dataset:
     """Read a dataset CSV: optional ``id``/coordinate columns, covariates,
-    and a ``y`` response column."""
+    and a ``y`` response column.
+
+    Raises ValueError naming the file when a column name repeats or only
+    one of ``x_coord`` and ``y_coord`` is present.
+    """
     header, rows = read_csv(path)
     if RESPONSE_COLUMN not in header:
         raise ValueError(f"{path}: no '{RESPONSE_COLUMN}' column")
+    repeated = sorted({name for name in header if header.count(name) > 1})
+    if repeated:
+        raise ValueError(f"{path}: repeated column names {repeated}")
+    if (COORD_COLUMNS[0] in header) != (COORD_COLUMNS[1] in header):
+        raise ValueError(f"{path}: '{COORD_COLUMNS[0]}' and '{COORD_COLUMNS[1]}' "
+                         "must appear together")
     covariate_cols = [
         name for name in header
         if name not in (ID_COLUMN, RESPONSE_COLUMN) and name not in COORD_COLUMNS
@@ -123,7 +133,7 @@ def load_dataset_csv(path) -> Dataset:
         )
         y = np.array([float(row[index[RESPONSE_COLUMN]]) for row in rows])
         coords = None
-        if all(c in header for c in COORD_COLUMNS):
+        if COORD_COLUMNS[0] in header:
             coords = np.array(
                 [[float(row[index[c]]) for c in COORD_COLUMNS] for row in rows]
             )
@@ -132,10 +142,9 @@ def load_dataset_csv(path) -> Dataset:
     return Dataset(X=x, y=y, ids=ids, coords=coords)
 
 
-def write_dataset_csv(path, dataset: Dataset, covariate_names: list[str] | None = None):
-    names = covariate_names or [f"x{i + 1}" for i in range(dataset.m)]
-    if len(names) != dataset.m:
-        raise ValueError("one covariate name per column required")
+def write_dataset_csv(path, dataset: Dataset):
+    """Write ``id``, the coordinates if any, covariates ``x1..xm`` and ``y``."""
+    names = [f"x{i + 1}" for i in range(dataset.m)]
     header = [ID_COLUMN]
     columns = [dataset.X, dataset.y[:, None]]
     if dataset.coords is not None:
@@ -166,9 +175,16 @@ def write_suite(suite_dir, spec: SimulationSpec, truths: list[GroundTruth]):
     Each simulation directory holds data.csv, true_partition.csv,
     true_coefficients.csv (columns region, b0, ..., bm), and a
     manifest.json recording the spec, the simulation index, and the grid
-    adjacency declaration.
+    adjacency declaration. Raises ValueError, before writing anything,
+    when the directory holds a ``sim_NNN`` entry with NNN at or past the
+    new count, which the benchmark would read as part of this suite.
     """
     suite_dir = Path(suite_dir)
+    stale = sorted(entry.name for entry in suite_dir.glob("sim_*")
+                   if entry.name[4:].isdecimal() and int(entry.name[4:]) >= len(truths))
+    if stale:
+        raise ValueError(f"{suite_dir}: holds {', '.join(stale)} from an earlier suite of "
+                         f"more than {len(truths)} simulations; write to an empty directory")
     suite_dir.mkdir(parents=True, exist_ok=True)
     _write_json(suite_dir / "manifest.json", {
         "schema_version": SCHEMA_VERSION,

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linreg import Dataset, Scaler, region_ssr
+from .linreg import Scaler, region_ssr
 from .result import SolveResult
 from .synthgen import GroundTruth
 
@@ -159,20 +159,17 @@ class EvaluationReport:
 
 
 def evaluate(truth: GroundTruth, result: SolveResult,
-             dataset: Dataset | None = None, scaler: Scaler | None = None) -> EvaluationReport:
+             scaler: Scaler | None = None) -> EvaluationReport:
     """Assemble the full evaluation report for one result.
 
-    ``dataset`` defaults to the truth's data and must match whatever the
-    solver actually saw; pass the fitted ``scaler`` when the solve ran on
-    standardized data so the SSR is recomputed in the same space and the
-    truth coefficients are transformed consistently.
+    The SSR is recomputed on the truth's data. Pass the fitted ``scaler``
+    when the solve ran on standardized data so the SSR is recomputed in
+    the same space and the truth coefficients are transformed
+    consistently.
     """
-    if dataset is None:
-        dataset = truth.dataset
-        if scaler is not None:
-            dataset = scaler.transform(dataset)
-    true_rows = None
+    dataset, true_rows = truth.dataset, None
     if scaler is not None:
+        dataset = scaler.transform(dataset)
         true_rows = scaler.transform_coefficients(truth.true_coefficients)
     partition = result.partition
     total = float(

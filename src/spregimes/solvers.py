@@ -261,12 +261,13 @@ class _RegionPool:
         """Certified lower bounds on ``delta(a, b, union_fit(a, b))``, keyed by pair.
 
         Every union of more than m units is scored by one ``union_delta``
-        call on the sums of its sides' ``cross``. Pairs left out must be
-        fitted: unions of at most m units, which ``_fit`` leaves without a
-        model and without calling ``fit_ols``; unions whose Gram fails the
-        Frobenius screen, so their interval is not finite; and the whole
-        batch when a Gram is exactly singular. No bound costs more than
-        O(m^3) per pair.
+        call on the sums of its sides' ``cross``, and keeps its bound
+        ``delta - err`` when that is finite (so are both terms then).
+        Pairs left out have no bound: unions of at most m units, which
+        ``_fit`` leaves without a model and without calling ``fit_ols``;
+        unions whose Gram fails the Frobenius screen, so ``err`` is nan;
+        and the whole batch when a Gram is exactly singular. No bound
+        costs more than O(m^3) per pair.
         """
         regions, cross = self.regions, self.cross
         sizes = {pair: len(regions[pair[0]].units) + len(regions[pair[1]].units)
@@ -281,9 +282,8 @@ class _RegionPool:
                                      np.array([sizes[pair] for pair in pairs]))
         except np.linalg.LinAlgError:
             return {}
-        lower, upper = (delta - err).tolist(), (delta + err).tolist()
-        return {pair: lo for pair, lo, hi in zip(pairs, lower, upper)
-                if math.isfinite(lo) and math.isfinite(hi)}
+        return {pair: lo for pair, lo in zip(pairs, (delta - err).tolist())
+                if math.isfinite(lo)}
 
     def neighbor_regions(self, graph: AdjacencyGraph, rid: int) -> set[int]:
         """Ids of the live regions other than ``rid`` that touch region ``rid``."""
@@ -296,35 +296,27 @@ class _RegionPool:
         return out
 
 
-def _push_exact(pool: _RegionPool, heap: list, tie: int, a: int, b: int):
-    """Fit the union of ``a`` and ``b`` and push it keyed by its finite SSR change."""
-    fitted = pool.union_fit(a, b)
-    delta = pool.delta(a, b, fitted)
-    if math.isfinite(delta):  # a non-finite change never wins
-        heapq.heappush(heap, (delta, tie, a, b, fitted))
-
-
 def _push_candidates(pool: _RegionPool, heap: list, candidates: list[tuple[int, int, int]]):
-    """Push each ``(tie, a, b)`` union keyed by its lower bound, or else fitted."""
+    """Push each ``(tie, a, b)`` union keyed by its lower bound, or by -inf without one."""
     lower = pool.lower_bounds([(a, b) for _, a, b in candidates])
     for tie, a, b in candidates:
-        if (a, b) in lower:
-            heapq.heappush(heap, (lower[a, b], tie, a, b, None))
-        else:
-            _push_exact(pool, heap, tie, a, b)
+        heapq.heappush(heap, (lower.get((a, b), -math.inf), tie, a, b, None))
 
 
 def _pop_cheapest(pool: _RegionPool, heap: list) -> tuple | None:
     """Pop the fitted union of least ``(delta, tie, a, b)`` between live regions.
 
     Entries are ``(key, tie, a, b, fit)``: a lower bound with ``fit`` None,
-    or an exact SSR change with the ``_Fit`` that gave it. A popped bound
-    is fitted and pushed back with its change. A bound never exceeds its
-    change, so the first exact entry to pop is the least over every
-    candidate, ties included. A heap holds at most one entry per pair, so
-    no two entries share ``(key, tie, a, b)`` and the heap never compares
-    two fits. Returns None when no live union with a finite change is
-    left.
+    or an exact SSR change with the ``_Fit`` that gave it. A union without
+    a certified bound is keyed by the trivial bound -inf. A popped bound
+    is fitted and pushed back with its change if that is finite; a
+    non-finite change never wins, so that union is dropped. A bound never
+    exceeds its change, so the first exact entry to pop is the least over
+    every candidate, ties included. Every -inf entry pops, and is fitted,
+    before any finite key, so no union is fitted twice. A heap holds at
+    most one entry per pair, so no two entries share ``(key, tie, a, b)``
+    and the heap never compares two fits. Returns None when no live union
+    with a finite change is left.
     """
     while heap:
         entry = heapq.heappop(heap)
@@ -333,7 +325,10 @@ def _pop_cheapest(pool: _RegionPool, heap: list) -> tuple | None:
             continue  # one side already merged away
         if fitted is not None:
             return entry
-        _push_exact(pool, heap, tie, a, b)
+        fitted = pool.union_fit(a, b)
+        delta = pool.delta(a, b, fitted)
+        if math.isfinite(delta):
+            heapq.heappush(heap, (delta, tie, a, b, fitted))
     return None
 
 
@@ -355,10 +350,11 @@ def kmodels_merge_stage(dataset: Dataset, graph: AdjacencyGraph,
     the neighbor's smallest member, and one fusion heap, whose tie is 0.
     A union of more than m units whose Gram, summed from its sides'
     cross-products, passes the Frobenius screen enters keyed by its lower
-    bound (``_RegionPool.lower_bounds``) and is fitted only if that bound
-    reaches the top; any other union is fitted when it enters. The merge
-    installs the fit its winning entry carries, so no union is fitted
-    twice, and the result is the one of fitting every union. A
+    bound (``_RegionPool.lower_bounds``); any other union enters keyed by
+    the trivial bound -inf. Each union is fitted only when its key
+    reaches the top, so the -inf ones are fitted before any bounded one.
+    The merge installs the fit its winning entry carries, so no union is
+    fitted twice, and the result is the one of fitting every union. A
     non-finite SSR change never wins.
 
     Returns ``(partition, models)`` with regions relabeled 0..p-1 by their
@@ -504,27 +500,6 @@ def _articulation_points(graph: AdjacencyGraph, labels: list[int], root: int) ->
     return cuts
 
 
-def _rank_one(model: RegionModel, x: np.ndarray, y: np.ndarray
-              ) -> tuple[np.ndarray, np.ndarray]:
-    """The rank-one removal test over a row stack, and which rows it decided.
-
-    One stacked ``ssr_decrease_if_removed`` call scores every row. If it
-    raises NumericalBreakdownError (a row of leverage ~1), each row is
-    scored alone, and the rows whose own test raises are marked
-    undecided.
-    """
-    try:
-        return ssr_decrease_if_removed(model, x, y), np.ones(len(y), dtype=bool)
-    except NumericalBreakdownError:
-        out, ok = np.zeros(len(y)), np.ones(len(y), dtype=bool)
-        for i in range(len(y)):
-            try:
-                out[i] = ssr_decrease_if_removed(model, x[i], float(y[i]))
-            except NumericalBreakdownError:
-                ok[i] = False
-        return out, ok
-
-
 class _LocalSearch:
     """Region state and loop shared by AZP and Regional-K-Models.
 
@@ -547,7 +522,9 @@ class _LocalSearch:
 
     ``screen`` scores moving each of a region's candidates into it with
     the rank-one identities, one stacked call per model, and marks the
-    candidates that only a full refit (``refit_delta``) can decide.
+    candidates that only a full refit (``refit_delta``) can decide: all
+    those a model scores when that model is degenerate or its stacked
+    identity breaks down.
 
     Cache rule: a region's cut vertices (``_articulation_points``, over
     the label list) are computed the first time ``is_cut`` asks about one
@@ -598,13 +575,15 @@ class _LocalSearch:
 
         Rank-one identities give the exact changes in O(m^2) per
         candidate: one stacked ``ssr_increase_if_added`` against region
-        ``j`` and one stacked removal test per donor (``_rank_one``).
+        ``j`` and one stacked ``ssr_decrease_if_removed`` per donor.
         Returns ``(delta, refit)``; ``refit`` marks the candidates whose
-        change only ``refit_delta`` can give, because either model is
-        degenerate or the candidate's removal test breaks down. Their
-        ``delta`` is nan. The add identity divides by 1 + h >= 1 and does
-        not break down; should it raise NumericalBreakdownError all the
-        same, every candidate goes to refits.
+        change only ``refit_delta`` can give, and their ``delta`` is nan.
+        One rule decides them: a model that is degenerate, or whose
+        stacked call raises NumericalBreakdownError, leaves every
+        candidate it scores to refits. For region ``j`` that is every
+        candidate; for a donor, the donor's candidates. The removal
+        identity raises when any of the donor's rows has leverage ~1; the
+        add identity divides by 1 + h >= 1 and does not break down.
         """
         x, y = self.dataset.X[candidates], self.dataset.y[candidates]
         delta = np.full(len(candidates), np.nan)
@@ -621,9 +600,11 @@ class _LocalSearch:
             if donor.degenerate:
                 continue
             rows = np.flatnonzero(donors == d)
-            loss, lost = _rank_one(donor, x[rows], y[rows])
-            rows = rows[lost]
-            delta[rows] = gain[rows] - loss[lost]
+            try:
+                loss = ssr_decrease_if_removed(donor, x[rows], y[rows])
+            except NumericalBreakdownError:
+                continue
+            delta[rows] = gain[rows] - loss
             refit[rows] = False
         return delta, refit
 
@@ -767,8 +748,9 @@ def solve_azp(dataset: Dataset, graph: AdjacencyGraph, config: SolverConfig,
     ``min_obs``, (b) the move strictly lowers the total SSR, and (c) the
     donor stays connected without it. The checks run in the order size,
     SSR, connectivity. Check (b) uses rank-one identities, scored for all
-    of region j's candidates at once; a candidate they cannot decide
-    (degenerate models or a vanishing denominator) is decided by full
+    of region j's candidates at once, one stacked call per model. Where a
+    model is degenerate or its stacked call breaks down (a donor row of
+    leverage ~1), every candidate that model scores is decided by full
     refits, after check (c). Check (c) is a lookup in the donor's cached
     cut vertices (``_LocalSearch``). Every check is a pure function of the
     current state, so the order does not change which unit moves.

@@ -41,6 +41,19 @@ class TestSynthCommand:
                     suite_dir / sim / name
                 ).read_bytes()
 
+    def test_smaller_suite_over_a_larger_one_exits_two(self, tmp_path):
+        # a 1-simulation suite over a 3-simulation one would leave sim_001
+        # and sim_002 behind for the benchmark to read as part of it
+        out = tmp_path / "suite"
+        three = SYNTH_ARGS[:4] + ["3"] + SYNTH_ARGS[5:] + ["--output", str(out)]
+        assert main(three) == 0
+        assert main(three) == 0
+        before = {path: path.read_bytes() for path in out.rglob("*") if path.is_file()}
+        one = ["synth", "--scheme", "voronoi", "--count", "1", "--rows", "10", "--cols", "10",
+               "--regions", "2", "--min-region-units", "10", "--output", str(out)]
+        assert main(one) == 2
+        assert {path: path.read_bytes() for path in out.rglob("*") if path.is_file()} == before
+
     def test_invalid_spec_exits_two(self, tmp_path):
         code = main(["synth", "--scheme", "rectangular", "--count", "1",
                      "--rows", "3", "--cols", "3", "--regions", "5",
@@ -130,6 +143,15 @@ class TestSolveCommand:
         code = main(["solve", "--data", str(bad), "--adjacency", "grid", "1x1",
                      "--algorithm", "kmodels", "--p", "1",
                      "--output", str(tmp_path / "x")])
+        assert code == 2
+
+    @pytest.mark.parametrize("header", ["id,x1,x1,y", "id,x_coord,x1,y"])
+    def test_ambiguous_csv_header_exits_two(self, tmp_path, header):
+        data = tmp_path / "data.csv"
+        data.write_text(header + "\n" + "".join(
+            f"u{i},{0.1 * i},{0.7 * (i % 3)},{0.3 * i}\n" for i in range(6)))
+        code = main(["solve", "--data", str(data), "--adjacency", "grid", "2x3",
+                     "--algorithm", "azp", "--p", "1", "--output", str(tmp_path / "x")])
         assert code == 2
 
     def test_assignments_csv_quotes_ids(self, tmp_path):

@@ -81,6 +81,20 @@ class TestDatasetCsv:
             with pytest.raises(ValueError, match=message):
                 load_dataset_csv(path)
 
+    @pytest.mark.parametrize("header, message", [
+        ("id,x1,x1,y", r"repeated column names \['x1'\]"),
+        ("id,x_coord,x1,y", "'x_coord' and 'y_coord' must appear together"),
+        ("id,y_coord,x1,y", "'x_coord' and 'y_coord' must appear together"),
+    ])
+    def test_ambiguous_header_rejected(self, tmp_path, header, message):
+        # a repeated covariate would be read twice from its first column,
+        # and a lone coordinate would be neither a covariate nor a coordinate
+        path = tmp_path / "data.csv"
+        path.write_text(header + "\nu0,1.0,2.0,3.0\nu1,4.0,5.0,6.0\n")
+        with pytest.raises(ValueError, match=message) as info:
+            load_dataset_csv(path)
+        assert str(path) in str(info.value)
+
     def test_covariate_order_follows_header(self, tmp_path):
         path = tmp_path / "data.csv"
         path.write_text("id,b,y,a\nu0,1.0,9.0,2.0\nu1,3.0,8.0,4.0\n")
@@ -114,6 +128,16 @@ class TestSuiteLayout:
         assert [(c.algorithm, c.simulation) for c in report.cells] == [
             (a, i) for a in ("kmodels", "azp", "rkm") for i in range(2)]
         assert not report.failures()
+
+    def test_rewrite_refuses_stale_simulations(self, small_suite, tmp_path):
+        spec, truths, _ = small_suite
+        write_suite(tmp_path, spec, truths)
+        write_suite(tmp_path, spec, truths)  # the same count again is a rewrite
+        before = {path: path.read_bytes() for path in tmp_path.rglob("*") if path.is_file()}
+        with pytest.raises(ValueError, match="sim_001 from an earlier suite"):
+            write_suite(tmp_path, spec, truths[:1])
+        after = {path: path.read_bytes() for path in tmp_path.rglob("*") if path.is_file()}
+        assert after == before
 
     def test_directory_contents(self, small_suite):
         _, _, suite_dir = small_suite

@@ -258,7 +258,8 @@ class TestMergeStage:
         # with every union fit nan, no pair may be fused. With 0 every
         # union enters keyed by its lower bound, as the solver does; with
         # 1024 this 16-unit graph's batches get no bounds, so every union
-        # is fitted on entry, as an uncertified one is
+        # enters keyed by -inf and is fitted when it pops, as an
+        # uncertified one is
         graph = build_grid_graph(4, 4)
         dataset = Dataset(X=rng.random((16, 1)), y=rng.random(16))
         nan_fit = lambda pool, a, b: solvers._Fit(pool.regions[a].units, None, float("nan"))
@@ -276,6 +277,27 @@ class TestMergeStage:
             kmodels_merge_stage(dataset, graph, Partition(np.repeat(np.arange(4), 4), 4),
                                 SolverConfig(p=2, min_obs=4))
         assert any(bounded) == (screen_units == 0)
+
+    def test_unbounded_unions_are_fitted_only_when_they_pop(self, rng):
+        # four 4-unit rows, each already at min_obs, and no union bounded:
+        # the three row pairs enter keyed by -inf and are fitted as they
+        # pop. The one fusion then reaches p=3, so the unions it pushes
+        # for the new region 4 never pop and are never fitted
+        graph = build_grid_graph(4, 4)
+        dataset = Dataset(X=rng.random((16, 1)), y=rng.random(16))
+        fitted = []
+        union_fit = _RegionPool.union_fit
+
+        def recording(pool, a, b):
+            fitted.append((a, b))
+            return union_fit(pool, a, b)
+
+        with mock.patch.object(_RegionPool, "union_fit", recording), \
+                mock.patch.object(_RegionPool, "lower_bounds", lambda pool, pairs: {}):
+            part, _ = kmodels_merge_stage(dataset, graph, Partition(np.repeat(np.arange(4), 4), 4),
+                                          SolverConfig(p=3, min_obs=4))
+        assert part.p == 3
+        assert fitted == [(0, 1), (1, 2), (2, 3)]
 
     def test_too_few_components_is_infeasible(self, rng):
         g = build_grid_graph(4, 4)
@@ -761,20 +783,24 @@ def azp_candidates_loop(graph, assign, j):
     return sorted({v for u in members for v in graph.neighbors[u] if assign[v] != j})
 
 
-def move_delta_oracle(search, v, d, j):
-    """The scalar rank-one test that ``_LocalSearch.screen`` replaced.
+def move_delta_oracle(search, v, d, j, offered):
+    """The scalar rank-one tests, with the per-donor rule of ``_LocalSearch.screen``.
 
     Returns the SSR increase of region ``j`` and decrease of region ``d``
-    from moving unit ``v``, or None where the full refit decides.
+    from moving unit ``v``, or None where the full refit decides: when
+    either model is degenerate, or when the stacked removal test over
+    ``offered``, every candidate unit donor ``d`` offers region ``j``,
+    breaks down.
     """
     dataset, fj, fd = search.dataset, search.regions[j], search.regions[d]
     x, yv = dataset.X[v], float(dataset.y[v])
-    if not (fj.model.degenerate or fd.model.degenerate):
-        try:
-            return ssr_increase_if_added(fj.model, x, yv), ssr_decrease_if_removed(fd.model, x, yv)
-        except NumericalBreakdownError:
-            pass
-    return None
+    if fj.model.degenerate or fd.model.degenerate:
+        return None
+    try:
+        ssr_decrease_if_removed(fd.model, dataset.X[offered], dataset.y[offered])
+    except NumericalBreakdownError:
+        return None
+    return ssr_increase_if_added(fj.model, x, yv), ssr_decrease_if_removed(fd.model, x, yv)
 
 
 def search_state(dataset, graph, labels, p):
@@ -825,16 +851,39 @@ class TestSsrScreen:
             donors = labels[candidates]
             delta, refit = search.screen(candidates, donors, j)
             for pos, v in enumerate(candidates.tolist()):
-                expected = move_delta_oracle(search, v, int(donors[pos]), j)
+                d = int(donors[pos])
+                expected = move_delta_oracle(search, v, d, j, candidates[donors == d])
                 assert refit[pos] == (expected is None)
                 if expected is None:
                     assert np.isnan(delta[pos])
                 else:
                     gain, loss = expected
-                    v_x, v_y, d = dataset.X[v], float(dataset.y[v]), int(donors[pos])
+                    v_x, v_y = dataset.X[v], float(dataset.y[v])
                     bound = (rank_one_rounding(search.regions[j].model, v_x, v_y, 1.0)
                              + rank_one_rounding(search.regions[d].model, v_x, v_y, -1.0))
                     assert abs(delta[pos] - (gain - loss)) <= bound[0]
+
+    def test_donor_breakdown_sends_all_its_candidates_to_refits(self, rng):
+        # m = 1 on a 2x4 grid: region 0 is the left half, donor 1 the right
+        # half. Only donor unit 2 has x = 1, so its leverage in the donor's
+        # fit is 1 and the donor's stacked removal test breaks down. The
+        # donor offers region 0 units 2 and 6; unit 6 alone would be
+        # decided, but both go to refits with the donor
+        graph = build_grid_graph(2, 4)
+        x = np.zeros((8, 1))
+        x[[0, 1, 4, 5], 0] = [0.1, 0.5, 0.3, 0.9]
+        x[2, 0] = 1.0
+        dataset = Dataset(X=x, y=rng.normal(size=8))
+        labels = np.array([0, 0, 1, 1, 0, 0, 1, 1])
+        search = search_state(dataset, graph, labels, 2)
+        candidates = _azp_candidates(graph, csr_rows(graph), labels, 0)
+        assert candidates.tolist() == [2, 6]
+        with pytest.raises(NumericalBreakdownError):
+            ssr_decrease_if_removed(search.regions[1].model, x[[2, 6]], dataset.y[[2, 6]])
+        ssr_decrease_if_removed(search.regions[1].model, x[6], float(dataset.y[6]))
+        delta, refit = search.screen(candidates, labels[candidates], 0)
+        assert refit.tolist() == [True, True]
+        assert np.isnan(delta).all()
 
     def test_converged_pass_builds_no_cut_set(self, monkeypatch):
         # a noiseless two-regime chain converges at SSR 0, so no unit can
