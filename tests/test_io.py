@@ -129,16 +129,6 @@ class TestSuiteLayout:
             (a, i) for a in ("kmodels", "azp", "rkm") for i in range(2)]
         assert not report.failures()
 
-    def test_rewrite_refuses_stale_simulations(self, small_suite, tmp_path):
-        spec, truths, _ = small_suite
-        write_suite(tmp_path, spec, truths)
-        write_suite(tmp_path, spec, truths)  # the same count again is a rewrite
-        before = {path: path.read_bytes() for path in tmp_path.rglob("*") if path.is_file()}
-        with pytest.raises(ValueError, match="sim_001 from an earlier suite"):
-            write_suite(tmp_path, spec, truths[:1])
-        after = {path: path.read_bytes() for path in tmp_path.rglob("*") if path.is_file()}
-        assert after == before
-
     def test_directory_contents(self, small_suite):
         _, _, suite_dir = small_suite
         sims = list_simulations(suite_dir)
