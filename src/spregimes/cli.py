@@ -21,6 +21,7 @@ from .exceptions import (
 from .graph import build_edge_list_graph, build_grid_graph, build_knn_graph, read_edge_list
 from .io import (
     build_manifest,
+    check_suite_target,
     file_sha256,
     list_simulations,
     load_dataset_csv,
@@ -112,6 +113,9 @@ def cmd_solve(args, argv) -> int:
     if args.repeats > 1:
         all_ssr = ", ".join(f"{run.total_ssr:.6g}" for run in runs)
         print(f"restart SSRs: [{all_ssr}]")
+    if best.iterations_used >= config.max_iter:
+        print(f"warning: {args.algorithm} stopped at the --max-iter cap of {config.max_iter} "
+              "iterations and may not have converged", file=sys.stderr)
     print(f"wrote {result_path}")
     return EXIT_OK
 
@@ -121,6 +125,7 @@ def cmd_synth(args, argv) -> int:
                           region_count=args.regions,
                           min_region_units=args.min_region_units,
                           sigma=args.sigma, seed=args.seed)
+    check_suite_target(args.output, args.count)
     truths = generate_suite(spec, args.count)
     write_suite(args.output, spec, truths)
     print(f"wrote {args.count} {args.scheme} simulation(s) to {args.output}")

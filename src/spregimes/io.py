@@ -12,6 +12,7 @@ import csv
 import datetime
 import hashlib
 import json
+import re
 from contextlib import contextmanager
 from dataclasses import asdict, fields
 from pathlib import Path
@@ -32,6 +33,7 @@ __all__ = [
     "load_dataset_csv",
     "write_dataset_csv",
     "write_suite",
+    "check_suite_target",
     "load_simulation",
     "list_simulations",
     "write_solve_result",
@@ -176,15 +178,10 @@ def write_suite(suite_dir, spec: SimulationSpec, truths: list[GroundTruth]):
     true_coefficients.csv (columns region, b0, ..., bm), and a
     manifest.json recording the spec, the simulation index, and the grid
     adjacency declaration. Raises ValueError, before writing anything,
-    when the directory holds a ``sim_NNN`` entry with NNN at or past the
-    new count, which the benchmark would read as part of this suite.
+    where ``check_suite_target`` does.
     """
     suite_dir = Path(suite_dir)
-    stale = sorted(entry.name for entry in suite_dir.glob("sim_*")
-                   if entry.name[4:].isdecimal() and int(entry.name[4:]) >= len(truths))
-    if stale:
-        raise ValueError(f"{suite_dir}: holds {', '.join(stale)} from an earlier suite of "
-                         f"more than {len(truths)} simulations; write to an empty directory")
+    check_suite_target(suite_dir, len(truths))
     suite_dir.mkdir(parents=True, exist_ok=True)
     _write_json(suite_dir / "manifest.json", {
         "schema_version": SCHEMA_VERSION,
@@ -211,8 +208,36 @@ def write_suite(suite_dir, spec: SimulationSpec, truths: list[GroundTruth]):
         })
 
 
+def _numbered_simulations(suite_dir) -> list[tuple[int, Path]]:
+    """``(NNN, entry)`` for each ``sim_NNN`` entry of ``suite_dir``, in numeric order.
+
+    Raises ValueError naming a ``sim_*`` entry that is not ``sim_`` plus digits.
+    """
+    numbered = []
+    for entry in Path(suite_dir).glob("sim_*"):
+        match = re.fullmatch(r"sim_([0-9]+)", entry.name)
+        if match is None:
+            raise ValueError(f"{entry}: a sim_* entry must be named sim_ plus digits")
+        numbered.append((int(match[1]), entry))
+    return sorted(numbered)
+
+
+def check_suite_target(suite_dir, count: int):
+    """Raise ValueError if ``suite_dir`` cannot take a suite of ``count`` simulations.
+
+    It cannot when it holds a ``sim_NNN`` with NNN >= ``count``, which the
+    benchmark would read as part of the new suite, or a ``sim_*`` entry
+    that is not ``sim_`` plus digits.
+    """
+    stale = [entry.name for number, entry in _numbered_simulations(suite_dir) if number >= count]
+    if stale:
+        raise ValueError(f"{suite_dir}: holds {', '.join(stale)} from an earlier suite of "
+                         f"more than {count} simulations; write to an empty directory")
+
+
 def list_simulations(suite_dir) -> list[Path]:
-    dirs = sorted(Path(suite_dir).glob("sim_*"))
+    """The ``sim_NNN`` entries of ``suite_dir`` in numeric order; ValueError if none."""
+    dirs = [entry for _, entry in _numbered_simulations(suite_dir)]
     if not dirs:
         raise ValueError(f"{suite_dir}: no sim_* directories")
     return dirs
@@ -324,8 +349,8 @@ def write_solve_result(path, result: SolveResult, unit_ids: list[str],
 def load_solve_result(path, unit_ids: list[str]) -> tuple[SolveResult, bool]:
     """Rebuild a result from its JSON for evaluation.
 
-    Reloaded models carry coefficients only (no cached normal-equation
-    state). Returns the result and whether the solve ran on standardized
+    Reloaded models carry coefficients only (no cached inverse Gram
+    matrix). Returns the result and whether the solve ran on standardized
     data. Raises ValueError naming the file for a missing key or a wrongly
     typed field.
     """
@@ -340,7 +365,6 @@ def load_solve_result(path, unit_ids: list[str]) -> tuple[SolveResult, bool]:
             RegionModel(
                 beta=np.array([entry["intercept"], *entry["coefficients"]], dtype=float),
                 gram_inv=None,
-                xty=None,
                 n_obs=int(entry["size"]),
             )
             for entry in payload["regions"]

@@ -1,18 +1,19 @@
-"""Ordinary least squares with cached normal-equation state.
+"""Ordinary least squares with a cached inverse Gram matrix.
 
 Every region keeps an intercept and a coefficient vector estimated by OLS
-over its member units. The inverse Gram matrix and the cross-product
-vector are cached so that single observations can be added or removed in
-O(m^2) via rank-one (Sherman-Morrison) updates of the inverse. ``fit_ols``
+over its member units. The inverse Gram matrix is cached so that single
+observations can be added or removed in O(m^2) via rank-one
+(Sherman-Morrison) updates of it and of the coefficients. ``fit_ols``
 gathers the member rows once and also records the training SSR from them,
 so a fresh fit needs no second pass (``region_ssr``) over its members;
-``region_ssr`` scores a model on any other set of rows. The exact
-SSR change of adding or dropping one row (``ssr_increase_if_added``,
-``ssr_decrease_if_removed``) also takes a stack of rows and then scores
-each row against the same model in one numpy expression. A fit is
-screened for rank deficiency by a Frobenius-norm bound on the condition
-number of its Gram matrix, and only fits the bound cannot certify pay for
-an SVD (see ``fit_ols``).
+``region_ssr`` scores a model on any other set of rows. Every single-row
+computation (``add_unit``, ``remove_unit`` and the exact SSR changes
+``ssr_increase_if_added`` and ``ssr_decrease_if_removed``) reads one
+kernel, ``_rank_one_terms``, which takes one row or a stack of rows; the
+SSR changes of a stack score each row against the same model in one
+numpy expression. A fit is screened for rank deficiency by a
+Frobenius-norm bound on the condition number of its Gram matrix, and only
+fits the bound cannot certify pay for an SVD (see ``fit_ols``).
 
 The SSR change of merging two regions follows from cross-products alone,
 without gathering the union's rows: with ``Z = [1 X y]`` over a region's
@@ -161,19 +162,19 @@ class RegionModel:
     """Linear model for one region: intercept plus coefficient vector.
 
     ``beta`` stores the intercept at index 0 followed by the m covariate
-    coefficients. ``gram_inv`` and ``xty`` cache the inverse Gram matrix
-    and cross products over the member rows (with the constant column
-    folded in) so rank-one updates stay cheap; they are None for models
-    reloaded from files. ``degenerate`` marks rank-deficient fits.
-    ``ssr`` is the sum of squared residuals over the rows the model was
-    fitted on, equal bit for bit to ``region_ssr`` over them; it is set
-    only by ``fit_ols`` and is None for models reloaded from files or
-    updated by ``add_unit``/``remove_unit``.
+    coefficients. ``gram_inv`` caches the inverse Gram matrix of the
+    member rows (with the constant column folded in) so rank-one updates
+    stay cheap. ``degenerate`` marks rank-deficient fits, which have no
+    inverse: ``gram_inv`` is None for them and for models reloaded from
+    files, and the rank-one functions reject such a model. ``ssr`` is
+    the sum of squared residuals over the rows the model was fitted on,
+    equal bit for bit to ``region_ssr`` over them; it is set only by
+    ``fit_ols`` and is None for models reloaded from files or updated by
+    ``add_unit``/``remove_unit``.
     """
 
     beta: np.ndarray
     gram_inv: np.ndarray | None
-    xty: np.ndarray | None
     n_obs: int
     degenerate: bool = False
     ssr: float | None = None
@@ -206,7 +207,8 @@ def fit_ols(dataset: Dataset, members) -> RegionModel:
 
     Requires at least m+1 members. Rank-deficient member sets (2-norm
     condition number of the Gram matrix G above 1e12) fall back to the
-    minimum-norm solution and are flagged degenerate rather than rejected.
+    minimum-norm solution and are flagged degenerate rather than rejected;
+    a degenerate model caches no inverse (``gram_inv`` is None).
 
     G is inverted first. Since cond2(G) <= ||G||_F ||G^-1||_F (Golub &
     Van Loan, *Matrix Computations*), a finite inverse with
@@ -237,12 +239,11 @@ def fit_ols(dataset: Dataset, members) -> RegionModel:
         cond = np.linalg.cond(gram)
         if not np.isfinite(cond) or cond > RANK_DEFICIENT_CONDITION:
             beta = np.linalg.lstsq(Xa, y, rcond=None)[0]
-            return RegionModel(beta, np.linalg.pinv(gram), xty, len(idx), degenerate=True,
-                               ssr=_ssr(Xa, y, beta))
+            return RegionModel(beta, None, len(idx), degenerate=True, ssr=_ssr(Xa, y, beta))
         if gram_inv is None:
             gram_inv = np.linalg.inv(gram)  # raises LinAlgError again
     beta = gram_inv @ xty
-    return RegionModel(beta, gram_inv, xty, len(idx), ssr=_ssr(Xa, y, beta))
+    return RegionModel(beta, gram_inv, len(idx), ssr=_ssr(Xa, y, beta))
 
 
 def _ssr(Xa: np.ndarray, y: np.ndarray, beta: np.ndarray) -> float:
@@ -277,59 +278,65 @@ def region_ssr(model: RegionModel, dataset: Dataset, members) -> float:
     return _ssr(dataset.augmented[idx], dataset.y[idx], model.beta)
 
 
-def _require_caches(model: RegionModel):
-    if model.gram_inv is None or model.xty is None:
-        raise ValueError("model has no cached normal-equation state")
+def _rank_one_terms(model: RegionModel, x, y):
+    """Residuals, rows ``z G^-1`` and leverages of rows ``z = [1, x]``.
+
+    ``x`` is a ``(c, m)`` row stack with a ``(c,)`` response ``y``, or one
+    row of m entries with a scalar ``y``, taken as a one-row stack.
+    Returns ``(e, zG, h)``: ``e = y - z beta`` and ``h = z G^-1 z'`` of
+    shape ``(c,)``, and ``zG`` of shape ``(c, m+1)``. Raises ValueError for
+    a model without an inverse or rows that do not match it.
+    """
+    if model.gram_inv is None:
+        raise ValueError("model has no cached inverse Gram matrix (degenerate or reloaded)")
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    if x.ndim == 1 and y.ndim == 0:
+        x, y = x[None], y[None]
+    if x.ndim != 2 or x.shape[1] != model.m or y.shape != (len(x),):
+        raise ValueError(f"row stack {x.shape} with response {y.shape} does not "
+                         f"match a model of {model.m} covariates")
+    z = np.empty((len(x), model.m + 1))
+    z[:, 0] = 1.0
+    z[:, 1:] = x
+    gz = z @ model.gram_inv
+    return y - z @ model.beta, gz, np.einsum("ij,ij->i", gz, z)
+
+
+def _rank_one_update(model: RegionModel, x, y: float, sign: int) -> RegionModel:
+    """Model refit with row ``(x, y)`` added (``sign`` 1) or removed (-1).
+
+    With ``d = 1 + sign h``: ``beta' = beta + (sign e / d) zG`` and
+    ``G'^-1 = G^-1 - (sign / d) zG' zG``.
+    """
+    # unpacking one entry each rejects a stack of more than one row
+    [e], [gz], [h] = _rank_one_terms(model, x, y)
+    denom = 1.0 + sign * h
+    if abs(denom) < BREAKDOWN_EPS:
+        raise NumericalBreakdownError("rank-one update denominator ~ 0")
+    return RegionModel(model.beta + (sign * e / denom) * gz,
+                       model.gram_inv - (sign / denom) * np.outer(gz, gz), model.n_obs + sign)
 
 
 def add_unit(model: RegionModel, x, y: float) -> RegionModel:
     """Model refit as if ``(x, y)`` had been part of the member set.
 
-    O(m^2) rank-one update of the cached inverse. Raises
-    NumericalBreakdownError when the update denominator vanishes; the
-    caller should then refit from scratch.
+    O(m^2) rank-one (Sherman-Morrison) update of the coefficients and the
+    cached inverse. Raises ValueError for a model without an inverse
+    (degenerate or reloaded), and NumericalBreakdownError when the update
+    denominator vanishes; the caller should then refit from scratch.
     """
-    _require_caches(model)
-    z = np.concatenate(([1.0], np.asarray(x, dtype=float)))
-    gz = model.gram_inv @ z
-    denom = 1.0 + z @ gz
-    if abs(denom) < BREAKDOWN_EPS:
-        raise NumericalBreakdownError("rank-one add denominator ~ 0")
-    gram_inv = model.gram_inv - np.outer(gz, gz) / denom
-    xty = model.xty + z * y
-    return RegionModel(gram_inv @ xty, gram_inv, xty, model.n_obs + 1, model.degenerate)
+    return _rank_one_update(model, x, y, 1)
 
 
 def remove_unit(model: RegionModel, x, y: float) -> RegionModel:
-    """Model refit as if ``(x, y)`` were absent from the member set."""
-    _require_caches(model)
+    """Model refit as if ``(x, y)`` were absent from the member set.
+
+    The downdate counterpart of ``add_unit``, with its errors; also raises
+    TooFewObservationsError when fewer than m+1 members would remain.
+    """
     if model.n_obs - 1 < model.m + 1:
         raise TooFewObservationsError("removal would leave fewer than m+1 observations")
-    z = np.concatenate(([1.0], np.asarray(x, dtype=float)))
-    gz = model.gram_inv @ z
-    denom = 1.0 - z @ gz
-    if abs(denom) < BREAKDOWN_EPS:
-        raise NumericalBreakdownError("rank-one removal denominator ~ 0")
-    gram_inv = model.gram_inv + np.outer(gz, gz) / denom
-    xty = model.xty - z * y
-    return RegionModel(gram_inv @ xty, gram_inv, xty, model.n_obs - 1, model.degenerate)
-
-
-def _residual_and_leverage(model: RegionModel, x, y):
-    """Residual ``e`` and leverage ``h`` of one row, or of each row of a stack."""
-    _require_caches(model)
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 2:
-        y = np.asarray(y, dtype=float)
-        if x.shape[1] != model.m or y.shape != (len(x),):
-            raise ValueError(f"row stack {x.shape} with response {y.shape} does not "
-                             f"match a model of {model.m} covariates")
-        z = np.empty((len(x), model.m + 1))
-        z[:, 0] = 1.0
-        z[:, 1:] = x
-        return y - z @ model.beta, np.einsum("ij,ij->i", z @ model.gram_inv, z)
-    z = np.concatenate(([1.0], x))
-    return y - z @ model.beta, z @ model.gram_inv @ z
+    return _rank_one_update(model, x, y, -1)
 
 
 def ssr_increase_if_added(model: RegionModel, x, y) -> float | np.ndarray:
@@ -340,9 +347,9 @@ def ssr_increase_if_added(model: RegionModel, x, y) -> float | np.ndarray:
     leverage of the new row. With a ``(c, m)`` row stack ``x`` and a
     ``(c,)`` response ``y`` it returns each row's increase as an array.
     """
-    e, h = _residual_and_leverage(model, x, y)
+    e, _, h = _rank_one_terms(model, x, y)
     gain = e * e / (1.0 + h)
-    return gain if np.ndim(gain) else float(gain)
+    return float(gain[0]) if np.ndim(x) == 1 else gain
 
 
 def ssr_decrease_if_removed(model: RegionModel, x, y) -> float | np.ndarray:
@@ -353,12 +360,12 @@ def ssr_decrease_if_removed(model: RegionModel, x, y) -> float | np.ndarray:
     row stack returns each row's decrease as an array, and raises when
     any of its rows has leverage ~1.
     """
-    e, h = _residual_and_leverage(model, x, y)
+    e, _, h = _rank_one_terms(model, x, y)
     denom = 1.0 - h
     if (np.abs(denom) < BREAKDOWN_EPS).any():
         raise NumericalBreakdownError("leverage ~ 1 in rank-one removal")
     loss = e * e / denom
-    return loss if np.ndim(loss) else float(loss)
+    return float(loss[0]) if np.ndim(x) == 1 else loss
 
 
 def _merge_error(delta, kappa, n, ssr, yy) -> np.ndarray:

@@ -54,6 +54,18 @@ class TestSynthCommand:
         assert main(one) == 2
         assert {path: path.read_bytes() for path in out.rglob("*") if path.is_file()} == before
 
+    def test_stale_directory_refused_before_generating(self, tmp_path, monkeypatch):
+        out = tmp_path / "suite"
+        three = SYNTH_ARGS[:4] + ["3"] + SYNTH_ARGS[5:] + ["--output", str(out)]
+        assert main(three) == 0
+
+        def generate_suite(*args, **kwargs):
+            raise AssertionError("suite generated before the output directory was checked")
+
+        monkeypatch.setattr("spregimes.cli.generate_suite", generate_suite)
+        one = SYNTH_ARGS[:4] + ["1"] + SYNTH_ARGS[5:] + ["--output", str(out)]
+        assert main(one) == 2
+
     def test_invalid_spec_exits_two(self, tmp_path):
         code = main(["synth", "--scheme", "rectangular", "--count", "1",
                      "--rows", "3", "--cols", "3", "--regions", "5",
@@ -92,6 +104,18 @@ class TestSolveCommand:
         ds = load_dataset_csv(suite_dir / "sim_000" / "data.csv")
         global_ssr = region_ssr(fit_ols(ds, range(ds.n)), ds, range(ds.n))
         assert payload["total_ssr"] == pytest.approx(global_ssr, rel=1e-12)
+
+    @pytest.mark.parametrize("cap", ["1", "1000"])
+    def test_capped_solve_warns(self, suite_dir, tmp_path, capsys, cap):
+        code = main([
+            "solve", "--data", str(suite_dir / "sim_000" / "data.csv"),
+            "--adjacency", "grid", "10x10", "--algorithm", "azp",
+            "--p", "2", "--min-obs", "10", "--seed", "3", "--max-iter", cap,
+            "--output", str(tmp_path / "run"),
+        ])
+        assert code == 0
+        warned = f"azp stopped at the --max-iter cap of {cap} iterations"
+        assert (warned in capsys.readouterr().err) == (cap == "1")
 
     def test_repeats_keep_minimum_and_log_all(self, suite_dir, tmp_path):
         out = tmp_path / "rep"

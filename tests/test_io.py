@@ -129,6 +129,18 @@ class TestSuiteLayout:
             (a, i) for a in ("kmodels", "azp", "rkm") for i in range(2)]
         assert not report.failures()
 
+    def test_simulations_list_in_numeric_order(self, tmp_path):
+        names = [f"sim_{i:03d}" for i in range(1001)]
+        for name in names:
+            (tmp_path / name).mkdir()
+        assert [path.name for path in list_simulations(tmp_path)] == names
+
+    def test_entry_not_named_by_a_number_rejected(self, tmp_path):
+        for name in ("sim_000", "sim_notes"):
+            (tmp_path / name).mkdir()
+        with pytest.raises(ValueError, match="sim_notes"):
+            list_simulations(tmp_path)
+
     def test_directory_contents(self, small_suite):
         _, _, suite_dir = small_suite
         sims = list_simulations(suite_dir)

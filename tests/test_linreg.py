@@ -29,6 +29,9 @@ def reference_fit(dataset, members):
     return np.linalg.lstsq(xa, dataset.y[idx], rcond=None)[0]
 
 
+RANK_ONE_FUNCTIONS = (add_unit, remove_unit, ssr_increase_if_added, ssr_decrease_if_removed)
+
+
 def random_dataset(rng, n, m, noise=0.5):
     x = rng.normal(size=(n, m))
     beta = rng.normal(size=m + 1)
@@ -92,9 +95,13 @@ class TestFitOls:
         x = np.column_stack([np.arange(6.0), 2.0 * np.arange(6.0)])
         ds = Dataset(X=x, y=np.arange(6.0))
         model = fit_ols(ds, range(6))
-        assert model.degenerate
+        assert model.degenerate and model.gram_inv is None
         # minimum-norm fit still reproduces the data
         assert region_ssr(model, ds, range(6)) == pytest.approx(0.0, abs=1e-16)
+        # a degenerate fit caches no inverse for the rank-one functions
+        for rank_one in RANK_ONE_FUNCTIONS:
+            with pytest.raises(ValueError, match="no cached inverse"):
+                rank_one(model, ds.X[0], float(ds.y[0]))
 
     @pytest.mark.parametrize("eps", CONDITION_EPS)
     def test_condition_screen_matches_svd_oracle(self, eps):
@@ -139,7 +146,7 @@ class TestFitOls:
         for _ in range(20):
             bumped = type(model)(
                 beta=model.beta + 0.01 * rng.normal(size=3),
-                gram_inv=model.gram_inv, xty=model.xty, n_obs=model.n_obs,
+                gram_inv=model.gram_inv, n_obs=model.n_obs,
             )
             assert region_ssr(bumped, ds, members) >= base - 1e-12
 
@@ -310,6 +317,8 @@ class TestRankOneUpdates:
                 model = remove_unit(model, ds.X[unit], float(ds.y[unit]))
         oracle = reference_fit(ds, members)
         assert np.allclose(model.beta, oracle, rtol=1e-5)
+        refit = fit_ols(ds, members).gram_inv
+        assert np.abs(model.gram_inv - refit).max() <= 1e-10 * np.abs(refit).max()
 
 
 class TestSsrDeltas:
@@ -404,6 +413,13 @@ class TestRankOneStacks:
             ssr_increase_if_added(model, ds.X[:3], ds.y[:2])
         with pytest.raises(ValueError, match="row stack"):
             ssr_decrease_if_removed(model, ds.X[:3, :1], ds.y[:3])
+
+    def test_single_row_of_wrong_length_rejected(self, rng):
+        ds = random_dataset(rng, 10, 2)
+        model = fit_ols(ds, range(10))
+        for rank_one in RANK_ONE_FUNCTIONS:
+            with pytest.raises(ValueError, match="row stack"):
+                rank_one(model, np.ones(3), 1.0)
 
 
 class TestMergedRegionSsr:

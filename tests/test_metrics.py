@@ -66,8 +66,7 @@ def all_partitions(n):
 def make_result(labels, coeff_rows):
     part = Partition(np.asarray(labels), int(max(labels)) + 1)
     models = [
-        RegionModel(beta=np.asarray(row, dtype=float), gram_inv=None, xty=None,
-                    n_obs=int(size))
+        RegionModel(beta=np.asarray(row, dtype=float), gram_inv=None, n_obs=int(size))
         for row, size in zip(coeff_rows, part.sizes())
     ]
     return SolveResult(partition=part, models=models, total_ssr=0.0,
