@@ -120,9 +120,10 @@ def run_benchmark(suite_dir, algorithms: list[str], config: SolverConfig,
     """Run every algorithm on every simulation of the suite.
 
     Per-cell failures are recorded, not raised; callers decide how to
-    surface them. Options that are invalid whatever the simulation
-    (``repeats``, ``max_iter`` or ``p`` below 1) raise ValueError before
-    any cell runs. Each simulation is loaded once, before any cell runs,
+    surface them. Before any cell runs, ValueError is raised for an empty,
+    unknown or repeated algorithm name and for ``repeats`` below 1; a
+    ``SolverConfig`` has already refused an invalid p, max_iter or K when
+    it was built. Each simulation is loaded once, before any cell runs,
     and shared by every algorithm's cell. With ``jobs > 1`` cells run in
     separate processes; outputs are identical to a serial run.
     """
@@ -131,12 +132,11 @@ def run_benchmark(suite_dir, algorithms: list[str], config: SolverConfig,
     unknown = [a for a in algorithms if a not in SOLVERS]
     if unknown:
         raise ValueError(f"unknown algorithms: {unknown}; expected from {sorted(SOLVERS)}")
+    repeated = sorted({a for a in algorithms if algorithms.count(a) > 1})
+    if repeated:
+        raise ValueError(f"algorithms listed more than once: {repeated}")
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
-    if config.max_iter < 1:
-        raise ValueError("max_iter must be >= 1")
-    if config.p < 1:
-        raise ValueError(f"p must be >= 1, got {config.p}")
     simulations = [load_simulation(sim_dir) for sim_dir in list_simulations(suite_dir)]
     tasks = [
         (truth, info["spec"], sim_index, algorithm, config, repeats, standardize)

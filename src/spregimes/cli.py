@@ -80,6 +80,7 @@ def _add_solver_flags(parser: argparse.ArgumentParser):
 
 
 def _make_config(args, dataset) -> SolverConfig:
+    """The solver settings of ``args``; ``dataset`` gives m when --min-obs is unset."""
     min_obs = args.min_obs if args.min_obs is not None else dataset.m + 1
     return SolverConfig(p=args.p, min_obs=min_obs, K=args.K,
                         max_iter=args.max_iter, seed=args.seed)
@@ -113,7 +114,7 @@ def cmd_solve(args, argv) -> int:
     if args.repeats > 1:
         all_ssr = ", ".join(f"{run.total_ssr:.6g}" for run in runs)
         print(f"restart SSRs: [{all_ssr}]")
-    if best.iterations_used >= config.max_iter:
+    if best.stop_reason == "max_iter":
         print(f"warning: {args.algorithm} stopped at the --max-iter cap of {config.max_iter} "
               "iterations and may not have converged", file=sys.stderr)
     print(f"wrote {result_path}")
@@ -149,14 +150,9 @@ def cmd_eval(args, argv) -> int:
 
 def cmd_benchmark(args, argv) -> int:
     algorithms = [name for name in args.algorithms.split(",") if name]
-    if not algorithms:
-        raise ValueError("at least one algorithm is required")
-    min_obs = args.min_obs
-    if min_obs is None:
-        first_truth, _ = load_simulation(list_simulations(args.suite)[0])
-        min_obs = first_truth.dataset.m + 1
-    config = SolverConfig(p=args.p, min_obs=min_obs, K=args.K,
-                          max_iter=args.max_iter, seed=args.seed)
+    first = (load_simulation(list_simulations(args.suite)[0])[0].dataset
+             if args.min_obs is None else None)
+    config = _make_config(args, first)
     report = run_benchmark(args.suite, algorithms, config, repeats=args.repeats,
                            standardize=args.standardize, jobs=args.jobs)
     paths = write_benchmark_csvs(args.output, report)

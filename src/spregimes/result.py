@@ -22,6 +22,9 @@ class SolveResult:
     loop (starting from the initial solution) and is non-increasing. For
     K-Models it covers the partition stage; the merge stage only enforces
     constraints and can raise the final SSR above ``trace[-1]``.
+    ``stop_reason`` is ``"converged"`` when the loop's last iteration moved
+    nothing, ``"max_iter"`` when the cap ended it, and None for results
+    reloaded from files.
     """
 
     partition: Partition
@@ -31,3 +34,4 @@ class SolveResult:
     seed: int
     wall_time: float
     trace: list[float] = field(default_factory=list)
+    stop_reason: str | None = None

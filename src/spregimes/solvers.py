@@ -55,7 +55,9 @@ class SolverConfig:
     ``K`` (micro-cluster count, K-Models only) defaults to ``4 * p`` when
     left unset. ``min_obs`` applies to final regions everywhere and to
     every intermediate state in AZP and Regional-K-Models; the K-Models
-    partition stage always uses m+1 instead.
+    partition stage always uses m+1 instead. Building a config, also by
+    ``dataclasses.replace``, raises ValueError for ``p`` or ``max_iter``
+    below 1 or an explicit ``K <= p``, whichever solver reads it.
     """
 
     p: int
@@ -64,6 +66,14 @@ class SolverConfig:
     max_iter: int = 1000
     seed: int = 0
 
+    def __post_init__(self):
+        if self.p < 1:
+            raise ValueError(f"p must be >= 1, got {self.p}")
+        if self.max_iter < 1:
+            raise ValueError("max_iter must be >= 1")
+        if self.K is not None and self.K <= self.p:
+            raise ValueError(f"K must exceed p, got K={self.K}, p={self.p}")
+
 
 # Attempts of the initial growth before InitializationFailedError.
 RESTART_LIMIT = 100
@@ -71,30 +81,19 @@ RESTART_LIMIT = 100
 SSR_TOLERANCE = 1e-9
 
 
-def _resolve_config(dataset: Dataset, graph: AdjacencyGraph, config: SolverConfig,
-                    needs_k: bool) -> SolverConfig:
+def _check_inputs(dataset: Dataset, graph: AdjacencyGraph, config: SolverConfig):
+    """Raise ValueError for settings this data and graph cannot meet."""
     if dataset.n != graph.n:
         raise ValueError(f"dataset has {dataset.n} units but graph has {graph.n}")
-    if config.p < 1 or config.p > graph.n:
-        raise ValueError(f"p must be in [1, n], got {config.p}")
     if config.min_obs < dataset.m + 1:
         raise ValueError(
             f"min_obs={config.min_obs} below m+1={dataset.m + 1}; fits would not be unique"
         )
-    if config.max_iter < 1:
-        raise ValueError("max_iter must be >= 1")
+    # min_obs >= 2 here, so this also refuses p > n
     if config.p * config.min_obs > graph.n:
         raise ValueError(
             f"p={config.p} regions of at least {config.min_obs} units do not fit in n={graph.n}"
         )
-    if needs_k:
-        k = config.K if config.K is not None else 4 * config.p
-        if k <= config.p:
-            raise ValueError(f"K must exceed p, got K={k}, p={config.p}")
-        if k * (dataset.m + 1) > graph.n:
-            raise ValueError(f"K={k} micro-clusters of m+1 units do not fit in n={graph.n}")
-        config = replace(config, K=k)
-    return config
 
 
 class _Fit(NamedTuple):
@@ -136,6 +135,8 @@ def kmodels_partition_stage(dataset: Dataset, graph: AdjacencyGraph, config: Sol
                             rng: np.random.Generator):
     """First K-Models stage: residual-driven reassignment over K micro-clusters.
 
+    The only reader of ``config.K``, which defaults to ``4 * p``; raises
+    ValueError when K micro-clusters of m+1 units do not fit in the graph.
     Each iteration moves every unit to the micro-cluster whose current
     model gives it the lowest absolute residual, unless its donor would
     shrink below m+1 units, then refits all K models. Stops when an
@@ -147,11 +148,14 @@ def kmodels_partition_stage(dataset: Dataset, graph: AdjacencyGraph, config: Sol
     (``_fit``), and the trace sums those SSRs in micro-cluster order. The
     reassignment itself is one array sweep (``_partition_sweep``).
 
-    Returns ``(partition, models, trace)`` where ``trace[0]`` is the SSR
-    of the initial solution.
+    Returns ``(partition, models, trace, stop_reason)``: ``trace[0]`` is
+    the SSR of the initial solution, and ``stop_reason`` is as in
+    ``SolveResult``.
     """
     k = config.K if config.K is not None else 4 * config.p
     stage_min = dataset.m + 1
+    if k * stage_min > graph.n:
+        raise ValueError(f"K={k} micro-clusters of m+1 units do not fit in n={graph.n}")
     initial = grow_initial_partition(graph, k, stage_min, rng, RESTART_LIMIT)
     assign = initial.assignment.copy()
     fits = _fit_labels(dataset, assign, k)
@@ -166,8 +170,11 @@ def kmodels_partition_stage(dataset: Dataset, graph: AdjacencyGraph, config: Sol
         fits = _fit_labels(dataset, assign, k)
         trace.append(_total(fits))
         if not moved:
+            stop_reason = "converged"
             break
-    return Partition(assign, k), [f.model for f in fits], trace
+    else:
+        stop_reason = "max_iter"
+    return Partition(assign, k), [f.model for f in fits], trace, stop_reason
 
 
 def _partition_sweep(assign: np.ndarray, best: np.ndarray, k: int, stage_min: int
@@ -430,21 +437,16 @@ def kmodels_merge_stage(dataset: Dataset, graph: AdjacencyGraph,
 def solve_kmodels(dataset: Dataset, graph: AdjacencyGraph, config: SolverConfig) -> SolveResult:
     """Two-stage K-Models: micro-cluster partition stage, then merge stage."""
     start = time.perf_counter()
-    config = _resolve_config(dataset, graph, config, needs_k=True)
+    _check_inputs(dataset, graph, config)
     rng = np.random.default_rng(config.seed)
-    micro, _, trace = kmodels_partition_stage(dataset, graph, config, rng)
+    micro, _, trace, stop_reason = kmodels_partition_stage(dataset, graph, config, rng)
     partition, models = kmodels_merge_stage(dataset, graph, micro, config)
     total = float(sum(region_ssr(models[j], dataset, partition.members(j))
                       for j in range(partition.p)))
-    return SolveResult(
-        partition=partition,
-        models=models,
-        total_ssr=total,
-        iterations_used=len(trace) - 1,
-        seed=config.seed,
-        wall_time=time.perf_counter() - start,
-        trace=trace,
-    )
+    return SolveResult(partition=partition, models=models, total_ssr=total,
+                       iterations_used=len(trace) - 1, seed=config.seed,
+                       wall_time=time.perf_counter() - start, trace=trace,
+                       stop_reason=stop_reason)
 
 
 def _articulation_points(graph: AdjacencyGraph, labels: list[int], root: int) -> set[int]:
@@ -507,8 +509,9 @@ class _LocalSearch:
     unit labels ``assign``, one ``_Fit`` per region in ``regions`` (its
     ascending member array, model and SSR), and the trace of the total
     SSR. A step policy proposes moves and ``move`` applies them; ``run``
-    calls the policy until a step moves nothing or ``max_iter`` steps
-    have run, and appends the total SSR to the trace after every step, so
+    calls the policy until a step moves nothing (``stop_reason``
+    ``"converged"``) or ``max_iter`` steps have run (``"max_iter"``), and
+    appends the total SSR to the trace after every step, so
     ``iterations_used == len(trace) - 1``. The step policies find their
     candidates with numpy over the graph's CSR arrays and the label array
     (``_azp_candidates``, ``_rkm_candidates``), not with a Python loop
@@ -543,8 +546,8 @@ class _LocalSearch:
     def __init__(self, dataset: Dataset, graph: AdjacencyGraph, config: SolverConfig,
                  check_invariants: bool):
         self.start = time.perf_counter()
-        self.config = config = _resolve_config(dataset, graph, config, needs_k=False)
-        self.dataset, self.graph = dataset, graph
+        _check_inputs(dataset, graph, config)
+        self.config, self.dataset, self.graph = config, dataset, graph
         self.check_invariants = check_invariants
         self.rng = np.random.default_rng(config.seed)
         initial = grow_initial_partition(graph, config.p, config.min_obs, self.rng,
@@ -641,16 +644,15 @@ class _LocalSearch:
             moved = step(self)
             self.trace.append(_total(self.regions))
             if not moved:
+                stop_reason = "converged"
                 break
-        return SolveResult(
-            partition=Partition(self.assign, self.config.p),
-            models=[f.model for f in self.regions],
-            total_ssr=self.trace[-1],
-            iterations_used=len(self.trace) - 1,
-            seed=self.config.seed,
-            wall_time=time.perf_counter() - self.start,
-            trace=self.trace,
-        )
+        else:
+            stop_reason = "max_iter"
+        return SolveResult(partition=Partition(self.assign, self.config.p),
+                           models=[f.model for f in self.regions], total_ssr=self.trace[-1],
+                           iterations_used=len(self.trace) - 1, seed=self.config.seed,
+                           wall_time=time.perf_counter() - self.start, trace=self.trace,
+                           stop_reason=stop_reason)
 
 
 def _azp_candidates(graph: AdjacencyGraph, rows: np.ndarray, assign: np.ndarray,
@@ -673,20 +675,16 @@ def _rkm_candidates(graph: AdjacencyGraph, rows: np.ndarray, assign: np.ndarray,
     A unit's best adjacent region is the one among its own and its
     neighbors' regions with the lowest ``resid`` entry, ties to the lower
     region index. A unit is a candidate when that region is not its own
-    and its own region has more than ``min_obs`` units. The neighbors'
-    entries are gathered along the CSR arrays (``rows`` as in
-    ``_azp_candidates``) and reduced per row with ``reduceat``, which
-    needs every row non-empty. That holds here: local-search graphs are
-    connected and have n >= p * min_obs >= 2 units.
+    and its own region has more than ``min_obs`` units. ``adjacent`` is
+    the ``(n, p)`` mask of each unit's own and neighbors' regions, set
+    along the CSR arrays (``rows`` as in ``_azp_candidates``); ``argmin``
+    over the masked residuals takes the first minimum, so ties go to the
+    lower index, as in the partition stage.
     """
-    starts, p = graph.indptr[:-1], resid.shape[1]
-    labs = assign[graph.indices]
-    vals = resid[rows, labs]
-    own = resid[np.arange(graph.n), assign]
-    low = np.minimum(own, np.minimum.reduceat(vals, starts))
-    # the lowest label among the row's minima; p stands in for the others
-    best = np.minimum(np.where(own == low, assign, p),
-                      np.minimum.reduceat(np.where(vals == low[rows], labs, p), starts))
+    adjacent = np.zeros(resid.shape, dtype=bool)
+    adjacent[rows, assign[graph.indices]] = True
+    adjacent[np.arange(graph.n), assign] = True
+    best = np.argmin(np.where(adjacent, resid, np.inf), axis=1)
     candidates = np.flatnonzero((best != assign) & (sizes[assign] > min_obs))
     return candidates, best[candidates]
 

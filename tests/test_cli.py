@@ -1,14 +1,17 @@
 import csv
 import json
 import shutil
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
-from spregimes import fit_ols, region_ssr
+from spregimes import SolverConfig, build_grid_graph, fit_ols, region_ssr
 from spregimes.cli import main
 from spregimes.io import load_dataset_csv, load_simulation, load_solve_result
 from spregimes.metrics import evaluate
 from spregimes.linreg import Scaler
+from spregimes.solvers import SOLVERS
 
 
 SYNTH_ARGS = ["synth", "--scheme", "rectangular", "--count", "2", "--sigma", "0.05",
@@ -105,7 +108,8 @@ class TestSolveCommand:
         global_ssr = region_ssr(fit_ols(ds, range(ds.n)), ds, range(ds.n))
         assert payload["total_ssr"] == pytest.approx(global_ssr, rel=1e-12)
 
-    @pytest.mark.parametrize("cap", ["1", "1000"])
+    # uncapped, this run converges in 5 passes, so a cap of 5 does not end it
+    @pytest.mark.parametrize("cap", ["1", "5", "1000"])
     def test_capped_solve_warns(self, suite_dir, tmp_path, capsys, cap):
         code = main([
             "solve", "--data", str(suite_dir / "sim_000" / "data.csv"),
@@ -116,6 +120,20 @@ class TestSolveCommand:
         assert code == 0
         warned = f"azp stopped at the --max-iter cap of {cap} iterations"
         assert (warned in capsys.readouterr().err) == (cap == "1")
+
+    @pytest.mark.parametrize("algorithm", sorted(SOLVERS))
+    def test_stop_reason_tells_convergence_from_the_cap(self, suite_dir, algorithm):
+        dataset = load_dataset_csv(suite_dir / "sim_000" / "data.csv")
+        graph = build_grid_graph(10, 10)
+        config = SolverConfig(p=2, min_obs=10, seed=3)
+        solve = SOLVERS[algorithm]
+        free = solve(dataset, graph, config)
+        assert free.stop_reason == "converged"
+        exact = solve(dataset, graph, replace(config, max_iter=free.iterations_used))
+        assert exact.stop_reason == "converged"
+        assert np.array_equal(exact.partition.assignment, free.partition.assignment)
+        short = solve(dataset, graph, replace(config, max_iter=free.iterations_used - 1))
+        assert short.stop_reason == "max_iter"
 
     def test_repeats_keep_minimum_and_log_all(self, suite_dir, tmp_path):
         out = tmp_path / "rep"
@@ -328,16 +346,26 @@ class TestBenchmarkCommand:
                      "--p", "2", "--output", str(tmp_path / "x")])
         assert code == 2
 
-    @pytest.mark.parametrize("option", [["--max-iter", "0"], ["--repeats", "0"],
-                                        ["--p", "0"]])
+    @pytest.mark.parametrize("option, message", [
+        (["--max-iter", "0"], ">= 1"), (["--repeats", "0"], ">= 1"), (["--p", "0"], ">= 1"),
+        (["--K", "2"], "K must exceed p"),
+    ], ids=[f"option{i}" for i in range(4)])
     def test_invalid_solver_options_exit_two_without_csvs(self, suite_dir, tmp_path, option,
-                                                          capsys):
+                                                          message, capsys):
         out = tmp_path / "x"
         code = main(["benchmark", "--suite", str(suite_dir), "--algorithms", "azp",
                      "--p", "2", "--min-obs", "10", "--seed", "3", "--output", str(out)]
                     + option)
         assert code == 2
-        assert ">= 1" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_repeated_algorithm_exits_two_before_any_cell(self, suite_dir, tmp_path, capsys):
+        out = tmp_path / "x"
+        code = main(["benchmark", "--suite", str(suite_dir), "--algorithms", "rkm,azp,rkm",
+                     "--p", "2", "--min-obs", "10", "--output", str(out)])
+        assert code == 2
+        assert "['rkm']" in capsys.readouterr().err
         assert not out.exists()
 
     def test_infeasible_cells_exit_four(self, suite_dir, tmp_path):

@@ -114,7 +114,7 @@ class TestPartitionStage:
         y = np.where(x[:, 0] >= 0.5, 10.0 * x[:, 0] - 5.0, -10.0 * x[:, 0] + 5.0)
         ds = Dataset(X=x, y=y)
         cfg = SolverConfig(p=1, min_obs=2, K=2, seed=0)
-        _, _, trace = kmodels_partition_stage(ds, g, cfg, np.random.default_rng(0))
+        _, _, trace, _ = kmodels_partition_stage(ds, g, cfg, np.random.default_rng(0))
         assert trace[-1] == pytest.approx(0.0, abs=1e-16)
         assert_monotone(trace)
 
@@ -124,14 +124,20 @@ class TestPartitionStage:
         y = 1.0 + 2.0 * x[:, 0] - 1.0 * x[:, 1] + 0.1 * rng.normal(size=100)
         ds = Dataset(X=x, y=y)
         cfg = SolverConfig(p=1, min_obs=3, K=2, seed=4)
-        _, models, _ = kmodels_partition_stage(ds, g, cfg, np.random.default_rng(4))
+        _, models, _, _ = kmodels_partition_stage(ds, g, cfg, np.random.default_rng(4))
         global_beta = fit_ols(ds, range(100)).beta
         for model in models:
             assert np.allclose(model.beta, global_beta, atol=0.35)
 
+    def test_micro_clusters_that_do_not_fit_are_refused(self, rng):
+        ds = Dataset(X=rng.random((100, 2)), y=rng.random(100))
+        cfg = SolverConfig(p=5, min_obs=3, K=40)
+        with pytest.raises(ValueError, match="K=40 micro-clusters"):
+            kmodels_partition_stage(ds, build_grid_graph(10, 10), cfg, rng)
+
     def test_trace_non_increasing_on_simulation(self, rect_sim, grid25):
         cfg = SolverConfig(p=5, min_obs=10, K=20, seed=9)
-        _, _, trace = kmodels_partition_stage(
+        _, _, trace, _ = kmodels_partition_stage(
             rect_sim.dataset, grid25, cfg, np.random.default_rng(9)
         )
         assert_monotone(trace)
@@ -218,7 +224,7 @@ class TestMergeStage:
 
     def test_rectangular_simulation_end_state(self, rect_sim, grid25):
         cfg = SolverConfig(p=5, min_obs=10, K=20, seed=2)
-        micro, _, _ = kmodels_partition_stage(
+        micro, _, _, _ = kmodels_partition_stage(
             rect_sim.dataset, grid25, cfg, np.random.default_rng(2)
         )
         part, models = kmodels_merge_stage(rect_sim.dataset, grid25, micro, cfg)
@@ -985,9 +991,6 @@ class TestCandidateScans:
     @given(scan_cases())
     def test_rkm_scan_matches_loop(self, case):
         graph, assign, resid, sizes, min_obs = case
-        # the scan needs every unit to have a neighbor, as a local search's
-        # graph of n >= p * min_obs >= 2 connected units does
-        assume(graph.n >= 2)
         candidates, targets = _rkm_candidates(graph, csr_rows(graph), assign, resid,
                                               sizes, min_obs)
         assert (candidates.tolist(), targets.tolist()) == rkm_candidates_loop(
@@ -1119,6 +1122,15 @@ class TestDeterminismAndRestarts:
         with pytest.raises(ValueError, match="unknown algorithm"):
             solve_with_restarts("kmedoids", rect_sim.dataset, grid25,
                                 SolverConfig(p=2, min_obs=10))
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"p": 0, "min_obs": 3}, "p must be >= 1, got 0"),
+        ({"p": 2, "min_obs": 3, "max_iter": 0}, "max_iter must be >= 1"),
+        ({"p": 5, "min_obs": 3, "K": 5}, "K must exceed p, got K=5, p=5"),
+    ])
+    def test_invalid_settings_refused_when_built(self, fields, message):
+        with pytest.raises(ValueError, match=message):
+            SolverConfig(**fields)
 
     def test_config_validation(self, rect_sim, grid25):
         with pytest.raises(ValueError, match="min_obs"):
