@@ -30,23 +30,31 @@ __all__ = [
 
 
 def _labels(partition) -> list:
-    """Accept a Partition, a label array, or a plain label sequence."""
+    """Accept a Partition, a label array, or a plain label sequence.
+
+    A list is returned as it is, since callers only read it.
+    """
     assignment = getattr(partition, "assignment", partition)
     if isinstance(assignment, np.ndarray):
         return assignment.tolist()
+    if isinstance(assignment, list):
+        return assignment
     return list(assignment)
 
 
 def _contingency(truth, estimate) -> tuple[int, dict, dict, dict]:
     """Unit count, cell counts and row and column totals of two partitions.
 
-    Totals are summed from the cells, so each dict keeps its labels in
-    first-appearance order and every sum over it runs in that order.
+    Cells are counted in a plain dict, and totals are summed from the
+    cells, so each dict keeps its labels in first-appearance order and
+    every sum over it runs in that order.
     """
     a, b = _labels(truth), _labels(estimate)
     if len(a) != len(b):
         raise ValueError(f"partitions cover {len(a)} vs {len(b)} units")
-    cells = Counter(zip(a, b))
+    cells: dict = {}
+    for cell in zip(a, b):
+        cells[cell] = cells.get(cell, 0) + 1
     rows, cols = {}, {}
     for (x, y), c in cells.items():
         rows[x] = rows.get(x, 0) + c

@@ -11,6 +11,7 @@ from __future__ import annotations
 import heapq
 import math
 import time
+from collections import deque
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -79,6 +80,9 @@ class SolverConfig:
 RESTART_LIMIT = 100
 # AZP treats SSR changes within this tolerance as ties, to avoid oscillation.
 SSR_TOLERANCE = 1e-9
+# Local cut searches in one region may pop this many units per member
+# before its cut vertices are walked once and cached (``_LocalSearch.is_cut``).
+CUT_SEARCH_SHARE = 0.5
 
 
 def _check_inputs(dataset: Dataset, graph: AdjacencyGraph, config: SolverConfig):
@@ -502,6 +506,56 @@ def _articulation_points(graph: AdjacencyGraph, labels: list[int], root: int) ->
     return cuts
 
 
+def _separates(neighbors, labels: list[int], v: int, starts: list[int]) -> tuple[bool, int]:
+    """Whether the region ``labels[v]`` without ``v`` splits ``starts``; and the pops.
+
+    ``starts`` are at least two of ``v``'s neighbors in its region. One
+    breadth-first search grows from each inside the region without ``v``,
+    the live searches popping one unit each in turn (Even & Shiloach 1981,
+    JACM 28(1)), and two searches merge when one reaches a unit the other
+    found. A search that runs dry while another is still apart has swept
+    a whole component of the region without ``v``, so ``v`` is a cut
+    vertex; once all have merged, the starts share one component. A cut
+    costs about ``len(starts)`` times the smallest side it cuts off, not
+    the region; a unit that is no cut costs what the searches pop before
+    they meet. Returns the answer and the number of units popped.
+    """
+    region = labels[v]
+    owner = dict(zip(starts, range(len(starts))))
+    group = list(range(len(starts)))  # union-find over the searches
+    queues = [deque([s]) for s in starts]
+    apart = len(starts)
+    pops = 0
+    labels[v] = -1  # search the region without v
+    try:
+        while True:
+            for i, queue in enumerate(queues):
+                if group[i] != i:
+                    continue  # merged into another search
+                if not queue:
+                    return True, pops
+                u = queue.popleft()
+                pops += 1
+                for w in neighbors[u]:
+                    if labels[w] != region:
+                        continue
+                    r = owner.get(w)
+                    if r is None:
+                        owner[w] = i
+                        queue.append(w)
+                        continue
+                    while group[r] != r:
+                        r = group[r]
+                    if r != i:
+                        group[r] = i
+                        queue.extend(queues[r])
+                        apart -= 1
+                        if apart == 1:
+                            return False, pops
+    finally:
+        labels[v] = region
+
+
 class _LocalSearch:
     """Region state and loop shared by AZP and Regional-K-Models.
 
@@ -529,18 +583,27 @@ class _LocalSearch:
     those a model scores when that model is degenerate or its stacked
     identity breaks down.
 
-    Cache rule: a region's cut vertices (``_articulation_points``, over
-    the label list) are computed the first time ``is_cut`` asks about one
-    of its units and dropped when a move takes a unit out of it or into
-    it. The step policies ask only about units that passed every cheaper
-    check (for AZP the size and the SSR screen), so cut sets are built
-    only for donors that have such a unit. Regions stay connected, and a
-    donor keeps at least ``min_obs >= m+1 >= 2`` units, so the donor minus
-    ``v`` is connected exactly when ``v`` is not a cut vertex.
+    Cut rule: ``is_cut(v, d)`` asks whether region ``d`` without ``v``
+    is disconnected. ``labels``, a Python list kept equal to ``assign``,
+    is what every cut search reads. A cached cut set of ``d`` answers by
+    lookup. Otherwise a unit with at most one neighbor in ``d`` is never a
+    cut, and any other is answered by local searches from its neighbors
+    in ``d`` (``_separates``), whose pops are charged to ``d``. Once the
+    charge since ``d``'s cut set was last dropped reaches
+    ``CUT_SEARCH_SHARE * |d|``, the next search walks the whole region
+    instead (``_articulation_points``) and caches its cut set. A move
+    drops the cut sets and clears the charges of the two regions it
+    touches. Both routes decide the same predicate, so the budget changes
+    only the cost. The step policies ask only about units that passed
+    every cheaper check (for AZP the size and the SSR screen). Regions
+    stay connected, and a donor keeps at least ``min_obs >= m+1 >= 2``
+    units, so the donor minus ``v`` is connected exactly when ``v`` is not
+    a cut vertex.
 
     ``check_invariants`` asserts after every move that the unit touches
-    its new region and that every region is connected and at least
-    ``min_obs`` units large (debug instrumentation).
+    its new region, that ``labels`` equals ``assign``, and that every
+    region is connected and at least ``min_obs`` units large (debug
+    instrumentation).
     """
 
     def __init__(self, dataset: Dataset, graph: AdjacencyGraph, config: SolverConfig,
@@ -553,17 +616,28 @@ class _LocalSearch:
         initial = grow_initial_partition(graph, config.p, config.min_obs, self.rng,
                                          RESTART_LIMIT)
         self.assign = initial.assignment.copy()
+        self.labels = self.assign.tolist()
         self.rows = np.repeat(np.arange(graph.n), np.diff(graph.indptr))
         self.regions = _fit_labels(dataset, self.assign, config.p)
         self.trace = [_total(self.regions)]
         self.cuts: list[set[int] | None] = [None] * config.p
+        self.charge = [0] * config.p
 
     def is_cut(self, v: int, d: int) -> bool:
         """True when region ``d`` without its unit ``v`` is disconnected."""
-        if self.cuts[d] is None:
-            self.cuts[d] = _articulation_points(self.graph, self.assign.tolist(),
-                                                int(self.regions[d].units[0]))
-        return v in self.cuts[d]
+        cuts = self.cuts[d]
+        if cuts is not None:
+            return v in cuts
+        labels = self.labels
+        starts = [w for w in self.graph.neighbors[v] if labels[w] == d]
+        if len(starts) < 2:
+            return False
+        if self.charge[d] >= CUT_SEARCH_SHARE * len(self.regions[d].units):
+            self.cuts[d] = _articulation_points(self.graph, labels, v)
+            return v in self.cuts[d]
+        cut, pops = _separates(self.graph.neighbors, labels, v, starts)
+        self.charge[d] += pops
+        return cut
 
     def moved_fits(self, v: int, src: int, dst: int) -> tuple[_Fit, _Fit]:
         """Fits of regions ``src`` without unit ``v`` and ``dst`` with it."""
@@ -578,7 +652,10 @@ class _LocalSearch:
 
         Rank-one identities give the exact changes in O(m^2) per
         candidate: one stacked ``ssr_increase_if_added`` against region
-        ``j`` and one stacked ``ssr_decrease_if_removed`` per donor.
+        ``j``, on the candidates in ascending order, and one stacked
+        ``ssr_decrease_if_removed`` per donor. The donors' rows are
+        gathered once, stably sorted by donor, so each donor's call reads
+        a contiguous slice holding its candidates in ascending order.
         Returns ``(delta, refit)``; ``refit`` marks the candidates whose
         change only ``refit_delta`` can give, and their ``delta`` is nan.
         One rule decides them: a model that is degenerate, or whose
@@ -598,15 +675,21 @@ class _LocalSearch:
             gain = ssr_increase_if_added(target, x, y)
         except NumericalBreakdownError:
             return delta, refit
-        for d in np.unique(donors).tolist():
+        order = np.argsort(donors, kind="stable")
+        xs, ys = x[order], y[order]
+        # donor d's candidates are rows edges[d]:edges[d + 1] of the sorted stack
+        edges = np.searchsorted(donors[order], np.arange(len(self.regions) + 1)).tolist()
+        for d, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
+            if lo == hi:
+                continue
             donor = self.regions[d].model
             if donor.degenerate:
                 continue
-            rows = np.flatnonzero(donors == d)
             try:
-                loss = ssr_decrease_if_removed(donor, x[rows], y[rows])
+                loss = ssr_decrease_if_removed(donor, xs[lo:hi], ys[lo:hi])
             except NumericalBreakdownError:
                 continue
+            rows = order[lo:hi]
             delta[rows] = gain[rows] - loss
             refit[rows] = False
         return delta, refit
@@ -628,12 +711,14 @@ class _LocalSearch:
         if fits is None:
             fits = self.moved_fits(v, src, dst)
         self.regions[src], self.regions[dst] = fits
-        self.assign[v] = dst
+        self.assign[v] = self.labels[v] = dst
         self.cuts[src] = self.cuts[dst] = None
+        self.charge[src] = self.charge[dst] = 0
         if self.check_invariants:
             assert any(
                 self.assign[w] == dst for w in self.graph.neighbors[v]
             ), "unit moved into a region it does not touch"
+            assert self.labels == self.assign.tolist(), "label list out of step with assign"
             for units, _, _ in self.regions:
                 assert len(units) >= self.config.min_obs, "region dropped below the minimum size"
                 assert is_connected_subset(self.graph, units), "region lost connectivity"
@@ -718,23 +803,41 @@ def _azp_pass(search: _LocalSearch) -> bool:
     return moved
 
 
-def _rkm_move(search: _LocalSearch) -> bool:
-    """One RKM step: move one random candidate unit to its best adjacent region."""
-    dataset, assign = search.dataset, search.assign
-    betas = np.column_stack([f.model.beta for f in search.regions])
-    resid = np.abs(dataset.y[:, None] - dataset.augmented @ betas)
-    sizes = np.array([len(f.units) for f in search.regions])
-    candidates, targets = _rkm_candidates(search.graph, search.rows, assign, resid,
-                                          sizes, search.config.min_obs)
-    candidates, targets = candidates.tolist(), targets.tolist()
-    # uniform draw from the valid set via a shuffled first-hit scan
-    for pos in search.rng.permutation(len(candidates)):
-        i = candidates[pos]
-        d = int(assign[i])
-        if not search.is_cut(i, d):
-            search.move(i, d, targets[pos])
-            return True
-    return False
+def _abs_residuals(dataset: Dataset, regions: list[_Fit]) -> np.ndarray:
+    """``(n, len(regions))`` absolute residuals of every unit under each region's model."""
+    betas = np.column_stack([f.model.beta for f in regions])
+    return np.abs(dataset.y[:, None] - dataset.augmented @ betas)
+
+
+class _RkmStep:
+    """RKM's step policy: each call moves one random candidate unit to its best region.
+
+    ``resid`` is the ``(n, p)`` matrix of absolute residuals, kept across
+    steps. A move refits only its two regions, so only their two columns
+    are recomputed, with one ``(n, m+1) @ (m+1, 2)`` product; its columns
+    equal those of the full ``(n, m+1) @ (m+1, p)`` product bit for bit,
+    which a single-column product (a matrix-vector kernel) need not.
+    """
+
+    def __init__(self, search: _LocalSearch):
+        self.resid = _abs_residuals(search.dataset, search.regions)
+
+    def __call__(self, search: _LocalSearch) -> bool:
+        assign = search.assign
+        sizes = np.array([len(f.units) for f in search.regions])
+        candidates, targets = _rkm_candidates(search.graph, search.rows, assign, self.resid,
+                                              sizes, search.config.min_obs)
+        candidates, targets = candidates.tolist(), targets.tolist()
+        # uniform draw from the valid set via a shuffled first-hit scan
+        for pos in search.rng.permutation(len(candidates)):
+            i = candidates[pos]
+            d, t = int(assign[i]), targets[pos]
+            if not search.is_cut(i, d):
+                search.move(i, d, t)
+                self.resid[:, [d, t]] = _abs_residuals(search.dataset,
+                                                       [search.regions[d], search.regions[t]])
+                return True
+        return False
 
 
 def solve_azp(dataset: Dataset, graph: AdjacencyGraph, config: SolverConfig,
@@ -749,8 +852,11 @@ def solve_azp(dataset: Dataset, graph: AdjacencyGraph, config: SolverConfig,
     of region j's candidates at once, one stacked call per model. Where a
     model is degenerate or its stacked call breaks down (a donor row of
     leverage ~1), every candidate that model scores is decided by full
-    refits, after check (c). Check (c) is a lookup in the donor's cached
-    cut vertices (``_LocalSearch``). Every check is a pure function of the
+    refits, after check (c). Check (c) is ``_LocalSearch.is_cut``: local
+    searches from the unit's neighbors in the donor, until they have
+    popped ``CUT_SEARCH_SHARE`` times as many units as the donor holds since
+    it last changed, then a lookup in the
+    donor's cut vertices, walked once and cached. Every check is a pure function of the
     current state, so the order does not change which unit moves.
     One uniformly random valid unit is moved per region per pass and both
     affected models are refit immediately, so later regions in the same
@@ -779,13 +885,18 @@ def solve_regional_kmodels(dataset: Dataset, graph: AdjacencyGraph, config: Solv
     affected models are refit. Terminates when no candidate exists or
     after ``max_iter`` moves. The candidates come from one vectorised
     scan of the residual matrix along the graph's CSR arrays
-    (``_rkm_candidates``), in ascending unit order.
+    (``_rkm_candidates``), in ascending unit order. The residual matrix
+    is kept across moves, and a move recomputes only its two regions'
+    columns (``_RkmStep``).
 
-    The connectivity check is a lookup in the donor's cached cut vertices
-    (``_LocalSearch``). ``check_invariants`` asserts the feasibility of
-    every region after every move (debug instrumentation).
+    The connectivity check is ``_LocalSearch.is_cut``: local searches in
+    the donor, until they have popped ``CUT_SEARCH_SHARE`` times as many
+    units as the donor holds since it last changed, then a lookup in its cut vertices, walked once and cached. ``check_invariants`` asserts
+    the feasibility of every region after every move (debug
+    instrumentation).
     """
-    return _LocalSearch(dataset, graph, config, check_invariants).run(_rkm_move)
+    search = _LocalSearch(dataset, graph, config, check_invariants)
+    return search.run(_RkmStep(search))
 
 
 SOLVERS = {

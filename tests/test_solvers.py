@@ -1,4 +1,5 @@
 import heapq
+import math
 from unittest import mock
 
 import numpy as np
@@ -36,6 +37,7 @@ from spregimes import (
 from spregimes import linreg, solvers
 from spregimes.solvers import (
     SSR_TOLERANCE,
+    _abs_residuals,
     _articulation_points,
     _azp_candidates,
     _azp_pass,
@@ -44,10 +46,12 @@ from spregimes.solvers import (
     _partition_sweep,
     _RegionPool,
     _rkm_candidates,
+    _RkmStep,
 )
 from spregimes.synthgen import SimulationSpec
 
 from conftest import rank_one_rounding
+from test_golden import CAPPED, DEGENERATE, GOLDEN, fingerprint, grid_case
 
 try:
     import networkx as nx  # test oracle only
@@ -675,6 +679,15 @@ def region_labels(n, members):
     return labels
 
 
+def graph_of(graph, members):
+    """The networkx subgraph induced by ``members``."""
+    inside = set(members)
+    sub = nx.Graph()
+    sub.add_nodes_from(inside)
+    sub.add_edges_from((u, w) for u in inside for w in graph.neighbors[u] if w in inside)
+    return sub
+
+
 @st.composite
 def labelled_cut_cases(draw):
     """A cut case inside a label list of several regions.
@@ -707,10 +720,8 @@ class TestArticulationPoints:
     @given(labelled_cut_cases())
     def test_matches_networkx_within_labelled_regions(self, case):
         graph, labels, members, root = case
-        sub = nx.Graph()
-        sub.add_nodes_from(members)
-        sub.add_edges_from((u, v) for u in members for v in graph.neighbors[u] if v in members)
-        assert _articulation_points(graph, labels, root) == set(nx.articulation_points(sub))
+        assert (_articulation_points(graph, labels, root)
+                == set(nx.articulation_points(graph_of(graph, members))))
 
     def test_60x60_regions_need_no_recursion(self):
         grid = build_grid_graph(60, 60)
@@ -720,6 +731,83 @@ class TestArticulationPoints:
         snake = {r * 60 + c for r in range(0, 60, 2) for c in range(60)}
         snake |= {r * 60 + (59 if r % 4 == 1 else 0) for r in range(1, 59, 2)}
         assert _articulation_points(grid, region_labels(3600, snake), 0) == snake - {0, 58 * 60}
+
+
+@st.composite
+def move_cases(draw):
+    """A grown search on a drawn graph and a seed for a sequence of moves."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    graph = draw_graph(draw, rng, (3, 8), (10, 60), 4)
+    p = draw(st.integers(1, 4))
+    assume(graph.n >= 2 * p)
+    dataset = Dataset(X=rng.random((graph.n, 1)), y=rng.normal(size=graph.n))
+    config = SolverConfig(p=p, min_obs=2, seed=draw(st.integers(0, 999)))
+    try:
+        search = _LocalSearch(dataset, graph, config, check_invariants=True)
+    except InitializationFailedError:
+        assume(False)
+    return search, rng, draw(st.integers(1, 12))
+
+
+def random_move(search, rng):
+    """Move a random unit into an adjacent region, keeping every region feasible.
+
+    Feasibility is decided by brute force, not by ``is_cut``. Returns
+    False when no unit can move.
+    """
+    graph, labels = search.graph, search.labels
+    for v in rng.permutation(graph.n).tolist():
+        src = labels[v]
+        members = set(search.regions[src].units.tolist())
+        if len(members) <= search.config.min_obs:
+            continue
+        if not is_connected_subset(graph, members - {v}):
+            continue
+        targets = sorted({labels[w] for w in graph.neighbors[v]} - {src})
+        if targets:
+            search.move(v, src, targets[rng.integers(len(targets))])
+            return True
+    return False
+
+
+class TestCutQueries:
+    """``is_cut`` against ``_articulation_points`` and networkx as regions change.
+
+    Every unit is asked about, in random order, after every move, so the
+    answers come from the cache, from the single-neighbor rule and from
+    local searches in turn. A share of 0 walks every region on its first
+    search; an unbounded share never walks.
+    """
+
+    @pytest.mark.parametrize("share", [0.0, solvers.CUT_SEARCH_SHARE, math.inf])
+    @settings(max_examples=60, deadline=None)
+    @given(case=move_cases())
+    def test_matches_walk_and_networkx_after_every_move(self, share, case):
+        search, rng, moves = case
+        graph, p = search.graph, search.config.p
+        searched = []
+        real = solvers._separates
+
+        def counting(*args):
+            searched.append(args[2])
+            return real(*args)
+
+        with mock.patch.object(solvers, "CUT_SEARCH_SHARE", share), \
+                mock.patch.object(solvers, "_separates", counting):
+            for _ in range(moves):
+                for v in rng.permutation(graph.n).tolist():
+                    d = search.labels[v]
+                    members = search.regions[d].units.tolist()
+                    walked = _articulation_points(graph, search.labels, members[0])
+                    if nx is not None:
+                        assert walked == set(nx.articulation_points(graph_of(graph, members)))
+                    assert search.is_cut(v, d) == (v in walked)
+                if not random_move(search, rng):
+                    break
+        if share == 0.0:
+            assert searched == []
+        if share == math.inf:
+            assert search.cuts == [None] * p
 
 
 @st.composite
@@ -891,6 +979,40 @@ class TestSsrScreen:
         assert refit.tolist() == [True, True]
         assert np.isnan(delta).all()
 
+    @settings(max_examples=150, deadline=None)
+    @given(screen_cases())
+    def test_screen_equals_per_donor_loop(self, case):
+        dataset, graph, labels, p = case
+        search = search_state(dataset, graph, labels, p)
+        for j in range(p):
+            candidates = _azp_candidates(graph, csr_rows(graph), labels, j)
+            assert_same_screen(search, candidates, labels[candidates], j)
+
+    def test_screen_equals_per_donor_loop_with_degenerate_and_breakdown_donors(self, rng):
+        # region 0 is columns 0-1 of a 6x6 grid; rows 0 and 3 of columns
+        # 2-5 are donor 1, rows 1 and 4 donor 2, rows 2 and 5 donor 3, so
+        # the candidates in column 2 alternate between the donors. Donor 2
+        # has one x value, so its fit is degenerate; in donor 3 only
+        # candidate 14 has x = 1, so its leverage is 1 and the stacked
+        # removal breaks down
+        graph = build_grid_graph(6, 6)
+        labels = np.array([0 if c < 2 else 1 + r % 3 for r in range(6) for c in range(6)])
+        x = rng.random((36, 1))
+        x[labels == 2] = 0.5
+        x[labels == 3] = 0.0
+        x[14] = 1.0
+        dataset = Dataset(X=x, y=rng.normal(size=36))
+        search = search_state(dataset, graph, labels, 4)
+        candidates = _azp_candidates(graph, csr_rows(graph), labels, 0)
+        donors = labels[candidates]
+        assert candidates.tolist() == [2, 8, 14, 20, 26, 32]
+        assert donors.tolist() == [1, 2, 3, 1, 2, 3]
+        assert search.regions[2].model.degenerate
+        with pytest.raises(NumericalBreakdownError):
+            ssr_decrease_if_removed(search.regions[3].model, x[[14, 32]], dataset.y[[14, 32]])
+        delta, refit = assert_same_screen(search, candidates, donors, 0)
+        assert refit.tolist() == [False, True, True, False, True, True]
+
     def test_converged_pass_builds_no_cut_set(self, monkeypatch):
         # a noiseless two-regime chain converges at SSR 0, so no unit can
         # lower the SSR and no donor needs its cut vertices
@@ -948,6 +1070,41 @@ class TestSsrScreen:
         assert calls["moved_fits"] == calls["refit_delta"] > calls["move"] > 0
         assert forced.total_ssr == plain.total_ssr
         assert np.array_equal(forced.partition.assignment, plain.partition.assignment)
+
+
+def screen_loop(search, candidates, donors, j):
+    """Reference screen: one ``flatnonzero`` gather per donor, as before the grouping."""
+    x, y = search.dataset.X[candidates], search.dataset.y[candidates]
+    delta = np.full(len(candidates), np.nan)
+    refit = np.ones(len(candidates), dtype=bool)
+    target = search.regions[j].model
+    if target.degenerate:
+        return delta, refit
+    try:
+        gain = ssr_increase_if_added(target, x, y)
+    except NumericalBreakdownError:
+        return delta, refit
+    for d in np.unique(donors).tolist():
+        donor = search.regions[d].model
+        if donor.degenerate:
+            continue
+        rows = np.flatnonzero(donors == d)
+        try:
+            loss = ssr_decrease_if_removed(donor, x[rows], y[rows])
+        except NumericalBreakdownError:
+            continue
+        delta[rows] = gain[rows] - loss
+        refit[rows] = False
+    return delta, refit
+
+
+def assert_same_screen(search, candidates, donors, j):
+    """``search.screen`` equals ``screen_loop`` bit for bit; returns its result."""
+    delta, refit = search.screen(candidates, donors, j)
+    expected_delta, expected_refit = screen_loop(search, candidates, donors, j)
+    assert np.array_equal(refit, expected_refit)
+    assert np.array_equal(delta, expected_delta, equal_nan=True)
+    return delta, refit
 
 
 def counted(fn, calls, name):
@@ -1100,6 +1257,33 @@ class TestSolveRegionalKmodels:
         )
         assert_monotone(res.trace)
         assert_feasible(grid25, res, p=5, min_obs=10)
+
+
+def rkm_golden_case(name):
+    """Data, graph, config and fingerprint of a golden RKM case."""
+    if name in DEGENERATE:
+        _, config, *pins = DEGENERATE[name]
+        dataset, graph = grid_case(15, 15, "rectangular", 101)
+        x1 = dataset.X[:, 0]
+        return Dataset(X=np.column_stack((x1, x1)), y=dataset.y), graph, config, tuple(pins)
+    _, build, config, *pins = {**GOLDEN, **CAPPED}[name]
+    return *build(), config, tuple(pins)
+
+
+class TestRkmResiduals:
+    @pytest.mark.parametrize("name", ["rkm-rect15", "rkm-voronoi12", "rkm-rect25-cap3",
+                                      "rkm-rect15-dup"])
+    def test_kept_matrix_equals_a_full_rebuild_after_every_step(self, name):
+        dataset, graph, config, pins = rkm_golden_case(name)
+        search = _LocalSearch(dataset, graph, config, check_invariants=False)
+        step = _RkmStep(search)
+
+        def checked(state):
+            moved = step(state)
+            assert np.array_equal(step.resid, _abs_residuals(dataset, state.regions))
+            return moved
+
+        assert fingerprint(search.run(checked)) == pins
 
 
 class TestDeterminismAndRestarts:
