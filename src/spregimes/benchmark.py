@@ -1,15 +1,14 @@
 """Benchmark sweeps: every algorithm against every simulation of a suite.
 
-Per-run seeds are derived as ``seed + simulation_index`` (restarts within
-a run add the restart index), so results do not depend on scheduling
-order and any row can be reproduced in isolation. Metric CSVs contain no
-timing and are byte-identical across reruns; wall-clock times go to a
-separate file.
+Cells run one after another in this process. Per-run seeds are derived as
+``seed + simulation_index`` (restarts within a run add the restart index),
+so any row can be reproduced in isolation. Metric CSVs contain no timing
+and are byte-identical across reruns; wall-clock times go to a separate
+file.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -124,9 +123,15 @@ def run_benchmark(suite_dir, algorithms: list[str], config: SolverConfig,
     unknown or repeated algorithm name and for ``repeats`` below 1; a
     ``SolverConfig`` has already refused an invalid p, max_iter or K when
     it was built. Each simulation is loaded once, before any cell runs,
-    and shared by every algorithm's cell. With ``jobs > 1`` cells run in
-    separate processes; outputs are identical to a serial run.
+    and shared by every algorithm's cell. Cells run in this process, for
+    each algorithm every simulation in order.
+
+    ``jobs`` accepts only 1 and raises ValueError for any other value,
+    before any simulation is loaded. It is deleted once ``perfbench``
+    stops passing ``jobs=1``.
     """
+    if jobs != 1:
+        raise ValueError(f"jobs must be 1, got {jobs}; cells run in one process")
     if not algorithms:
         raise ValueError("at least one algorithm is required")
     unknown = [a for a in algorithms if a not in SOLVERS]
@@ -138,21 +143,11 @@ def run_benchmark(suite_dir, algorithms: list[str], config: SolverConfig,
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
     simulations = [load_simulation(sim_dir) for sim_dir in list_simulations(suite_dir)]
-    tasks = [
-        (truth, info["spec"], sim_index, algorithm, config, repeats, standardize)
+    return BenchmarkReport([
+        _run_cell(truth, info["spec"], sim_index, algorithm, config, repeats, standardize)
         for algorithm in algorithms
         for sim_index, (truth, info) in enumerate(simulations)
-    ]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            cells = list(pool.map(_run_cell_star, tasks))
-    else:
-        cells = [_run_cell(*task) for task in tasks]
-    return BenchmarkReport(cells)
-
-
-def _run_cell_star(task) -> BenchmarkRun:
-    return _run_cell(*task)
+    ])
 
 
 def write_benchmark_csvs(out_dir, report: BenchmarkReport) -> dict[str, Path]:

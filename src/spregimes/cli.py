@@ -154,7 +154,7 @@ def cmd_benchmark(args, argv) -> int:
              if args.min_obs is None else None)
     config = _make_config(args, first)
     report = run_benchmark(args.suite, algorithms, config, repeats=args.repeats,
-                           standardize=args.standardize, jobs=args.jobs)
+                           standardize=args.standardize)
     paths = write_benchmark_csvs(args.output, report)
     summary = report.summary()
     timing = report.mean_wall_time()
@@ -223,8 +223,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--suite", type=Path, required=True)
     bench.add_argument("--algorithms", required=True,
                        help="comma-separated list, e.g. kmodels,azp,rkm")
-    bench.add_argument("--jobs", type=int, default=1,
-                       help="parallel worker processes")
     _add_solver_flags(bench)
     bench.set_defaults(func=cmd_benchmark)
 

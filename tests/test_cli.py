@@ -330,16 +330,13 @@ class TestBenchmarkCommand:
         assert len(runs) == 1 + 2 * 2 * 8
         assert (out1 / "benchmark_timings.csv").exists()
 
-    def test_parallel_execution_matches_serial(self, suite_dir, tmp_path):
-        args = ["benchmark", "--suite", str(suite_dir), "--algorithms", "kmodels",
-                "--p", "2", "--min-obs", "10", "--K", "6", "--seed", "3"]
-        serial, parallel = tmp_path / "serial", tmp_path / "parallel"
-        assert main(args + ["--output", str(serial)]) == 0
-        assert main(args + ["--jobs", "2", "--output", str(parallel)]) == 0
-        deterministic = ("benchmark_runs.csv", "benchmark_summary.csv")
-        assert read_bytes_map(serial, deterministic) == read_bytes_map(
-            parallel, deterministic
-        )
+    def test_jobs_option_is_gone(self, suite_dir, tmp_path):
+        out = tmp_path / "x"
+        with pytest.raises(SystemExit) as info:
+            main(["benchmark", "--suite", str(suite_dir), "--algorithms", "kmodels",
+                  "--p", "2", "--min-obs", "10", "--jobs", "2", "--output", str(out)])
+        assert info.value.code == 2
+        assert not out.exists()
 
     def test_empty_algorithm_list_exits_two(self, suite_dir, tmp_path):
         code = main(["benchmark", "--suite", str(suite_dir), "--algorithms", "",

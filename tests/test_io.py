@@ -112,8 +112,7 @@ class TestCsvQuoting:
 
 
 class TestSuiteLayout:
-    @pytest.mark.parametrize("jobs", [1, 2])
-    def test_benchmark_loads_each_simulation_once(self, small_suite, monkeypatch, jobs):
+    def test_benchmark_loads_each_simulation_once(self, small_suite, monkeypatch):
         _, _, suite_dir = small_suite
         loaded = []
 
@@ -123,11 +122,20 @@ class TestSuiteLayout:
 
         monkeypatch.setattr(benchmark, "load_simulation", counting)
         report = benchmark.run_benchmark(suite_dir, ["kmodels", "azp", "rkm"],
-                                         SolverConfig(p=2, min_obs=10, K=4), jobs=jobs)
+                                         SolverConfig(p=2, min_obs=10, K=4))
         assert loaded == list_simulations(suite_dir)
         assert [(c.algorithm, c.simulation) for c in report.cells] == [
             (a, i) for a in ("kmodels", "azp", "rkm") for i in range(2)]
         assert not report.failures()
+
+    def test_benchmark_refuses_more_than_one_job_before_loading(self, small_suite, monkeypatch):
+        _, _, suite_dir = small_suite
+        loaded = []
+        monkeypatch.setattr(benchmark, "load_simulation", loaded.append)
+        with pytest.raises(ValueError, match="jobs must be 1"):
+            benchmark.run_benchmark(suite_dir, ["kmodels"], SolverConfig(p=2, min_obs=10, K=4),
+                                    jobs=2)
+        assert loaded == []
 
     def test_simulations_list_in_numeric_order(self, tmp_path):
         names = [f"sim_{i:03d}" for i in range(1001)]
