@@ -11,8 +11,10 @@ min_obs=10, K=20, solver seed 7. For every (solver, size) both sides run in
 their own subprocess, BLAS pinned to one thread, and time ``--repeats``
 solves in CPU seconds, one repeat at a time: each repeat runs one solve on
 each side, and the side that goes first alternates from one repeat to the
-next. A side reports every time, their median, the iterations and the stop
-reason. The base side imports the package from ``git archive <base>``
+next. Each worker first runs one untimed solve, so that no timed repeat
+pays the process's first calls into numpy and the package. A side
+reports every time, their median, the iterations and the stop reason.
+The base side imports the package from ``git archive <base>``
 unpacked into a temporary directory, so no network and no extra worktree
 are needed; the change side imports ``src/`` of this checkout.
 
@@ -24,6 +26,11 @@ the change/base ratio of the medians (``ratio``), each repeat's pair ratio
 per solver and side, the least-squares slope of log median CPU seconds on
 log units. On a shared machine that drifts in speed, compare pair ratios,
 not raw times.
+
+``--repeats`` below 1 and sizes below 10 exit with status 2: the data's
+five stripes of ``size // 5`` rows hold fewer than the generator's 10 units
+each on a smaller grid (and under 8x8 the grid holds neither p * min_obs =
+50 units nor K(m+1) = 60).
 """
 
 from __future__ import annotations
@@ -44,6 +51,8 @@ ROOT = Path(__file__).resolve().parent.parent
 SOLVERS = ("kmodels", "azp", "rkm")
 SETTINGS = {"scheme": "rectangular", "sigma": 0.1, "data_seed": 101,
             "p": 5, "min_obs": 10, "K": 20, "seed": 7}
+# the smallest grid side whose five data stripes hold 10 units each
+MIN_SIZE = 10
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
@@ -64,6 +73,7 @@ def serve(src: str, solver: str, size: int):
     graph = build_grid_graph(size, size)
     config = SolverConfig(p=SETTINGS["p"], min_obs=SETTINGS["min_obs"], K=SETTINGS["K"],
                           seed=SETTINGS["seed"])
+    table[solver](dataset, graph, config)  # untimed warm-up
     for _ in sys.stdin:
         start = time.process_time()
         result = table[solver](dataset, graph, config)
@@ -161,6 +171,10 @@ def main(argv=None):
     parser.add_argument("--worker", metavar="SRC", help=argparse.SUPPRESS)
     parser.add_argument("--solver", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
+    if args.repeats < 1:
+        parser.error(f"--repeats must be at least 1, got {args.repeats}")
+    if min(args.sizes) < MIN_SIZE:
+        parser.error(f"--sizes must be at least {MIN_SIZE}, got {min(args.sizes)}")
     if args.worker:
         serve(args.worker, args.solver, args.sizes[0])
         return

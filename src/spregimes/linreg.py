@@ -9,11 +9,14 @@ so a fresh fit needs no second pass (``region_ssr``) over its members;
 ``region_ssr`` scores a model on any other set of rows. Every single-row
 computation (``add_unit``, ``remove_unit`` and the exact SSR changes
 ``ssr_increase_if_added`` and ``ssr_decrease_if_removed``) reads one
-kernel, ``_rank_one_terms``, which takes one row or a stack of rows; the
-SSR changes of a stack score each row against the same model in one
-numpy expression. A fit is screened for rank deficiency by a
-Frobenius-norm bound on the condition number of its Gram matrix, and only
-fits the bound cannot certify pay for an SVD (see ``fit_ols``).
+kernel, ``_rank_one_terms``, which takes one row or a stack of rows. The
+SSR changes of a stack score every row against one model, or row i
+against model i of a ``ModelStack``, in one numpy expression of per-row
+products, so a row's result does not depend on the other rows of its
+stack, and a row scored against a stacked copy of a model gets the same
+bits as against the model itself. A fit is screened for rank deficiency
+by a Frobenius-norm bound on the condition number of its Gram matrix,
+and only fits the bound cannot certify pay for an SVD (see ``fit_ols``).
 
 The SSR change of merging two regions follows from cross-products alone,
 without gathering the union's rows: with ``Z = [1 X y]`` over a region's
@@ -29,6 +32,7 @@ decision.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,6 +40,7 @@ from .exceptions import NumericalBreakdownError, TooFewObservationsError
 
 __all__ = [
     "Dataset",
+    "ModelStack",
     "RegionModel",
     "Scaler",
     "fit_ols",
@@ -192,6 +197,23 @@ class RegionModel:
         return len(self.beta) - 1
 
 
+class ModelStack(NamedTuple):
+    """One model per row of a stack, for the stacked SSR tests.
+
+    ``beta`` is ``(c, m+1)`` and ``gram_inv`` ``(c, m+1, m+1)``: row i of a
+    ``(c, m)`` stack is scored against ``beta[i]`` and ``gram_inv[i]``.
+    Every model needs an inverse. ``add_unit`` and ``remove_unit`` update
+    one ``RegionModel`` and reject a stack.
+    """
+
+    beta: np.ndarray
+    gram_inv: np.ndarray
+
+    @property
+    def m(self) -> int:
+        return self.beta.shape[-1] - 1
+
+
 def _member_index(members) -> np.ndarray:
     if isinstance(members, np.ndarray) and members.dtype.kind in "iu":
         # member arrays from the merge stage and Partition.members are
@@ -278,28 +300,35 @@ def region_ssr(model: RegionModel, dataset: Dataset, members) -> float:
     return _ssr(dataset.augmented[idx], dataset.y[idx], model.beta)
 
 
-def _rank_one_terms(model: RegionModel, x, y):
+def _rank_one_terms(model: RegionModel | ModelStack, x, y):
     """Residuals, rows ``z G^-1`` and leverages of rows ``z = [1, x]``.
 
     ``x`` is a ``(c, m)`` row stack with a ``(c,)`` response ``y``, or one
-    row of m entries with a scalar ``y``, taken as a one-row stack.
-    Returns ``(e, zG, h)``: ``e = y - z beta`` and ``h = z G^-1 z'`` of
-    shape ``(c,)``, and ``zG`` of shape ``(c, m+1)``. Raises ValueError for
-    a model without an inverse or rows that do not match it.
+    row of m entries with a scalar ``y``, taken as a one-row stack. Row i
+    is scored against ``model``, or against model i of a ``ModelStack``
+    of c models. Returns ``(e, zG, h)``: ``e = y - z beta`` and
+    ``h = z G^-1 z'`` of shape ``(c,)``, and ``zG`` of shape ``(c, m+1)``.
+    Every product is taken row by row (``np.vecdot``), so a row's terms
+    are the same in any stack and whether its model is shared or stacked.
+    Raises ValueError for a model without an inverse or rows that do not
+    match the model.
     """
     if model.gram_inv is None:
         raise ValueError("model has no cached inverse Gram matrix (degenerate or reloaded)")
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     if x.ndim == 1 and y.ndim == 0:
         x, y = x[None], y[None]
-    if x.ndim != 2 or x.shape[1] != model.m or y.shape != (len(x),):
-        raise ValueError(f"row stack {x.shape} with response {y.shape} does not "
-                         f"match a model of {model.m} covariates")
-    z = np.empty((len(x), model.m + 1))
+    k = model.m + 1
+    if (x.ndim != 2 or x.shape[1] != model.m or y.shape != (len(x),)
+            or model.beta.shape not in ((k,), (len(x), k))
+            or model.gram_inv.shape != (*model.beta.shape, k)):
+        raise ValueError(f"row stack {x.shape} with response {y.shape} does not match "
+                         f"models of shape {model.beta.shape}")
+    z = np.empty((len(x), k))
     z[:, 0] = 1.0
     z[:, 1:] = x
-    gz = z @ model.gram_inv
-    return y - z @ model.beta, gz, np.einsum("ij,ij->i", gz, z)
+    gz = np.vecdot(z[:, :, None], model.gram_inv, axis=-2)
+    return y - np.vecdot(z, model.beta), gz, np.vecdot(gz, z)
 
 
 def _rank_one_update(model: RegionModel, x, y: float, sign: int) -> RegionModel:
@@ -308,6 +337,10 @@ def _rank_one_update(model: RegionModel, x, y: float, sign: int) -> RegionModel:
     With ``d = 1 + sign h``: ``beta' = beta + (sign e / d) zG`` and
     ``G'^-1 = G^-1 - (sign / d) zG' zG``.
     """
+    if isinstance(model, ModelStack):
+        raise ValueError("add_unit and remove_unit update one model, not a ModelStack")
+    if sign < 0 and model.n_obs - 1 < model.m + 1:
+        raise TooFewObservationsError("removal would leave fewer than m+1 observations")
     # unpacking one entry each rejects a stack of more than one row
     [e], [gz], [h] = _rank_one_terms(model, x, y)
     denom = 1.0 + sign * h
@@ -334,31 +367,31 @@ def remove_unit(model: RegionModel, x, y: float) -> RegionModel:
     The downdate counterpart of ``add_unit``, with its errors; also raises
     TooFewObservationsError when fewer than m+1 members would remain.
     """
-    if model.n_obs - 1 < model.m + 1:
-        raise TooFewObservationsError("removal would leave fewer than m+1 observations")
     return _rank_one_update(model, x, y, -1)
 
 
-def ssr_increase_if_added(model: RegionModel, x, y) -> float | np.ndarray:
+def ssr_increase_if_added(model: RegionModel | ModelStack, x, y) -> float | np.ndarray:
     """Exact SSR increase from absorbing ``(x, y)``, without refitting.
 
     Uses the recursive least-squares identity: the new SSR equals the old
     one plus e^2 / (1 + h), where e is the pre-update residual and h the
     leverage of the new row. With a ``(c, m)`` row stack ``x`` and a
-    ``(c,)`` response ``y`` it returns each row's increase as an array.
+    ``(c,)`` response ``y`` it returns each row's increase as an array;
+    with a ``ModelStack``, row i's increase for model i.
     """
     e, _, h = _rank_one_terms(model, x, y)
     gain = e * e / (1.0 + h)
     return float(gain[0]) if np.ndim(x) == 1 else gain
 
 
-def ssr_decrease_if_removed(model: RegionModel, x, y) -> float | np.ndarray:
+def ssr_decrease_if_removed(model: RegionModel | ModelStack, x, y) -> float | np.ndarray:
     """Exact SSR decrease from dropping member ``(x, y)``, without refitting.
 
     Leave-one-out identity: the SSR shrinks by e^2 / (1 - h). Raises
     NumericalBreakdownError when the row's leverage is ~1; a ``(c, m)``
-    row stack returns each row's decrease as an array, and raises when
-    any of its rows has leverage ~1.
+    row stack returns each row's decrease as an array, for one model or
+    row i's for model i of a ``ModelStack``, and raises when any of its
+    rows has leverage ~1.
     """
     e, _, h = _rank_one_terms(model, x, y)
     denom = 1.0 - h

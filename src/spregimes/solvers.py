@@ -27,6 +27,7 @@ from .graph import (
 )
 from .linreg import (
     Dataset,
+    ModelStack,
     RegionModel,
     fit_ols,
     region_ssr,
@@ -574,14 +575,22 @@ class _LocalSearch:
 
     A move inserts the unit into one member array and drops it from the
     other, and refits both regions with ``_fit`` (``moved_fits``), unless
-    ``refit_delta`` already fitted them to score the move; region sizes
-    are the lengths of the member arrays.
+    ``refit_delta`` already fitted them to score the move.
+
+    Four arrays indexed by region copy what the step policies read of
+    each ``_Fit``: ``sizes`` (member counts), ``beta`` (``(p, m+1)``
+    coefficients), ``gram_inv`` (``(p, m+1, m+1)`` inverse Grams, nan
+    where there is none) and ``usable`` (the model has an inverse, so the
+    rank-one identities apply). A fit changes only at start-up and in
+    ``move``, and both write the arrays (``_write``), so they always match
+    ``regions``.
 
     ``screen`` scores moving each of a region's candidates into it with
-    the rank-one identities, one stacked call per model, and marks the
-    candidates that only a full refit (``refit_delta``) can decide: all
-    those a model scores when that model is degenerate or its stacked
-    identity breaks down.
+    the rank-one identities, one add call against the region's model and
+    one removal call against the stack of the candidates' donor models,
+    gathered from the arrays, and marks the candidates that only a full
+    refit (``refit_delta``) can decide: every candidate a degenerate model
+    scores, and every candidate when either call breaks down.
 
     Cut rule: ``is_cut(v, d)`` asks whether region ``d`` without ``v``
     is disconnected. ``labels``, a Python list kept equal to ``assign``,
@@ -601,8 +610,9 @@ class _LocalSearch:
     a cut vertex.
 
     ``check_invariants`` asserts after every move that the unit touches
-    its new region, that ``labels`` equals ``assign``, and that every
-    region is connected and at least ``min_obs`` units large (debug
+    its new region, that ``labels`` equals ``assign``, that the per-region
+    arrays match every region's ``_Fit``, and that every region is
+    connected and at least ``min_obs`` units large (debug
     instrumentation).
     """
 
@@ -619,9 +629,28 @@ class _LocalSearch:
         self.labels = self.assign.tolist()
         self.rows = np.repeat(np.arange(graph.n), np.diff(graph.indptr))
         self.regions = _fit_labels(dataset, self.assign, config.p)
+        self.index_regions()
         self.trace = [_total(self.regions)]
         self.cuts: list[set[int] | None] = [None] * config.p
         self.charge = [0] * config.p
+
+    def index_regions(self):
+        """Build the per-region arrays from ``regions``."""
+        p, k = len(self.regions), self.dataset.m + 1
+        self.sizes = np.empty(p, dtype=np.int64)
+        self.beta = np.empty((p, k))
+        self.gram_inv = np.empty((p, k, k))
+        self.usable = np.empty(p, dtype=bool)
+        for r in range(p):
+            self._write(r)
+
+    def _write(self, r: int):
+        """Copy region ``r``'s ``_Fit`` into the per-region arrays."""
+        units, model, _ = self.regions[r]
+        self.sizes[r] = len(units)
+        self.beta[r] = model.beta
+        self.usable[r] = model.gram_inv is not None
+        self.gram_inv[r] = model.gram_inv if self.usable[r] else np.nan
 
     def is_cut(self, v: int, d: int) -> bool:
         """True when region ``d`` without its unit ``v`` is disconnected."""
@@ -651,48 +680,36 @@ class _LocalSearch:
         """Total-SSR change of moving each candidate from its donor into region ``j``.
 
         Rank-one identities give the exact changes in O(m^2) per
-        candidate: one stacked ``ssr_increase_if_added`` against region
-        ``j``, on the candidates in ascending order, and one stacked
-        ``ssr_decrease_if_removed`` per donor. The donors' rows are
-        gathered once, stably sorted by donor, so each donor's call reads
-        a contiguous slice holding its candidates in ascending order.
+        candidate, from two stacked calls over the candidates whose donor
+        has a usable model: ``ssr_increase_if_added`` against region
+        ``j``'s model, and ``ssr_decrease_if_removed`` against a
+        ``ModelStack`` of each candidate's donor, gathered from the
+        per-region arrays. Both score row by row, so a candidate's change
+        does not depend on which others are screened with it.
         Returns ``(delta, refit)``; ``refit`` marks the candidates whose
         change only ``refit_delta`` can give, and their ``delta`` is nan.
-        One rule decides them: a model that is degenerate, or whose
-        stacked call raises NumericalBreakdownError, leaves every
-        candidate it scores to refits. For region ``j`` that is every
-        candidate; for a donor, the donor's candidates. The removal
-        identity raises when any of the donor's rows has leverage ~1; the
-        add identity divides by 1 + h >= 1 and does not break down.
+        One rule decides them: a degenerate model leaves every candidate
+        it scores to refits (for region ``j`` every candidate, for a donor
+        its own), and so does a call that raises NumericalBreakdownError;
+        each call scores every candidate not already left to refits, so
+        then every candidate goes. The removal identity raises when any
+        row has leverage ~1 in its donor; the add identity divides by
+        1 + h >= 1.
         """
-        x, y = self.dataset.X[candidates], self.dataset.y[candidates]
         delta = np.full(len(candidates), np.nan)
-        refit = np.ones(len(candidates), dtype=bool)
-        target = self.regions[j].model
-        if target.degenerate:
-            return delta, refit
-        try:
-            gain = ssr_increase_if_added(target, x, y)
-        except NumericalBreakdownError:
-            return delta, refit
-        order = np.argsort(donors, kind="stable")
-        xs, ys = x[order], y[order]
-        # donor d's candidates are rows edges[d]:edges[d + 1] of the sorted stack
-        edges = np.searchsorted(donors[order], np.arange(len(self.regions) + 1)).tolist()
-        for d, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
-            if lo == hi:
-                continue
-            donor = self.regions[d].model
-            if donor.degenerate:
-                continue
+        scored = self.usable[donors] & self.usable[j]
+        if scored.any():
+            rows, owners = candidates[scored], donors[scored]
+            x, y = self.dataset.X[rows], self.dataset.y[rows]
             try:
-                loss = ssr_decrease_if_removed(donor, xs[lo:hi], ys[lo:hi])
+                gain = ssr_increase_if_added(self.regions[j].model, x, y)
+                loss = ssr_decrease_if_removed(
+                    ModelStack(self.beta[owners], self.gram_inv[owners]), x, y)
             except NumericalBreakdownError:
-                continue
-            rows = order[lo:hi]
-            delta[rows] = gain[rows] - loss
-            refit[rows] = False
-        return delta, refit
+                scored[:] = False
+            else:
+                delta[scored] = gain - loss
+        return delta, ~scored
 
     def refit_delta(self, v: int, d: int, j: int) -> tuple[float, tuple[_Fit, _Fit]]:
         """Total-SSR change from moving unit v out of region d into region j, by refits.
@@ -711,6 +728,8 @@ class _LocalSearch:
         if fits is None:
             fits = self.moved_fits(v, src, dst)
         self.regions[src], self.regions[dst] = fits
+        self._write(src)
+        self._write(dst)
         self.assign[v] = self.labels[v] = dst
         self.cuts[src] = self.cuts[dst] = None
         self.charge[src] = self.charge[dst] = 0
@@ -719,7 +738,13 @@ class _LocalSearch:
                 self.assign[w] == dst for w in self.graph.neighbors[v]
             ), "unit moved into a region it does not touch"
             assert self.labels == self.assign.tolist(), "label list out of step with assign"
-            for units, _, _ in self.regions:
+            for r, (units, model, _) in enumerate(self.regions):
+                assert self.sizes[r] == len(units), "size array out of step with regions"
+                assert np.array_equal(self.beta[r], model.beta), "beta array out of step"
+                assert self.usable[r] == (model.gram_inv is not None), "usable flag out of step"
+                if self.usable[r]:
+                    assert np.array_equal(self.gram_inv[r], model.gram_inv), \
+                        "inverse Gram array out of step"
                 assert len(units) >= self.config.min_obs, "region dropped below the minimum size"
                 assert is_connected_subset(self.graph, units), "region lost connectivity"
 
@@ -752,7 +777,20 @@ def _azp_candidates(graph: AdjacencyGraph, rows: np.ndarray, assign: np.ndarray,
     return np.flatnonzero((assign != j) & touch)
 
 
-def _rkm_candidates(graph: AdjacencyGraph, rows: np.ndarray, assign: np.ndarray,
+def _rkm_layout(graph: AdjacencyGraph, rows: np.ndarray, p: int
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """Where ``_rkm_candidates`` sets its flat ``(n * p)`` adjacency mask, fixed per search.
+
+    Returns ``(units, offsets)``: entry t marks the region of unit
+    ``units[t]`` in mask row ``offsets[t] // p``. The entries are the CSR
+    entries (a unit's neighbors, ``rows`` as in ``_azp_candidates``) and
+    then every unit itself.
+    """
+    own = np.arange(graph.n)
+    return np.concatenate((graph.indices, own)), np.concatenate((rows, own)) * p
+
+
+def _rkm_candidates(units: np.ndarray, offsets: np.ndarray, assign: np.ndarray,
                     resid: np.ndarray, sizes: np.ndarray, min_obs: int
                     ) -> tuple[np.ndarray, np.ndarray]:
     """RKM candidate units, ascending, and the region each would move to.
@@ -760,30 +798,28 @@ def _rkm_candidates(graph: AdjacencyGraph, rows: np.ndarray, assign: np.ndarray,
     A unit's best adjacent region is the one among its own and its
     neighbors' regions with the lowest ``resid`` entry, ties to the lower
     region index. A unit is a candidate when that region is not its own
-    and its own region has more than ``min_obs`` units. ``adjacent`` is
-    the ``(n, p)`` mask of each unit's own and neighbors' regions, set
-    along the CSR arrays (``rows`` as in ``_azp_candidates``); ``argmin``
-    over the masked residuals takes the first minimum, so ties go to the
-    lower index, as in the partition stage.
+    and its own region has more than ``min_obs`` units. The ``(n, p)``
+    mask of each unit's own and neighbors' regions is one flat array set
+    by one scatter at ``offsets + assign[units]`` (``_rkm_layout``);
+    ``argmin`` over the masked residuals takes the first minimum, so ties
+    go to the lower index, as in the partition stage.
     """
-    adjacent = np.zeros(resid.shape, dtype=bool)
-    adjacent[rows, assign[graph.indices]] = True
-    adjacent[np.arange(graph.n), assign] = True
-    best = np.argmin(np.where(adjacent, resid, np.inf), axis=1)
+    adjacent = np.zeros(resid.size, dtype=bool)
+    adjacent[offsets + assign[units]] = True
+    best = np.argmin(np.where(adjacent.reshape(resid.shape), resid, np.inf), axis=1)
     candidates = np.flatnonzero((best != assign) & (sizes[assign] > min_obs))
     return candidates, best[candidates]
 
 
 def _azp_pass(search: _LocalSearch) -> bool:
     """One AZP pass: at most one unit moves into each region, in index order."""
-    graph, rows, assign, regions = search.graph, search.rows, search.assign, search.regions
+    graph, rows, assign, sizes = search.graph, search.rows, search.assign, search.sizes
     min_obs = search.config.min_obs
     moved = False
     for j in range(search.config.p):
         candidates = _azp_candidates(graph, rows, assign, j)
         donors = assign[candidates]
         delta, refit = search.screen(candidates, donors, j)
-        sizes = np.array([len(f.units) for f in regions])
         viable = (sizes[donors] > min_obs) & (refit | (delta < -SSR_TOLERANCE))
         # first valid unit of a uniformly shuffled scan is a uniform
         # draw from the full valid set, without evaluating all of it
@@ -803,10 +839,13 @@ def _azp_pass(search: _LocalSearch) -> bool:
     return moved
 
 
-def _abs_residuals(dataset: Dataset, regions: list[_Fit]) -> np.ndarray:
-    """``(n, len(regions))`` absolute residuals of every unit under each region's model."""
-    betas = np.column_stack([f.model.beta for f in regions])
-    return np.abs(dataset.y[:, None] - dataset.augmented @ betas)
+def _abs_residuals(dataset: Dataset, beta: np.ndarray) -> np.ndarray:
+    """``(n, k)`` absolute residuals of every unit under each of the ``(k, m+1)`` models ``beta``.
+
+    The ``(m+1, k)`` operand is made C-contiguous, so the product and
+    its columns do not depend on how ``beta`` was laid out.
+    """
+    return np.abs(dataset.y[:, None] - dataset.augmented @ np.ascontiguousarray(beta.T))
 
 
 class _RkmStep:
@@ -814,19 +853,20 @@ class _RkmStep:
 
     ``resid`` is the ``(n, p)`` matrix of absolute residuals, kept across
     steps. A move refits only its two regions, so only their two columns
-    are recomputed, with one ``(n, m+1) @ (m+1, 2)`` product; its columns
-    equal those of the full ``(n, m+1) @ (m+1, p)`` product bit for bit,
-    which a single-column product (a matrix-vector kernel) need not.
+    are recomputed from the stored betas, with one ``(n, m+1) @ (m+1, 2)``
+    product; its columns equal those of the full ``(n, m+1) @ (m+1, p)``
+    product bit for bit, which a single-column product (a matrix-vector
+    kernel) need not. Sizes are read from ``_LocalSearch.sizes``.
     """
 
     def __init__(self, search: _LocalSearch):
-        self.resid = _abs_residuals(search.dataset, search.regions)
+        self.resid = _abs_residuals(search.dataset, search.beta)
+        self.units, self.offsets = _rkm_layout(search.graph, search.rows, search.config.p)
 
     def __call__(self, search: _LocalSearch) -> bool:
         assign = search.assign
-        sizes = np.array([len(f.units) for f in search.regions])
-        candidates, targets = _rkm_candidates(search.graph, search.rows, assign, self.resid,
-                                              sizes, search.config.min_obs)
+        candidates, targets = _rkm_candidates(self.units, self.offsets, assign, self.resid,
+                                              search.sizes, search.config.min_obs)
         candidates, targets = candidates.tolist(), targets.tolist()
         # uniform draw from the valid set via a shuffled first-hit scan
         for pos in search.rng.permutation(len(candidates)):
@@ -834,8 +874,7 @@ class _RkmStep:
             d, t = int(assign[i]), targets[pos]
             if not search.is_cut(i, d):
                 search.move(i, d, t)
-                self.resid[:, [d, t]] = _abs_residuals(search.dataset,
-                                                       [search.regions[d], search.regions[t]])
+                self.resid[:, [d, t]] = _abs_residuals(search.dataset, search.beta[[d, t]])
                 return True
         return False
 
@@ -849,15 +888,18 @@ def solve_azp(dataset: Dataset, graph: AdjacencyGraph, config: SolverConfig,
     ``min_obs``, (b) the move strictly lowers the total SSR, and (c) the
     donor stays connected without it. The checks run in the order size,
     SSR, connectivity. Check (b) uses rank-one identities, scored for all
-    of region j's candidates at once, one stacked call per model. Where a
-    model is degenerate or its stacked call breaks down (a donor row of
-    leverage ~1), every candidate that model scores is decided by full
-    refits, after check (c). Check (c) is ``_LocalSearch.is_cut``: local
-    searches from the unit's neighbors in the donor, until they have
-    popped ``CUT_SEARCH_SHARE`` times as many units as the donor holds since
-    it last changed, then a lookup in the
-    donor's cut vertices, walked once and cached. Every check is a pure function of the
-    current state, so the order does not change which unit moves.
+    of region j's candidates at once: one add call against region j's
+    model and one removal call against the stack of each candidate's
+    donor model (``_LocalSearch.screen``). A degenerate model leaves every
+    candidate it scores to full refits, and a call that breaks down (a
+    candidate of leverage ~1 in its donor) leaves every candidate to
+    them; refits decide a candidate after check (c). Check (c) is
+    ``_LocalSearch.is_cut``: local searches from the unit's neighbors in
+    the donor, until they have popped ``CUT_SEARCH_SHARE`` times as many
+    units as the donor holds since it last changed, then a lookup in the
+    donor's cut vertices, walked once and cached. Every check is a pure
+    function of the current state, so the order does not change which
+    unit moves. Donor sizes come from ``_LocalSearch.sizes``.
     One uniformly random valid unit is moved per region per pass and both
     affected models are refit immediately, so later regions in the same
     pass see the updated state. Terminates when a full pass moves nothing
@@ -887,11 +929,12 @@ def solve_regional_kmodels(dataset: Dataset, graph: AdjacencyGraph, config: Solv
     scan of the residual matrix along the graph's CSR arrays
     (``_rkm_candidates``), in ascending unit order. The residual matrix
     is kept across moves, and a move recomputes only its two regions'
-    columns (``_RkmStep``).
+    columns, from the betas stored in ``_LocalSearch.beta`` (``_RkmStep``).
 
     The connectivity check is ``_LocalSearch.is_cut``: local searches in
     the donor, until they have popped ``CUT_SEARCH_SHARE`` times as many
-    units as the donor holds since it last changed, then a lookup in its cut vertices, walked once and cached. ``check_invariants`` asserts
+    units as the donor holds since it last changed, then a lookup in its
+    cut vertices, walked once and cached. ``check_invariants`` asserts
     the feasibility of every region after every move (debug
     instrumentation).
     """

@@ -17,7 +17,12 @@ from spregimes import (
     ssr_increase_if_added,
 )
 
-from spregimes.linreg import _CERTIFIED_CONDITION_SQ, _frobenius_condition_sq, union_delta
+from spregimes.linreg import (
+    _CERTIFIED_CONDITION_SQ,
+    ModelStack,
+    _frobenius_condition_sq,
+    union_delta,
+)
 
 from conftest import rank_one_rounding
 
@@ -420,6 +425,87 @@ class TestRankOneStacks:
         for rank_one in RANK_ONE_FUNCTIONS:
             with pytest.raises(ValueError, match="row stack"):
                 rank_one(model, np.ones(3), 1.0)
+
+
+def stack_of(models, owners, m):
+    """The ``ModelStack`` scoring row i against ``models[owners[i]]``."""
+    return ModelStack(np.array([models[o].beta for o in owners]).reshape(-1, m + 1),
+                      np.array([models[o].gram_inv for o in owners]).reshape(-1, m + 1, m + 1))
+
+
+@st.composite
+def model_stack_cases(draw):
+    """Models fitted on disjoint blocks, rows to add and members to drop, each with a model.
+
+    Blocks hold 3(m+1) rows or more, so no member's leverage comes near
+    1, except, when ``unit_leverage`` is drawn, blocks of exactly m+1
+    rows at the vertices of a jittered simplex, whose members have
+    leverage 1 up to rounding. Rows to add are any rows, members to drop
+    belong to their model's block; either stack may be empty.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = draw(st.integers(1, 3))
+    unit_leverage = draw(st.booleans())
+    sizes = [m + 1 if unit_leverage and draw(st.booleans()) else draw(st.integers(3 * (m + 1), 20))
+             for _ in range(draw(st.integers(1, 4)))]
+    outside = draw(st.integers(0, 10))
+    ds = random_dataset(rng, sum(sizes) + outside, m, noise=draw(st.floats(0.1, 2.0)))
+    starts = np.cumsum([0, *sizes])
+    for lo, size in zip(starts, sizes):
+        if size == m + 1:
+            simplex = np.vstack((np.zeros(m), np.eye(m))) + 0.1 * rng.normal(size=(m + 1, m))
+            ds.X[lo:lo + size] = rng.normal(size=m) + simplex
+    models = [fit_ols(ds, range(lo, lo + size)) for lo, size in zip(starts, sizes)]
+    adders = rng.integers(len(models), size=draw(st.integers(0, 12)))
+    added = rng.integers(len(ds.y), size=len(adders))
+    droppers = rng.integers(len(models), size=draw(st.integers(0, 12)))
+    dropped = starts[droppers] + rng.integers(np.array(sizes)[droppers])
+    return ds, models, (adders, added), (droppers, dropped)
+
+
+class TestModelStacks:
+    """Row i of a ``ModelStack`` call is scored against model i."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(model_stack_cases())
+    def test_stack_equals_one_model_form_row_by_row(self, case):
+        ds, models, added, dropped = case
+        # members of an (m+1)-row fit make the removal raise; see below
+        assume(all(models[o].n_obs > ds.m + 1 for o in dropped[0].tolist()))
+        for test, sign, (owners, rows) in ((ssr_increase_if_added, 1.0, added),
+                                           (ssr_decrease_if_removed, -1.0, dropped)):
+            stacked = test(stack_of(models, owners, ds.m), ds.X[rows], ds.y[rows])
+            assert isinstance(stacked, np.ndarray) and stacked.shape == rows.shape
+            for value, owner, row in zip(stacked.tolist(), owners.tolist(), rows.tolist()):
+                x, y = ds.X[row], float(ds.y[row])
+                one = test(models[owner], x, y)
+                assert abs(value - one) <= rank_one_rounding(models[owner], x, y, sign)[0]
+
+    @settings(max_examples=150, deadline=None)
+    @given(model_stack_cases())
+    def test_removal_raises_exactly_when_a_row_has_unit_leverage(self, case):
+        ds, models, _, (owners, rows) = case
+        unit_leverage = any(models[o].n_obs == ds.m + 1 for o in owners.tolist())
+        stack = stack_of(models, owners, ds.m)
+        if unit_leverage:
+            with pytest.raises(NumericalBreakdownError, match="leverage"):
+                ssr_decrease_if_removed(stack, ds.X[rows], ds.y[rows])
+        else:
+            assert (ssr_decrease_if_removed(stack, ds.X[rows], ds.y[rows]) >= 0.0).all()
+        # adding a row never divides by less than one
+        assert (ssr_increase_if_added(stack, ds.X[rows], ds.y[rows]) >= 0.0).all()
+
+    def test_updates_reject_a_stack(self, rng):
+        ds = random_dataset(rng, 10, 2)
+        model = fit_ols(ds, range(10))
+        stack = ModelStack(model.beta[None], model.gram_inv[None])
+        for update in (add_unit, remove_unit):
+            with pytest.raises(ValueError, match="ModelStack"):
+                update(stack, ds.X[0], float(ds.y[0]))
+        # a stack holds one model per row
+        for test in (ssr_increase_if_added, ssr_decrease_if_removed):
+            with pytest.raises(ValueError, match="row stack"):
+                test(stack, ds.X[:2], ds.y[:2])
 
 
 class TestMergedRegionSsr:

@@ -46,6 +46,7 @@ from spregimes.solvers import (
     _partition_sweep,
     _RegionPool,
     _rkm_candidates,
+    _rkm_layout,
     _RkmStep,
 )
 from spregimes.synthgen import SimulationSpec
@@ -878,22 +879,26 @@ def azp_candidates_loop(graph, assign, j):
 
 
 def move_delta_oracle(search, v, d, j, offered):
-    """The scalar rank-one tests, with the per-donor rule of ``_LocalSearch.screen``.
+    """The scalar rank-one tests, with the refit rule of ``_LocalSearch.screen``.
 
     Returns the SSR increase of region ``j`` and decrease of region ``d``
     from moving unit ``v``, or None where the full refit decides: when
-    either model is degenerate, or when the stacked removal test over
-    ``offered``, every candidate unit donor ``d`` offers region ``j``,
-    breaks down.
+    either model is degenerate, or when the scalar removal test of any
+    unit in ``offered``, every candidate unit of region ``j``, from its
+    own donor breaks down, unless that donor is degenerate.
     """
     dataset, fj, fd = search.dataset, search.regions[j], search.regions[d]
     x, yv = dataset.X[v], float(dataset.y[v])
     if fj.model.degenerate or fd.model.degenerate:
         return None
-    try:
-        ssr_decrease_if_removed(fd.model, dataset.X[offered], dataset.y[offered])
-    except NumericalBreakdownError:
-        return None
+    for u in offered.tolist():
+        donor = search.regions[search.assign[u]].model
+        if donor.degenerate:
+            continue
+        try:
+            ssr_decrease_if_removed(donor, dataset.X[u], float(dataset.y[u]))
+        except NumericalBreakdownError:
+            return None
     return ssr_increase_if_added(fj.model, x, yv), ssr_decrease_if_removed(fd.model, x, yv)
 
 
@@ -902,6 +907,7 @@ def search_state(dataset, graph, labels, p):
     search = object.__new__(_LocalSearch)
     search.dataset, search.graph, search.assign = dataset, graph, labels
     search.regions = solvers._fit_labels(dataset, labels, p)
+    search.index_regions()
     return search
 
 
@@ -946,7 +952,7 @@ class TestSsrScreen:
             delta, refit = search.screen(candidates, donors, j)
             for pos, v in enumerate(candidates.tolist()):
                 d = int(donors[pos])
-                expected = move_delta_oracle(search, v, d, j, candidates[donors == d])
+                expected = move_delta_oracle(search, v, d, j, candidates)
                 assert refit[pos] == (expected is None)
                 if expected is None:
                     assert np.isnan(delta[pos])
@@ -980,15 +986,27 @@ class TestSsrScreen:
         assert np.isnan(delta).all()
 
     @settings(max_examples=150, deadline=None)
-    @given(screen_cases())
-    def test_screen_equals_per_donor_loop(self, case):
+    @given(screen_cases(), st.integers(0, 2**32 - 1))
+    def test_a_candidates_change_does_not_depend_on_its_stack(self, case, seed):
         dataset, graph, labels, p = case
         search = search_state(dataset, graph, labels, p)
+        rng = np.random.default_rng(seed)
         for j in range(p):
             candidates = _azp_candidates(graph, csr_rows(graph), labels, j)
-            assert_same_screen(search, candidates, labels[candidates], j)
+            donors = labels[candidates]
+            delta, refit = search.screen(candidates, donors, j)
+            # a shuffled stack holds the same rows, so the refit rule decides alike
+            order = rng.permutation(len(candidates))
+            shuffled_delta, shuffled_refit = search.screen(candidates[order], donors[order], j)
+            assert np.array_equal(shuffled_refit, refit[order])
+            assert np.array_equal(shuffled_delta, delta[order], equal_nan=True)
+            # alone, a row is not sent to refits by another row's breakdown
+            for pos in np.flatnonzero(~refit).tolist():
+                alone_delta, alone_refit = search.screen(candidates[[pos]], donors[[pos]], j)
+                assert alone_refit.tolist() == [False]
+                assert alone_delta[0] == delta[pos]
 
-    def test_screen_equals_per_donor_loop_with_degenerate_and_breakdown_donors(self, rng):
+    def test_degenerate_and_breakdown_donors_send_every_candidate_to_refits(self, rng):
         # region 0 is columns 0-1 of a 6x6 grid; rows 0 and 3 of columns
         # 2-5 are donor 1, rows 1 and 4 donor 2, rows 2 and 5 donor 3, so
         # the candidates in column 2 alternate between the donors. Donor 2
@@ -1008,10 +1026,28 @@ class TestSsrScreen:
         assert candidates.tolist() == [2, 8, 14, 20, 26, 32]
         assert donors.tolist() == [1, 2, 3, 1, 2, 3]
         assert search.regions[2].model.degenerate
+        assert search.usable.tolist() == [True, True, False, True]
         with pytest.raises(NumericalBreakdownError):
             ssr_decrease_if_removed(search.regions[3].model, x[[14, 32]], dataset.y[[14, 32]])
-        delta, refit = assert_same_screen(search, candidates, donors, 0)
-        assert refit.tolist() == [False, True, True, False, True, True]
+        delta, refit = search.screen(candidates, donors, 0)
+        assert refit.all() and np.isnan(delta).all()
+        # without donor 3's candidates, only the degenerate donor's go to refits
+        kept = donors != 3
+        delta, refit = search.screen(candidates[kept], donors[kept], 0)
+        assert refit.tolist() == [False, True, False, True]
+        assert np.isfinite(delta[~refit]).all() and np.isnan(delta[refit]).all()
+
+    def test_move_checks_the_region_arrays(self, rect_sim, grid25):
+        search = _LocalSearch(rect_sim.dataset, grid25, SolverConfig(p=5, min_obs=10, seed=7),
+                              check_invariants=True)
+        assert search.sizes.tolist() == [len(f.units) for f in search.regions]
+        assert np.array_equal(search.beta, [f.model.beta for f in search.regions])
+        assert np.array_equal(search.gram_inv, [f.model.gram_inv for f in search.regions])
+        assert search.usable.all()
+        # a move rewrites its two regions, so the other three stay stale
+        search.beta += 1.0
+        with pytest.raises(AssertionError, match="beta array"):
+            random_move(search, np.random.default_rng(0))
 
     def test_converged_pass_builds_no_cut_set(self, monkeypatch):
         # a noiseless two-regime chain converges at SSR 0, so no unit can
@@ -1072,41 +1108,6 @@ class TestSsrScreen:
         assert np.array_equal(forced.partition.assignment, plain.partition.assignment)
 
 
-def screen_loop(search, candidates, donors, j):
-    """Reference screen: one ``flatnonzero`` gather per donor, as before the grouping."""
-    x, y = search.dataset.X[candidates], search.dataset.y[candidates]
-    delta = np.full(len(candidates), np.nan)
-    refit = np.ones(len(candidates), dtype=bool)
-    target = search.regions[j].model
-    if target.degenerate:
-        return delta, refit
-    try:
-        gain = ssr_increase_if_added(target, x, y)
-    except NumericalBreakdownError:
-        return delta, refit
-    for d in np.unique(donors).tolist():
-        donor = search.regions[d].model
-        if donor.degenerate:
-            continue
-        rows = np.flatnonzero(donors == d)
-        try:
-            loss = ssr_decrease_if_removed(donor, x[rows], y[rows])
-        except NumericalBreakdownError:
-            continue
-        delta[rows] = gain[rows] - loss
-        refit[rows] = False
-    return delta, refit
-
-
-def assert_same_screen(search, candidates, donors, j):
-    """``search.screen`` equals ``screen_loop`` bit for bit; returns its result."""
-    delta, refit = search.screen(candidates, donors, j)
-    expected_delta, expected_refit = screen_loop(search, candidates, donors, j)
-    assert np.array_equal(refit, expected_refit)
-    assert np.array_equal(delta, expected_delta, equal_nan=True)
-    return delta, refit
-
-
 def counted(fn, calls, name):
     def wrapper(*args, **kwargs):
         calls[name] += 1
@@ -1148,8 +1149,8 @@ class TestCandidateScans:
     @given(scan_cases())
     def test_rkm_scan_matches_loop(self, case):
         graph, assign, resid, sizes, min_obs = case
-        candidates, targets = _rkm_candidates(graph, csr_rows(graph), assign, resid,
-                                              sizes, min_obs)
+        units, offsets = _rkm_layout(graph, csr_rows(graph), resid.shape[1])
+        candidates, targets = _rkm_candidates(units, offsets, assign, resid, sizes, min_obs)
         assert (candidates.tolist(), targets.tolist()) == rkm_candidates_loop(
             graph, assign, resid, sizes, min_obs)
 
@@ -1280,7 +1281,8 @@ class TestRkmResiduals:
 
         def checked(state):
             moved = step(state)
-            assert np.array_equal(step.resid, _abs_residuals(dataset, state.regions))
+            betas = np.array([f.model.beta for f in state.regions])
+            assert np.array_equal(step.resid, _abs_residuals(dataset, betas))
             return moved
 
         assert fingerprint(search.run(checked)) == pins
