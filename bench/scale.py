@@ -22,7 +22,10 @@ Both sides must give the same SSR ``repr`` and assignment sha1 in every
 repeat; the report marks each case ``identical``. The JSON written to
 ``--out`` holds the settings, the machine and every time. Each case gives
 the change/base ratio of the medians (``ratio``), each repeat's pair ratio
-(``pair_ratios``) and their median (``pair_ratio_median``); ``slopes`` gives,
+(``pair_ratios``), their median (``pair_ratio_median``), their quartiles
+(``pair_ratio_quartiles``, interpolated between the smallest and largest
+ratio) and how many pairs the change won, with a ratio below 1
+(``pairs_won``); the report prints the last two as well. ``slopes`` gives,
 per solver and side, the least-squares slope of log median CPU seconds on
 log units. On a shared machine that drifts in speed, compare pair ratios,
 not raw times.
@@ -132,7 +135,16 @@ def run_case(sources: dict, solver: str, size: int, repeats: int, index: int) ->
     return {"solver": solver, "size": size, "first": "base" if index % 2 == 0 else "change",
             "ratio": change["median_s"] / base["median_s"],
             "pair_ratios": ratios, "pair_ratio_median": statistics.median(ratios),
+            "pair_ratio_quartiles": quartiles(ratios),
+            "pairs_won": sum(ratio < 1.0 for ratio in ratios),
             "identical": len(prints) == 1, "base": base, "change": change}
+
+
+def quartiles(values: list) -> list:
+    """First, second and third quartile of ``values``, all three the value if only one."""
+    if len(values) == 1:
+        return values * 3
+    return statistics.quantiles(values, n=4, method="inclusive")
 
 
 def slopes(cases: list) -> dict:
@@ -189,8 +201,9 @@ def main(argv=None):
             cases.append(case)
             base, change = case["base"], case["change"]
             print(f"{solver:8s} {size}x{size}: base {base['median_s']:.3f} s, change "
-                  f"{change['median_s']:.3f} s, ratio {case['ratio']:.2f}, pair-ratio median "
-                  f"{case['pair_ratio_median']:.2f}, iterations "
+                  f"{change['median_s']:.3f} s, ratio {case['ratio']:.2f}, pair-ratio quartiles "
+                  f"{'/'.join(f'{q:.2f}' for q in case['pair_ratio_quartiles'])}, change won "
+                  f"{case['pairs_won']} of {args.repeats}, iterations "
                   f"{change['iterations']} ({change['stop_reason']}), "
                   f"{'identical' if case['identical'] else 'OUTPUTS DIFFER'}", flush=True)
     fitted = slopes(cases)

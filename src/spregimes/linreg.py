@@ -18,15 +18,15 @@ bits as against the model itself. A fit is screened for rank deficiency
 by a Frobenius-norm bound on the condition number of its Gram matrix,
 and only fits the bound cannot certify pay for an SVD (see ``fit_ols``).
 
-The SSR change of merging two regions follows from cross-products alone,
+The SSR of a union of two regions follows from cross-products alone,
 without gathering the union's rows: with ``Z = [1 X y]`` over a region's
 rows, the union's ``Z'Z`` is the sum of its two sides' (Chan, Golub &
 LeVeque 1983 on pooled sums of squares), and its SSR is
-``y'y - xty' G^-1 xty`` from the blocks of that sum. ``union_delta``
-scores a stack of unions so and returns a rounding bound ``err`` with
-each estimate, so that ``fit_ols`` over the union lies within ``err`` of
-it; callers use the interval to skip union fits that cannot change a
-decision.
+``y'y - xty' G^-1 xty`` from the blocks of that sum. ``union_ssr``
+scores a stack of unions so, one inverse for the whole stack, and gives
+no score to a union whose Gram fails the Frobenius screen of
+``fit_ols``. A score differs from ``fit_ols`` over the union's rows only
+by rounding, relative to the union's ``y'y``.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ __all__ = [
     "remove_unit",
     "ssr_increase_if_added",
     "ssr_decrease_if_removed",
-    "union_delta",
+    "union_ssr",
 ]
 
 # Gram matrices above this condition estimate are treated as rank deficient
@@ -61,9 +61,6 @@ _CERTIFIED_CONDITION_SQ = (RANK_DEFICIENT_CONDITION / 10) ** 2
 
 # Rank-one update denominators below this magnitude trigger a refit fallback.
 BREAKDOWN_EPS = 1e-12
-
-# Rounding allowance C of the merge identities (see ``_merge_error``).
-MERGE_ERROR_FACTOR = 16.0
 
 
 @dataclass
@@ -401,47 +398,22 @@ def ssr_decrease_if_removed(model: RegionModel | ModelStack, x, y) -> float | np
     return float(loss[0]) if np.ndim(x) == 1 else loss
 
 
-def _merge_error(delta, kappa, n, ssr, yy) -> np.ndarray:
-    """Rounding bound on the gap between ``union_delta`` and a union fit.
-
-    ``C u (kappa_F + n) (ssr + |delta| + y'y)`` with u the machine
-    epsilon, kappa_F the Frobenius bound on the union Gram's condition, n
-    the union's size, ``ssr`` its two sides' SSRs summed and ``y'y`` its
-    sum of squared responses, read from the rows' cross-products. Both
-    the identity and the fit round their residuals relative to the
-    responses, not to the residuals, so the ``y'y`` term keeps the bound
-    valid on nearly noise-free data, where a bound in the SSRs alone reads
-    about zero. The largest ratio of ``|delta - exact|`` to
-    ``u (kappa_F + n) (...)`` measured is 0.38 over 113,362 unions that
-    K-Models merge stages bounded (the 20,000-point knn data of
-    perfbench, data seeds 909, 1 and 2, and forty 25x25 grid solves) and
-    0.54 over 39,500 random designs (noise 0 to 2, offsets up to 50,
-    scales 1e-2 to 1e2, near-collinear columns, cross-products summed
-    over random chunks); ``MERGE_ERROR_FACTOR`` C = 16 leaves a margin
-    of 30.
-    """
-    scale = ssr + np.abs(delta) + yy
-    return MERGE_ERROR_FACTOR * np.finfo(float).eps * (kappa + n) * scale
-
-
-def union_delta(cross, ssr, n) -> tuple[np.ndarray, np.ndarray]:
-    """SSR change of each union in a stack, from its cross-products alone.
+def union_ssr(cross) -> np.ndarray:
+    """SSR of each union in a stack, from its cross-products alone.
 
     ``cross`` is a ``(k, m+2, m+2)`` stack of each union's ``Z'Z`` with
-    ``Z = [1 X y]`` over its rows: the sum of its two sides'. ``ssr``
-    holds the two sides' SSRs summed (0.0 for a side without a model) and
-    ``n`` the union's size. With ``G``, ``xty`` and ``y'y`` the blocks of
-    ``Z'Z``, the union's SSR is ``y'y - xty' G^-1 xty``, and its change is
-    that minus ``ssr``. Returns ``(delta, err)`` arrays, one entry per
-    union: ``fit_ols`` over the union, minus ``ssr``, lies within ``err``
-    of ``delta`` (see ``_merge_error``). ``err`` is nan where ``G`` fails
-    the Frobenius screen of ``fit_ols``, and ``np.linalg.inv`` raises
-    LinAlgError for the whole stack when one ``G`` is exactly singular.
+    ``Z = [1 X y]`` over its rows: the sum of its two sides'. With ``G``,
+    ``xty`` and ``y'y`` the blocks of ``Z'Z``, the union's SSR is
+    ``y'y - xty' G^-1 xty``. Returns one entry per union, nan where ``G``
+    fails the Frobenius screen of ``fit_ols``, so that only a union whose
+    fit would be certified non-degenerate gets a score. A union's score
+    does not depend on the other unions of its stack, but
+    ``np.linalg.inv`` raises LinAlgError for the whole stack when one
+    ``G`` is exactly singular.
     """
     cross = np.asarray(cross, dtype=float)
     gram, xty, yy = cross[:, :-1, :-1], cross[:, :-1, -1], cross[:, -1, -1]
     gram_inv = np.linalg.inv(gram)
-    delta = yy - np.vecdot(xty, (gram_inv @ xty[..., None])[..., 0]) - ssr
-    screen = _frobenius_condition_sq(gram, gram_inv)
-    kappa = np.where(screen < _CERTIFIED_CONDITION_SQ, np.sqrt(screen), np.nan)
-    return delta, _merge_error(delta, kappa, n, ssr, yy)
+    ssr = yy - np.vecdot(xty, (gram_inv @ xty[..., None])[..., 0])
+    certified = _frobenius_condition_sq(gram, gram_inv) < _CERTIFIED_CONDITION_SQ
+    return np.where(certified, ssr, np.nan)

@@ -21,7 +21,7 @@ from spregimes.linreg import (
     _CERTIFIED_CONDITION_SQ,
     ModelStack,
     _frobenius_condition_sq,
-    union_delta,
+    union_ssr,
 )
 
 from conftest import rank_one_rounding
@@ -560,72 +560,105 @@ def cross(ds, members, rng=None):
     return sum(c.T @ c for c in chunks if len(c))
 
 
-def block_ssr(ds, members):
-    """SSR of a block's fit, 0.0 for a block of fewer than m+1 rows."""
-    return fit_ols(ds, members).ssr if len(members) > ds.m else 0.0
+# Rounding allowance C of a union's score against its fit (see ``score_unions``)
+SCORE_TOLERANCE = 16.0
 
 
 def score_unions(ds, a, blocks, rng=None):
-    """``union_delta`` of ``a`` with each block, and each union's exact change by ``fit_ols``."""
-    ssr_a, cross_a = block_ssr(ds, a), cross(ds, a, rng)
-    ssr = np.array([ssr_a + block_ssr(ds, b) for b in blocks])
-    delta, err = union_delta(np.array([cross_a + cross(ds, b, rng) for b in blocks]), ssr,
-                             np.array([len(a) + len(b) for b in blocks]))
-    exact = [fit_ols(ds, np.sort(np.concatenate((a, b)))).ssr - s for b, s in zip(blocks, ssr)]
-    return delta, err, np.array(exact)
+    """``union_ssr`` of ``a`` with each block, its tolerance, and each union's fit.
+
+    Returns ``(score, err, exact)``, one entry per block: the score from
+    the summed cross-products, the stated tolerance ``C u (kappa_F + n)
+    y'y`` and the SSR of ``fit_ols`` over the union's rows. Here u is the
+    machine epsilon, kappa_F the Frobenius bound on the summed Gram's
+    condition, n the union's size and ``y'y`` its sum of squared
+    responses. A score and a fit both round their residuals relative to
+    the responses, not to the residuals, so the tolerance is relative to
+    ``y'y``, and it stays valid on nearly noise-free data, where the SSR
+    itself is about zero.
+    """
+    cross_a = cross(ds, a, rng)
+    crosses = np.array([cross_a + cross(ds, b, rng) for b in blocks])
+    score = union_ssr(crosses)
+    gram = crosses[:, :-1, :-1]
+    screen = _frobenius_condition_sq(gram, np.linalg.inv(gram))
+    kappa = np.where(screen < _CERTIFIED_CONDITION_SQ, np.sqrt(screen), np.nan)
+    n = np.array([len(a) + len(b) for b in blocks])
+    err = SCORE_TOLERANCE * np.finfo(float).eps * (kappa + n) * crosses[:, -1, -1]
+    exact = [fit_ols(ds, np.sort(np.concatenate((a, b)))).ssr for b in blocks]
+    return score, err, np.array(exact)
+
+
+def certified_union(ds, members):
+    """Whether the Gram of ``members`` passes the Frobenius screen of ``fit_ols``."""
+    gram = ds.augmented[members].T @ ds.augmented[members]
+    try:
+        return bool(_frobenius_condition_sq(gram, np.linalg.inv(gram)) < _CERTIFIED_CONDITION_SQ)
+    except np.linalg.LinAlgError:
+        return False
 
 
 class TestMergeIdentities:
-    """``union_delta`` bounds the exact union fits within ``err``."""
+    """``union_ssr`` scores a union within a stated tolerance of its fit, or not at all."""
 
     @settings(max_examples=300, deadline=None)
     @given(merge_identity_cases())
     def test_within_err_of_union_fit(self, case):
         ds, a, blocks, rng = case
-        delta, err, exact = score_unions(ds, a, blocks, rng)
-        certified = np.isfinite(err)
-        assume(certified.any())
-        assert (err[certified] >= 0.0).all()
-        assert (np.abs(delta - exact)[certified] <= err[certified]).all()
+        score, err, exact = score_unions(ds, a, blocks, rng)
+        scored = np.isfinite(score)
+        assume(scored.any())
+        assert (np.isfinite(err) == scored).all()
+        assert (np.abs(score - exact)[scored] <= err[scored]).all()
 
     @pytest.mark.parametrize("eps", CONDITION_EPS)
     @pytest.mark.parametrize("size_a", [1, 2, 12])
     def test_condition_designs(self, eps, size_a):
         ds = condition_design(eps)
         a, b = np.arange(size_a), np.arange(size_a, 40)
-        gram = ds.augmented.T @ ds.augmented
+        certified = certified_union(ds, np.arange(40))
         try:
-            certified = _frobenius_condition_sq(gram, np.linalg.inv(gram)) < \
-                _CERTIFIED_CONDITION_SQ
+            score, err, exact = score_unions(ds, a, [b])
         except np.linalg.LinAlgError:
-            certified = False
-        try:
-            delta, err, exact = score_unions(ds, a, [b])
-        except np.linalg.LinAlgError:
-            # the summed Gram is exactly singular; the batch gets no bound
+            # the summed Gram is exactly singular; the batch gets no score
             assert not certified
             return
-        # err is nan where the union's fit fails the Frobenius screen too
-        assert np.isfinite(err[0]) == certified
+        # a union whose fit fails the Frobenius screen gets no score
+        assert np.isfinite(score[0]) == certified
         if certified:
-            assert abs(delta[0] - exact[0]) <= err[0]
+            assert abs(score[0] - exact[0]) <= err[0]
+
+    @pytest.mark.parametrize("offset", [0.0, 1e2, 1e4, 1e6])
+    @pytest.mark.parametrize("noise", [0.0, 1e-6, 1.0])
+    def test_offsets(self, rng, offset, noise):
+        # a common offset on the covariates and the response leaves the
+        # residuals as they are but grows y'y and the Gram's condition,
+        # and with them the tolerance; far enough, the screen refuses
+        x = rng.normal(size=(40, 2)) + offset
+        ds = Dataset(X=x, y=x @ [1.0, -2.0] + offset + noise * rng.normal(size=40))
+        score, err, exact = score_unions(ds, np.arange(7), [np.arange(7, 40)])
+        assert np.isfinite(score[0]) == certified_union(ds, np.arange(40))
+        if np.isfinite(score[0]):
+            assert abs(score[0] - exact[0]) <= err[0]
 
     def test_zero_response_bounds_are_exact_zeros(self, rng):
+        # with y = 0 the score, its tolerance and the fit are all 0.0
         ds = Dataset(X=rng.normal(size=(30, 2)), y=np.zeros(30))
         for a in (np.arange(2), np.arange(10)):
-            delta, err, _ = score_unions(ds, a, [np.arange(10, 30)])
-            assert delta.tolist() == [0.0] and err.tolist() == [0.0]
+            score, err, exact = score_unions(ds, a, [np.arange(10, 30)])
+            assert score.tolist() == err.tolist() == exact.tolist() == [0.0]
 
     def test_unions_without_two_certified_fits_are_bounded(self, rng):
         # two pieces too small for a model, and a piece whose fit the SVD
-        # decided, each joined with a well-conditioned region
+        # decided, each joined with a well-conditioned region: each union
+        # is scored within its tolerance
         x = rng.normal(size=(30, 2))
         x[:3, 1] = 2.0 * x[:3, 0]
         ds = Dataset(X=x, y=rng.normal(size=30))
         assert fit_ols(ds, np.arange(3)).degenerate
         for a, b in [(np.arange(3, 5), np.arange(5, 7)), (np.arange(3), np.arange(3, 30))]:
-            delta, err, exact = score_unions(ds, a, [b])
-            assert np.isfinite(err[0]) and abs(delta[0] - exact[0]) <= err[0]
+            score, err, exact = score_unions(ds, a, [b])
+            assert np.isfinite(score[0]) and abs(score[0] - exact[0]) <= err[0]
 
 
 class TestScaler:

@@ -35,6 +35,7 @@ from spregimes import (
     ssr_increase_if_added,
 )
 from spregimes import linreg, solvers
+from spregimes.linreg import union_ssr
 from spregimes.solvers import (
     SSR_TOLERANCE,
     _abs_residuals,
@@ -239,58 +240,58 @@ class TestMergeStage:
             assert is_connected_subset(grid25, part.members(j))
 
     def test_region_without_finite_merge_raises_named_error(self, rng, monkeypatch):
+        # a constant covariate makes every summed Gram exactly singular,
+        # so the size repair scores no union: it fits the one candidate
+        # when it pops and finds its change nan
         monkeypatch.setattr(
             solvers._RegionPool, "union_fit",
             lambda pool, a, b: solvers._Fit(pool.regions[a].units, None, float("nan")))
-        bounded = []
-        lower_bounds = solvers._RegionPool.lower_bounds
+        scored = []
+        scores = solvers._RegionPool.scores
 
         def recording(pool, pairs):
-            bounded.append(lower_bounds(pool, pairs))
-            return bounded[-1]
+            scored.append(scores(pool, pairs))
+            return scored[-1]
 
-        monkeypatch.setattr(solvers._RegionPool, "lower_bounds", recording)
-        # at either size the size repair bounds the one union first and
-        # only then finds that its fit is nan
+        monkeypatch.setattr(solvers._RegionPool, "scores", recording)
         for side in (4, 33):
             n = side * side
             g = build_grid_graph(side, side)
-            ds = Dataset(X=rng.random((n, 1)), y=rng.random(n))
+            ds = Dataset(X=np.ones((n, 1)), y=rng.random(n))
             labels = np.ones(n, dtype=int)
             labels[5] = 0  # an undersized region of one unit
-            bounded.clear()
+            scored.clear()
             with pytest.raises(MergeInfeasibleError, match=r"size 1, smallest member 5"):
                 kmodels_merge_stage(ds, g, Partition(labels, 2), SolverConfig(p=2, min_obs=2))
-            assert [len(b) for b in bounded] == [1]
+            assert scored == [{}]
 
-    @pytest.mark.parametrize("screen_units", [0, 1024])
-    def test_fusion_without_a_finite_change_raises(self, rng, screen_units):
+    @pytest.mark.parametrize("spread", [0.0, 1e-6])
+    def test_fusion_without_a_finite_change_raises(self, rng, spread):
         # four 4-unit rows, each already at min_obs, so only fusion merges;
-        # with every union fit nan, no pair may be fused. With 0 every
-        # union enters keyed by its lower bound, as the solver does; with
-        # 1024 this 16-unit graph's batches get no bounds, so every union
-        # enters keyed by -inf and is fitted when it pops, as an
-        # uncertified one is
+        # with every union fit nan, no pair may be fused. A constant
+        # covariate (spread 0) makes every batch hold an exactly singular
+        # Gram; a nearly constant one makes every Gram fail the Frobenius
+        # screen. Either way no union is scored, so every union enters
+        # keyed by -inf and is fitted when it pops
         graph = build_grid_graph(4, 4)
-        dataset = Dataset(X=rng.random((16, 1)), y=rng.random(16))
+        dataset = Dataset(X=1.0 + spread * rng.random((16, 1)), y=rng.random(16))
         nan_fit = lambda pool, a, b: solvers._Fit(pool.regions[a].units, None, float("nan"))
-        bounded = []
-        lower_bounds = _RegionPool.lower_bounds
+        scored = []
+        scores = _RegionPool.scores
 
-        def screened(pool, pairs):
-            bounded.append(lower_bounds(pool, pairs) if len(pool.region_of) > screen_units
-                           else {})
-            return bounded[-1]
+        def recording(pool, pairs):
+            scored.append(scores(pool, pairs))
+            return scored[-1]
 
         with mock.patch.object(_RegionPool, "union_fit", nan_fit), \
-                mock.patch.object(_RegionPool, "lower_bounds", screened), \
+                mock.patch.object(_RegionPool, "scores", recording), \
                 pytest.raises(MergeInfeasibleError, match="4 regions remain"):
             kmodels_merge_stage(dataset, graph, Partition(np.repeat(np.arange(4), 4), 4),
                                 SolverConfig(p=2, min_obs=4))
-        assert any(bounded) == (screen_units == 0)
+        assert scored == [{}]
 
     def test_unbounded_unions_are_fitted_only_when_they_pop(self, rng):
-        # four 4-unit rows, each already at min_obs, and no union bounded:
+        # four 4-unit rows, each already at min_obs, and no union scored:
         # the three row pairs enter keyed by -inf and are fitted as they
         # pop. The one fusion then reaches p=3, so the unions it pushes
         # for the new region 4 never pop and are never fitted
@@ -304,11 +305,56 @@ class TestMergeStage:
             return union_fit(pool, a, b)
 
         with mock.patch.object(_RegionPool, "union_fit", recording), \
-                mock.patch.object(_RegionPool, "lower_bounds", lambda pool, pairs: {}):
+                mock.patch.object(_RegionPool, "scores", lambda pool, pairs: {}):
             part, _ = kmodels_merge_stage(dataset, graph, Partition(np.repeat(np.arange(4), 4), 4),
                                           SolverConfig(p=3, min_obs=4))
         assert part.p == 3
         assert fitted == [(0, 1), (1, 2), (2, 3)]
+
+    def test_scored_unions_are_never_fitted(self):
+        # m = 2 on a scattered 12x12 partition, so both unions of at most
+        # three units and larger ones are candidates
+        rng = np.random.default_rng(5)
+        graph = build_grid_graph(12, 12)
+        labels = grow_initial_partition(graph, 12, 1, rng).assignment
+        scattered = rng.random(144) < 0.4
+        labels[scattered] = rng.integers(12, size=int(scattered.sum()))
+        x = rng.random((144, 2))
+        dataset = Dataset(X=x, y=np.where(labels % 2, 1.0, -1.0) * x[:, 0]
+                          + 0.1 * rng.normal(size=144))
+        batches, fitted, fits, small = [], [], [], set()
+        scores, union_fit = _RegionPool.scores, _RegionPool.union_fit
+
+        def scoring(pool, pairs):
+            small.update(pair for pair in pairs
+                         if len(pool.union_units(*pair)) <= dataset.m + 1)
+            batches.append((list(pairs), scores(pool, pairs)))
+            return batches[-1][1]
+
+        def fitting(pool, a, b):
+            fitted.append((a, b))
+            return union_fit(pool, a, b)
+
+        def fit_recording(ds, members):
+            fits.append(fit_ols(ds, members))
+            return fits[-1]
+
+        cfg = SolverConfig(p=3, min_obs=8)
+        with mock.patch.object(_RegionPool, "scores", scoring), \
+                mock.patch.object(_RegionPool, "union_fit", fitting), \
+                mock.patch.object(solvers, "fit_ols", fit_recording):
+            part, models = kmodels_merge_stage(dataset, graph, Partition(labels, 12), cfg)
+        scored = {pair for _, found in batches for pair in found}
+        unscored = [pair for pairs, found in batches for pair in pairs if pair not in found]
+        assert scored and small & set(fitted)
+        assert not scored & (set(fitted) | small)
+        # every unscored union pops and is fitted once, except those the
+        # last fusion pushed after p regions were reached
+        last = len(batches[-1][0]) - len(batches[-1][1])
+        assert sorted(fitted) == sorted(unscored[:len(unscored) - last])
+        # the final regions are fitted last, once each, and returned as fitted
+        for j, (fit, model) in enumerate(zip(fits[-cfg.p:], models, strict=True)):
+            assert fit is model and fit.n_obs == len(part.members(j))
 
     def test_too_few_components_is_infeasible(self, rng):
         g = build_grid_graph(4, 4)
@@ -425,30 +471,75 @@ class TestRegionPool:
             pool.merge(a, b, union)
 
 
-    def test_cross_products_follow_merges_and_bound_every_union_above_m(self, rng):
+    def test_cross_products_follow_merges_and_score_unions_above_m_plus_one(self, rng):
         # m = 2 and single-unit regions: no region has a model, and each
-        # union of three or more units is bounded from its summed Z'Z
+        # union of four or more units is scored from its summed Z'Z
         graph = build_grid_graph(3, 4)
         dataset = Dataset(X=rng.random((12, 2)), y=rng.normal(size=12))
         pool = _RegionPool(dataset, 12)
         for u in range(12):
             pool.add(_fit(dataset, np.array([u])))
-        assert pool.lower_bounds([(0, 1)]) == {}
+        assert pool.scores([(0, 1)]) == {}
         first = pool.merge(0, 1, pool.union_fit(0, 1))
         second = pool.merge(2, 3, pool.union_fit(2, 3))
         pairs = [(first, 4), (first, second), (5, 6)]
-        lower = pool.lower_bounds(pairs)
-        assert sorted(lower) == pairs[:2]
-        for a, b in pairs[:2]:
-            assert lower[a, b] <= pool.delta(a, b, pool.union_fit(a, b))
+        scores = pool.scores(pairs)
+        assert list(scores) == [(first, second)]
+        union = pool.union_fit(first, second)
+        assert scores[first, second] == pytest.approx(union.ssr, rel=1e-9, abs=1e-12)
+        # a scored union is installed with its score and no model
+        third = pool.merge(first, second, solvers._Fit(pool.union_units(first, second), None,
+                                                       scores[first, second]))
+        assert pool.regions[third].ssr == scores[first, second]
+        assert pool.regions[third].model is None
+        assert np.array_equal(pool.regions[third].units, union.units)
         rows = np.column_stack((dataset.augmented, dataset.y))
         for rid, f in pool.regions.items():
             z = rows[f.units]
             assert np.allclose(pool.cross[rid], z.T @ z, rtol=1e-14, atol=1e-14)
 
 
-def merge_stage_oracle(dataset, graph, micro_partition, config):
-    """Reference merge stage that fits every candidate union and bounds none."""
+def fit_every_union(pool, pairs):
+    """Each union's SSR change and ``_Fit``, every union fitted."""
+    out = {}
+    for a, b in pairs:
+        fitted = pool.union_fit(a, b)
+        out[a, b] = (pool.delta(a, b, fitted.ssr), fitted)
+    return out
+
+
+def score_by_rule(pool, pairs):
+    """Each union's SSR change and ``_Fit`` by the merge stage's rule, one union at a time.
+
+    A union of more than m+1 units is scored from its sides' summed
+    ``Z'Z`` and taken as its members with that score and no model,
+    unless its score is not finite or any union of the batch has an
+    exactly singular Gram; every other union is fitted.
+    """
+    try:
+        scores = {(a, b): float(union_ssr((pool.cross[a] + pool.cross[b])[None])[0])
+                  for a, b in pairs if len(pool.union_units(a, b)) > pool.dataset.m + 1}
+    except np.linalg.LinAlgError:
+        scores = {}
+    out = {}
+    for a, b in pairs:
+        score = scores.get((a, b), math.nan)
+        if math.isfinite(score):
+            fitted = solvers._Fit(pool.union_units(a, b), None, score)
+        else:
+            fitted = pool.union_fit(a, b)
+        out[a, b] = (pool.delta(a, b, fitted.ssr), fitted)
+    return out
+
+
+def reference_merge_stage(dataset, graph, micro_partition, config, changes):
+    """Reference merge stage: a plain loop that settles every candidate union up front.
+
+    ``changes(pool, pairs)`` gives each union of a batch its SSR change
+    and the ``_Fit`` a merge installs. The batches are the merge stage's:
+    the neighbors of each undersized region, then every neighboring pair,
+    then the pairs of each fused region. The final regions are fitted.
+    """
     pool = _RegionPool(dataset, graph.n)
     for j in range(micro_partition.p):
         for comp in connected_components(graph, micro_partition.members(j)):
@@ -460,52 +551,55 @@ def merge_stage_oracle(dataset, graph, micro_partition, config):
         rid = heapq.heappop(repair)[2]
         if rid not in pool.regions:
             continue
-        best_nb, best_fit, best_delta = -1, None, np.inf
-        for nb in sorted(pool.neighbor_regions(graph, rid), key=pool.smallest):
-            fitted = pool.union_fit(rid, nb)
-            delta = pool.delta(rid, nb, fitted)
-            if delta < best_delta:
-                best_nb, best_fit, best_delta = nb, fitted, delta
-        if best_fit is None:
+        found = changes(pool, [(rid, nb) for nb in pool.neighbor_regions(graph, rid)])
+        live = [(delta, pool.smallest(nb), nb, fitted)
+                for (_, nb), (delta, fitted) in found.items() if math.isfinite(delta)]
+        if not live:
             raise MergeInfeasibleError("no finite merge")
-        new = pool.merge(rid, best_nb, best_fit)
-        if len(best_fit.units) < config.min_obs:
-            heapq.heappush(repair, (len(best_fit.units), pool.smallest(new), new))
+        _, _, nb, fitted = min(live, key=lambda entry: entry[:2])
+        new = pool.merge(rid, nb, fitted)
+        if len(fitted.units) < config.min_obs:
+            heapq.heappush(repair, (len(fitted.units), pool.smallest(new), new))
     if len(pool.regions) < config.p:
         raise MergeInfeasibleError("too few regions")
     adjacency = {rid: pool.neighbor_regions(graph, rid) for rid in pool.regions}
     heap = []
-    for a in sorted(pool.regions):
-        for b in sorted(adjacency[a]):
-            if a < b:
-                heapq.heappush(heap, (pool.delta(a, b, pool.union_fit(a, b)), a, b))
+
+    def push(pairs):
+        for (a, b), (delta, fitted) in changes(pool, pairs).items():
+            if math.isfinite(delta):
+                heapq.heappush(heap, (delta, a, b, fitted))
+
+    push([(a, b) for a in sorted(pool.regions) for b in sorted(adjacency[a]) if a < b])
     while len(pool.regions) > config.p:
-        _, a, b = heapq.heappop(heap)
+        if not heap:
+            raise MergeInfeasibleError("no finite fusion")
+        _, a, b, fitted = heapq.heappop(heap)
         if a not in pool.regions or b not in pool.regions:
             continue
-        new = pool.merge(a, b, pool.union_fit(a, b))
+        new = pool.merge(a, b, fitted)
         adjacency[new] = (adjacency.pop(a) | adjacency.pop(b)) - {a, b}
         for x in sorted(adjacency[new]):
             adjacency[x].discard(a)
             adjacency[x].discard(b)
             adjacency[x].add(new)
-            lo, hi = min(new, x), max(new, x)
-            heapq.heappush(heap, (pool.delta(lo, hi, pool.union_fit(lo, hi)), lo, hi))
-    ordered = [pool.regions[rid] for rid in sorted(pool.regions, key=pool.smallest)]
+        push([(x, new) for x in sorted(adjacency[new])])
+    ordered = [_fit(dataset, pool.regions[rid].units)
+               for rid in sorted(pool.regions, key=pool.smallest)]
     assignment = np.empty(graph.n, dtype=np.int64)
     for label, f in enumerate(ordered):
         assignment[f.units] = label
     return Partition(assignment, len(ordered)), [f.model for f in ordered]
 
 
-def assert_same_merge(dataset, graph, micro, cfg):
-    """The merge stage, which bounds every batch, equals the oracle bit for bit.
+def assert_same_merge(dataset, graph, micro, cfg, changes):
+    """The merge stage equals the reference with ``changes`` bit for bit.
 
-    The screened run must fit no union twice, since each merge installs
-    the fit that scored it. Returns how many union fits the screened run
-    made and the oracle made.
+    The stage must fit no union twice, and no union that the reference
+    did not fit. Returns how many union fits the stage made and the
+    reference made.
     """
-    fits = {"screened": [], "oracle": []}
+    fits = {"stage": [], "reference": []}
     union_fit = _RegionPool.union_fit
 
     def counting(key):
@@ -514,55 +608,41 @@ def assert_same_merge(dataset, graph, micro, cfg):
             return union_fit(pool, a, b)
         return wrapper
 
-    with mock.patch.object(_RegionPool, "union_fit", counting("oracle")):
-        expected, expected_models = merge_stage_oracle(dataset, graph, micro, cfg)
-    with mock.patch.object(_RegionPool, "union_fit", counting("screened")):
+    with mock.patch.object(_RegionPool, "union_fit", counting("reference")):
+        expected, expected_models = reference_merge_stage(dataset, graph, micro, cfg, changes)
+    with mock.patch.object(_RegionPool, "union_fit", counting("stage")):
         part, models = kmodels_merge_stage(dataset, graph, micro, cfg)
     assert np.array_equal(part.assignment, expected.assignment)
     for got, want in zip(models, expected_models, strict=True):
         assert got.beta.tobytes() == want.beta.tobytes()
         assert repr(got.ssr) == repr(want.ssr)
-    assert len(fits["screened"]) == len(set(fits["screened"]))
-    return len(fits["screened"]), len(fits["oracle"])
+    assert len(fits["stage"]) == len(set(fits["stage"]))
+    assert set(fits["stage"]) <= set(fits["reference"])
+    return len(fits["stage"]), len(fits["reference"])
 
 
 class TestMergeScreen:
-    """Bounding candidate unions first changes no merge, ties included."""
+    """The merge stage's heap settles every merge as a plain loop over all candidates does."""
 
     @settings(max_examples=80, deadline=None)
     @given(merge_cases())
-    def test_matches_oracle_with_every_batch_bounded(self, case):
-        screened, oracle = assert_same_merge(*case)
-        assert screened <= oracle
+    def test_matches_reference_loop_bit_for_bit(self, case):
+        assert_same_merge(*case, score_by_rule)
 
     @settings(max_examples=40, deadline=None)
     @given(merge_cases())
-    def test_matches_oracle_with_loose_bounds(self, case):
-        # a wider interval still holds every change; it only rules out
-        # fewer unions, and the order of the lower bounds no longer
-        # follows the order of the changes
-        with mock.patch.object(linreg, "MERGE_ERROR_FACTOR", 1e12):
-            assert_same_merge(*case)
-
-    def test_bounds_skip_union_fits(self):
-        rng = np.random.default_rng(5)
-        graph = build_grid_graph(12, 12)
-        labels = grow_initial_partition(graph, 12, 1, rng).assignment
-        scattered = rng.random(144) < 0.4
-        labels[scattered] = rng.integers(12, size=int(scattered.sum()))
-        x = rng.random((144, 1))
-        dataset = Dataset(X=x, y=np.where(labels % 2, 1.0, -1.0) * x[:, 0]
-                          + 0.1 * rng.normal(size=144))
-        screened, oracle = assert_same_merge(dataset, graph, Partition(labels, 12),
-                                             SolverConfig(p=3, min_obs=8))
-        assert screened < oracle / 2
+    def test_matches_fit_every_union_oracle_without_scores(self, case):
+        # with no union scored, every union is fitted when it pops, and
+        # the stage is the one of fitting every union
+        with mock.patch.object(_RegionPool, "scores", lambda pool, pairs: {}):
+            assert_same_merge(*case, fit_every_union)
 
     @pytest.mark.parametrize("m, min_obs", [(2, 3), (1, 5)])
     @pytest.mark.parametrize("p", [1, 2, 3])
     def test_zero_response_ties_every_merge(self, p, m, min_obs):
-        # every SSR, change and bound is exactly 0.0, so each size-repair
-        # choice is a tie broken by smallest member, each bound meets the
-        # cut exactly, and fusion pops pairs by id; with min_obs above m+1
+        # every SSR, score and change is exactly 0.0, so each size-repair
+        # choice is a tie broken by smallest member and fusion pops pairs
+        # by id, as when every union is fitted; with min_obs above m+1
         # fitted undersized regions are repaired too
         rng = np.random.default_rng(3)
         graph = build_grid_graph(6, 6)
@@ -570,12 +650,14 @@ class TestMergeScreen:
         labels[:6] = np.arange(6)
         dataset = Dataset(X=rng.random((36, m)), y=np.zeros(36))
         assert_same_merge(dataset, graph, Partition(labels, 6),
-                          SolverConfig(p=p, min_obs=min_obs))
+                          SolverConfig(p=p, min_obs=min_obs), fit_every_union)
 
     def test_fusion_tie_goes_to_the_smaller_ids(self):
         # four 5-unit blocks along a path; blocks 0 and 2 hold the same
-        # rows, as do blocks 1 and 3, so merging 0 with 1 and 2 with 3 fit
-        # identical rows and tie bit for bit, below the 1-2 merge
+        # rows, as do blocks 1 and 3, so every merge unites the same rows.
+        # Fitted, merging 0 with 1 and 2 with 3 gathers them in the same
+        # order and ties bit for bit, below the 1-2 merge; scored, all
+        # three sum the same cross-products and tie
         graph = build_grid_graph(1, 20)
         rng = np.random.default_rng(8)
         x = np.tile(rng.random((10, 1)), (2, 1))
@@ -586,9 +668,12 @@ class TestMergeScreen:
         pool = _RegionPool(dataset, 20)
         for j in range(4):
             pool.add(_fit(dataset, np.flatnonzero(labels == j)))
-        first, second = (pool.delta(a, b, pool.union_fit(a, b)) for a, b in [(0, 1), (2, 3)])
-        assert first == second < pool.delta(1, 2, pool.union_fit(1, 2))
-        assert_same_merge(dataset, graph, Partition(labels, 4), SolverConfig(p=3, min_obs=5))
+        fitted, scored = ([changes(pool, [pair])[pair][0] for pair in [(0, 1), (2, 3), (1, 2)]]
+                          for changes in (fit_every_union, score_by_rule))
+        assert fitted[0] == fitted[1] < fitted[2]
+        assert scored[0] == scored[1] == scored[2]
+        assert_same_merge(dataset, graph, Partition(labels, 4), SolverConfig(p=3, min_obs=5),
+                          fit_every_union)
         part, _ = kmodels_merge_stage(dataset, graph, Partition(labels, 4),
                                       SolverConfig(p=3, min_obs=5))
         assert part.assignment.tolist() == [0] * 10 + [1] * 5 + [2] * 5
