@@ -585,11 +585,11 @@ class _LocalSearch:
     calls the policy until a step moves nothing (``stop_reason``
     ``"converged"``) or ``max_iter`` steps have run (``"max_iter"``), and
     appends the total SSR to the trace after every step, so
-    ``iterations_used == len(trace) - 1``. The step policies find their
-    candidates with numpy over the graph's CSR arrays and the label array
-    (``_azp_candidates``, ``_rkm_candidates``), not with a Python loop
-    over units; ``rows`` maps each entry of ``graph.indices`` to the unit
-    whose row holds it, and is built once per search.
+    ``iterations_used == len(trace) - 1``. ``touch[u, r]`` counts the
+    units of u's closed neighborhood (u and its neighbors) in region r;
+    it is built once (``_region_counts``) and only ``move`` updates it.
+    Both step policies read their candidates from it with numpy
+    (``_azp_candidates``, ``_rkm_candidates``).
 
     A move inserts the unit into one member array and drops it from the
     other, and refits both regions with ``_fit`` (``moved_fits``), unless
@@ -628,9 +628,9 @@ class _LocalSearch:
     a cut vertex.
 
     ``check_invariants`` asserts after every move that the unit touches
-    its new region, that ``labels`` equals ``assign``, that the per-region
-    arrays match every region's ``_Fit``, and that every region is
-    connected and at least ``min_obs`` units large (debug
+    its new region, that ``labels`` and ``touch`` match ``assign``, that
+    the per-region arrays match every region's ``_Fit``, and that every
+    region is connected and at least ``min_obs`` units large (debug
     instrumentation).
     """
 
@@ -645,7 +645,7 @@ class _LocalSearch:
                                          RESTART_LIMIT)
         self.assign = initial.assignment.copy()
         self.labels = self.assign.tolist()
-        self.rows = np.repeat(np.arange(graph.n), np.diff(graph.indptr))
+        self.touch = _region_counts(graph, self.assign, config.p)
         self.regions = _fit_labels(dataset, self.assign, config.p)
         self.index_regions()
         self.trace = [_total(self.regions)]
@@ -749,6 +749,9 @@ class _LocalSearch:
         self._write(src)
         self._write(dst)
         self.assign[v] = self.labels[v] = dst
+        for w in (*self.graph.neighbors[v], v):
+            self.touch[w, src] -= 1
+            self.touch[w, dst] += 1
         self.cuts[src] = self.cuts[dst] = None
         self.charge[src] = self.charge[dst] = 0
         if self.check_invariants:
@@ -756,6 +759,8 @@ class _LocalSearch:
                 self.assign[w] == dst for w in self.graph.neighbors[v]
             ), "unit moved into a region it does not touch"
             assert self.labels == self.assign.tolist(), "label list out of step with assign"
+            counts = _region_counts(self.graph, self.assign, self.config.p)
+            assert np.array_equal(self.touch, counts), "region-count table out of step"
             for r, (units, model, _) in enumerate(self.regions):
                 assert self.sizes[r] == len(units), "size array out of step with regions"
                 assert np.array_equal(self.beta[r], model.beta), "beta array out of step"
@@ -783,59 +788,43 @@ class _LocalSearch:
                            stop_reason=stop_reason)
 
 
-def _azp_candidates(graph: AdjacencyGraph, rows: np.ndarray, assign: np.ndarray,
-                    j: int) -> np.ndarray:
-    """Units outside region ``j`` with a neighbor inside it, ascending.
-
-    ``rows[t]`` is the unit whose CSR row holds ``graph.indices[t]``, so
-    the units owning an entry labelled ``j`` are the ones touching ``j``.
-    """
-    touch = np.zeros(graph.n, dtype=bool)
-    touch[rows[assign[graph.indices] == j]] = True
-    return np.flatnonzero((assign != j) & touch)
-
-
-def _rkm_layout(graph: AdjacencyGraph, rows: np.ndarray, p: int
-                ) -> tuple[np.ndarray, np.ndarray]:
-    """Where ``_rkm_candidates`` sets its flat ``(n * p)`` adjacency mask, fixed per search.
-
-    Returns ``(units, offsets)``: entry t marks the region of unit
-    ``units[t]`` in mask row ``offsets[t] // p``. The entries are the CSR
-    entries (a unit's neighbors, ``rows`` as in ``_azp_candidates``) and
-    then every unit itself.
-    """
+def _region_counts(graph: AdjacencyGraph, assign: np.ndarray, p: int) -> np.ndarray:
+    """``(n, p)`` count of each unit and its neighbors by region, from one ``bincount``."""
     own = np.arange(graph.n)
-    return np.concatenate((graph.indices, own)), np.concatenate((rows, own)) * p
+    holders = np.concatenate((np.repeat(own, np.diff(graph.indptr)), own))
+    held = np.concatenate((graph.indices, own))
+    return np.bincount(holders * p + assign[held], minlength=graph.n * p).reshape(graph.n, p)
 
 
-def _rkm_candidates(units: np.ndarray, offsets: np.ndarray, assign: np.ndarray,
-                    resid: np.ndarray, sizes: np.ndarray, min_obs: int
-                    ) -> tuple[np.ndarray, np.ndarray]:
+def _azp_candidates(touch: np.ndarray, assign: np.ndarray, j: int) -> np.ndarray:
+    """Units outside region ``j`` with a neighbor inside it, ascending, from ``touch[:, j]``."""
+    return np.flatnonzero((touch[:, j] > 0) & (assign != j))
+
+
+def _rkm_candidates(touch: np.ndarray, assign: np.ndarray, resid: np.ndarray,
+                    sizes: np.ndarray, min_obs: int) -> tuple[np.ndarray, np.ndarray]:
     """RKM candidate units, ascending, and the region each would move to.
 
     A unit's best adjacent region is the one among its own and its
     neighbors' regions with the lowest ``resid`` entry, ties to the lower
     region index. A unit is a candidate when that region is not its own
-    and its own region has more than ``min_obs`` units. The ``(n, p)``
-    mask of each unit's own and neighbors' regions is one flat array set
-    by one scatter at ``offsets + assign[units]`` (``_rkm_layout``);
-    ``argmin`` over the masked residuals takes the first minimum, so ties
-    go to the lower index, as in the partition stage.
+    and its own region has more than ``min_obs`` units. ``touch > 0``
+    (closed neighborhoods) marks the regions a unit may pick; ``argmin``
+    over the masked residuals takes the first minimum, so ties go to the
+    lower index, as in the partition stage.
     """
-    adjacent = np.zeros(resid.size, dtype=bool)
-    adjacent[offsets + assign[units]] = True
-    best = np.argmin(np.where(adjacent.reshape(resid.shape), resid, np.inf), axis=1)
+    best = np.argmin(np.where(touch > 0, resid, np.inf), axis=1)
     candidates = np.flatnonzero((best != assign) & (sizes[assign] > min_obs))
     return candidates, best[candidates]
 
 
 def _azp_pass(search: _LocalSearch) -> bool:
     """One AZP pass: at most one unit moves into each region, in index order."""
-    graph, rows, assign, sizes = search.graph, search.rows, search.assign, search.sizes
+    touch, assign, sizes = search.touch, search.assign, search.sizes
     min_obs = search.config.min_obs
     moved = False
     for j in range(search.config.p):
-        candidates = _azp_candidates(graph, rows, assign, j)
+        candidates = _azp_candidates(touch, assign, j)
         donors = assign[candidates]
         delta, refit = search.screen(candidates, donors, j)
         viable = (sizes[donors] > min_obs) & (refit | (delta < -SSR_TOLERANCE))
@@ -874,16 +863,16 @@ class _RkmStep:
     are recomputed from the stored betas, with one ``(n, m+1) @ (m+1, 2)``
     product; its columns equal those of the full ``(n, m+1) @ (m+1, p)``
     product bit for bit, which a single-column product (a matrix-vector
-    kernel) need not. Sizes are read from ``_LocalSearch.sizes``.
+    kernel) need not. Sizes and the regions a unit touches are read from
+    ``_LocalSearch.sizes`` and ``_LocalSearch.touch``.
     """
 
     def __init__(self, search: _LocalSearch):
         self.resid = _abs_residuals(search.dataset, search.beta)
-        self.units, self.offsets = _rkm_layout(search.graph, search.rows, search.config.p)
 
     def __call__(self, search: _LocalSearch) -> bool:
         assign = search.assign
-        candidates, targets = _rkm_candidates(self.units, self.offsets, assign, self.resid,
+        candidates, targets = _rkm_candidates(search.touch, assign, self.resid,
                                               search.sizes, search.config.min_obs)
         candidates, targets = candidates.tolist(), targets.tolist()
         # uniform draw from the valid set via a shuffled first-hit scan
@@ -922,8 +911,9 @@ def solve_azp(dataset: Dataset, graph: AdjacencyGraph, config: SolverConfig,
     affected models are refit immediately, so later regions in the same
     pass see the updated state. Terminates when a full pass moves nothing
     or after ``max_iter`` passes. Region j's candidates are the units
-    outside it with a neighbor inside it, in ascending order, found
-    afresh from the labels when the pass reaches j (``_azp_candidates``).
+    outside it with a neighbor inside it, in ascending order, read from
+    column j of ``_LocalSearch.touch`` (closed-neighborhood region counts,
+    kept by ``move``) when the pass reaches j (``_azp_candidates``).
 
     ``check_invariants`` asserts the feasibility of every region after
     every accepted move (debug instrumentation).
@@ -944,8 +934,9 @@ def solve_regional_kmodels(dataset: Dataset, graph: AdjacencyGraph, config: Solv
     moved (simultaneous moves could break donor contiguity) and the two
     affected models are refit. Terminates when no candidate exists or
     after ``max_iter`` moves. The candidates come from one vectorised
-    scan of the residual matrix along the graph's CSR arrays
-    (``_rkm_candidates``), in ascending unit order. The residual matrix
+    scan of the residual matrix, masked to the regions of each unit's
+    closed neighborhood (``_LocalSearch.touch``, kept by ``move``;
+    ``_rkm_candidates``), in ascending unit order. The residual matrix
     is kept across moves, and a move recomputes only its two regions'
     columns, from the betas stored in ``_LocalSearch.beta`` (``_RkmStep``).
 

@@ -45,9 +45,9 @@ from spregimes.solvers import (
     _fit,
     _LocalSearch,
     _partition_sweep,
+    _region_counts,
     _RegionPool,
     _rkm_candidates,
-    _rkm_layout,
     _RkmStep,
 )
 from spregimes.synthgen import SimulationSpec
@@ -952,11 +952,6 @@ def rkm_candidates_loop(graph, assign, resid, sizes, min_obs):
     return candidates, targets
 
 
-def csr_rows(graph):
-    """The unit whose CSR row holds each entry of ``graph.indices``."""
-    return np.repeat(np.arange(graph.n), np.diff(graph.indptr))
-
-
 def azp_candidates_loop(graph, assign, j):
     """Reference AZP candidate set: the comprehension ``_azp_candidates`` replaced."""
     members = np.flatnonzero(assign == j).tolist()
@@ -993,6 +988,7 @@ def search_state(dataset, graph, labels, p):
     search.dataset, search.graph, search.assign = dataset, graph, labels
     search.regions = solvers._fit_labels(dataset, labels, p)
     search.index_regions()
+    search.touch = _region_counts(graph, labels, p)
     return search
 
 
@@ -1032,7 +1028,7 @@ class TestSsrScreen:
         dataset, graph, labels, p = case
         search = search_state(dataset, graph, labels, p)
         for j in range(p):
-            candidates = _azp_candidates(graph, csr_rows(graph), labels, j)
+            candidates = _azp_candidates(search.touch, labels, j)
             donors = labels[candidates]
             delta, refit = search.screen(candidates, donors, j)
             for pos, v in enumerate(candidates.tolist()):
@@ -1061,7 +1057,7 @@ class TestSsrScreen:
         dataset = Dataset(X=x, y=rng.normal(size=8))
         labels = np.array([0, 0, 1, 1, 0, 0, 1, 1])
         search = search_state(dataset, graph, labels, 2)
-        candidates = _azp_candidates(graph, csr_rows(graph), labels, 0)
+        candidates = _azp_candidates(search.touch, labels, 0)
         assert candidates.tolist() == [2, 6]
         with pytest.raises(NumericalBreakdownError):
             ssr_decrease_if_removed(search.regions[1].model, x[[2, 6]], dataset.y[[2, 6]])
@@ -1077,7 +1073,7 @@ class TestSsrScreen:
         search = search_state(dataset, graph, labels, p)
         rng = np.random.default_rng(seed)
         for j in range(p):
-            candidates = _azp_candidates(graph, csr_rows(graph), labels, j)
+            candidates = _azp_candidates(search.touch, labels, j)
             donors = labels[candidates]
             delta, refit = search.screen(candidates, donors, j)
             # a shuffled stack holds the same rows, so the refit rule decides alike
@@ -1106,7 +1102,7 @@ class TestSsrScreen:
         x[14] = 1.0
         dataset = Dataset(X=x, y=rng.normal(size=36))
         search = search_state(dataset, graph, labels, 4)
-        candidates = _azp_candidates(graph, csr_rows(graph), labels, 0)
+        candidates = _azp_candidates(search.touch, labels, 0)
         donors = labels[candidates]
         assert candidates.tolist() == [2, 8, 14, 20, 26, 32]
         assert donors.tolist() == [1, 2, 3, 1, 2, 3]
@@ -1134,6 +1130,16 @@ class TestSsrScreen:
         with pytest.raises(AssertionError, match="beta array"):
             random_move(search, np.random.default_rng(0))
 
+    def test_move_checks_the_region_counts(self, rect_sim, grid25):
+        search = _LocalSearch(rect_sim.dataset, grid25, SolverConfig(p=5, min_obs=10, seed=7),
+                              check_invariants=True)
+        assert np.array_equal(search.touch, _region_counts(grid25, search.assign, 5))
+        # a move shifts counts by one, so a stale entry stays stale
+        far = grid25.n - 1
+        search.touch[far, search.assign[far]] += 1
+        with pytest.raises(AssertionError, match="region-count table"):
+            random_move(search, np.random.default_rng(0))
+
     def test_converged_pass_builds_no_cut_set(self, monkeypatch):
         # a noiseless two-regime chain converges at SSR 0, so no unit can
         # lower the SSR and no donor needs its cut vertices
@@ -1158,7 +1164,7 @@ class TestSsrScreen:
         sizes = np.array([len(f.units) for f in search.regions])
         improving = set()
         for j in range(cfg.p):
-            candidates = _azp_candidates(grid25, search.rows, search.assign, j)
+            candidates = _azp_candidates(search.touch, search.assign, j)
             donors = search.assign[candidates]
             delta, refit = search.screen(candidates, donors, j)
             viable = (sizes[donors] > cfg.min_obs) & (refit | (delta < -SSR_TOLERANCE))
@@ -1234,19 +1240,41 @@ class TestCandidateScans:
     @given(scan_cases())
     def test_rkm_scan_matches_loop(self, case):
         graph, assign, resid, sizes, min_obs = case
-        units, offsets = _rkm_layout(graph, csr_rows(graph), resid.shape[1])
-        candidates, targets = _rkm_candidates(units, offsets, assign, resid, sizes, min_obs)
+        touch = _region_counts(graph, assign, resid.shape[1])
+        candidates, targets = _rkm_candidates(touch, assign, resid, sizes, min_obs)
         assert (candidates.tolist(), targets.tolist()) == rkm_candidates_loop(
             graph, assign, resid, sizes, min_obs)
 
     @settings(max_examples=200, deadline=None)
     @given(scan_cases())
     def test_azp_scan_matches_loop(self, case):
-        graph, assign = case[:2]
-        rows = csr_rows(graph)
-        for j in range(int(assign.max()) + 1):
-            assert (_azp_candidates(graph, rows, assign, j).tolist()
+        graph, assign, resid = case[:3]
+        touch = _region_counts(graph, assign, resid.shape[1])
+        for j in range(resid.shape[1]):
+            assert (_azp_candidates(touch, assign, j).tolist()
                     == azp_candidates_loop(graph, assign, j))
+
+    @settings(max_examples=200, deadline=None)
+    @given(scan_cases())
+    def test_region_counts_match_loop(self, case):
+        graph, assign, resid = case[:3]
+        expected = np.zeros(resid.shape, dtype=np.int64)
+        for u in range(graph.n):
+            for w in (*graph.neighbors[u], u):
+                expected[u, assign[w]] += 1
+        assert np.array_equal(_region_counts(graph, assign, resid.shape[1]), expected)
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=move_cases())
+    def test_moves_keep_region_counts(self, case):
+        search, rng, moves = case
+        # the table is checked here, not by the assert inside ``move``
+        search.check_invariants = False
+        for _ in range(moves):
+            if not random_move(search, rng):
+                break
+        rebuilt = _region_counts(search.graph, search.assign, search.config.p)
+        assert np.array_equal(search.touch, rebuilt)
 
 
 class TestSolveKmodels:
