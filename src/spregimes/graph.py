@@ -3,10 +3,12 @@
 Units are dense integer indices 0..n-1. Graphs are undirected, have no
 self-loops, and must be connected as a whole; builders reject anything
 else. A graph is stored as two read-only int64 arrays in compressed
-sparse row (CSR) form, so building one, checking connectivity and the
-solvers' candidate scans create no Python object per edge; only the
-cut-vertex search reads a cached tuple view. Instances are immutable and
-may be shared freely across concurrent solver runs.
+sparse row (CSR) form, so building one, checking connectivity and
+building the local search's region-count table create no Python object
+per edge; loops that visit units one at a time (the local search's cut
+tests, its count updates and its invariant checks) read a cached tuple
+view. Instances are immutable and may be shared freely across
+concurrent solver runs.
 """
 
 from __future__ import annotations
@@ -44,15 +46,17 @@ class AdjacencyGraph:
     indices : ndarray of int64
         Every unit's neighbors, row after row, each row ascending.
 
-    Both arrays are read-only, and vectorised scans (the AZP/RKM
-    candidate scans, connectivity) index them directly. One view is
-    derived from them: ``neighbors``, a tuple of ascending neighbor
-    tuples, one per unit, for loops that visit units one at a time (the
-    AZP/RKM cut-vertex search, which walks tuples faster than CSR
-    slices). It is built on first access and cached outside the
-    dataclass fields, so equality and hashing (by value, over the
-    arrays) ignore it; building it is idempotent, so a graph shared
-    across runs stays safe to share.
+    Both arrays are read-only, and vectorised code indexes them
+    directly: connectivity, and ``solvers._region_counts``, which builds
+    the AZP/RKM ``touch`` table that both candidate scans read. One view
+    is derived from them: ``neighbors``, a tuple of ascending neighbor
+    tuples, one per unit, for loops that visit units one at a time, which
+    walk tuples faster than CSR slices. The local search reads it in its
+    cut tests, its cut-vertex DFS, ``move``'s ``touch`` updates and
+    ``check_invariants``. It is built on first access and cached
+    outside the dataclass fields, so equality and hashing (by value,
+    over the arrays) ignore it; building it is idempotent, so a graph
+    shared across runs stays safe to share.
     """
 
     n: int

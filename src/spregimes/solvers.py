@@ -107,7 +107,8 @@ class _Fit(NamedTuple):
     ``units`` are the members as an ascending int64 array, ``model`` their
     OLS fit (None when fewer than m+1 units leave it non-unique) and
     ``ssr`` the model's sum of squared residuals over them (0.0 without a
-    model).
+    model). The merge stage's unions are the exception: they carry their
+    SSR and no model (``_RegionPool.merge``).
     """
 
     units: np.ndarray
@@ -165,10 +166,8 @@ def kmodels_partition_stage(dataset: Dataset, graph: AdjacencyGraph, config: Sol
     assign = initial.assignment.copy()
     fits = _fit_labels(dataset, assign, k)
     trace = [_total(fits)]
-    xa, y = dataset.augmented, dataset.y
     for _ in range(config.max_iter):
-        betas = np.column_stack([f.model.beta for f in fits])
-        best = np.argmin(np.abs(y[:, None] - xa @ betas), axis=1)
+        best = np.argmin(_abs_residuals(dataset, np.array([f.model.beta for f in fits])), axis=1)
         new = _partition_sweep(assign, best, k, stage_min)
         moved = bool((new != assign).any())
         assign = new
@@ -218,19 +217,19 @@ class _RegionPool:
     ascending runs in linear time, and its first entry is the region's
     smallest member. ``neighbor_regions`` reads ``region_of`` with one
     gather over the region's CSR rows. ``union_fit`` is the only place a
-    candidate merge is fitted, and ``merge`` installs the ``_Fit`` it is
-    given as is. Regions too small for a unique fit carry no model and
-    contribute no residuals to merge comparisons; they only ever shrink
-    in number. Region ids are never reused: a merge retires both inputs
-    and adds a new id.
+    candidate merge is fitted. ``merge`` installs a union as its members,
+    the SSR it is given (a score or a fit's) and no model, so only split
+    fragments carry models; ``kmodels_merge_stage`` fits the final
+    regions. Regions too small for a unique fit contribute no residuals
+    to merge comparisons; they only ever shrink in number. Region ids are
+    never reused: a merge retires both inputs and adds a new id.
 
     ``cross`` maps a live region id to ``Z'Z`` with ``Z = [1 X y]`` over
     its rows. A split fragment's comes from its rows; a merged region's
     is the sum of its two sides', with no gather. ``scores`` computes the
     SSR of every union of more than m+1 units in a batch of candidates
     from these sums, in one ``linreg.union_ssr`` call, without gathering
-    its rows. A region installed from a score carries that score as its
-    ``ssr`` and no model; ``kmodels_merge_stage`` fits the final regions.
+    its rows.
     """
 
     def __init__(self, dataset: Dataset, n: int):
@@ -264,10 +263,11 @@ class _RegionPool:
     def union_fit(self, a: int, b: int) -> _Fit:
         return _fit(self.dataset, self.union_units(a, b))
 
-    def merge(self, a: int, b: int, fitted: _Fit) -> int:
-        """Replace regions ``a`` and ``b`` by their union ``fitted``, summing their ``cross``."""
+    def merge(self, a: int, b: int, ssr: float) -> int:
+        """Replace regions ``a`` and ``b`` by their union of SSR ``ssr``, summing their ``cross``."""
+        units = self.union_units(a, b)
         del self.regions[a], self.regions[b]
-        return self.add(fitted, self.cross.pop(a) + self.cross.pop(b))
+        return self.add(_Fit(units, None, ssr), self.cross.pop(a) + self.cross.pop(b))
 
     def delta(self, a: int, b: int, ssr: float) -> float:
         """Total-SSR change of replacing regions ``a`` and ``b`` by a union of that SSR."""
@@ -305,45 +305,23 @@ class _RegionPool:
         return out
 
 
-def _push_candidates(pool: _RegionPool, heap: list, candidates: list[tuple[int, int, int]]):
-    """Push each ``(tie, a, b)`` union keyed by its scored SSR change, or by -inf unscored."""
-    scores = pool.scores([(a, b) for _, a, b in candidates])
-    for tie, a, b in candidates:
-        score = scores.get((a, b))
-        key = -math.inf if score is None else pool.delta(a, b, score)
-        heapq.heappush(heap, (key, tie, a, b, score))
+def _settle(pool: _RegionPool, candidates: list[tuple[int, int, int]]) -> list[tuple]:
+    """``(delta, tie, a, b, ssr)`` for each ``(tie, a, b)`` union whose SSR change is finite.
 
-
-def _pop_cheapest(pool: _RegionPool, heap: list) -> tuple[int, int, _Fit] | None:
-    """Pop the union of least ``(delta, tie, a, b)`` between live regions.
-
-    Entries are ``(key, tie, a, b, found)``. A scored union carries its
-    score as ``found`` and its exact change from that score as ``key``.
-    A union without a score is keyed by -inf with ``found`` None; when it
-    pops it is fitted and pushed back with its change and its ``_Fit`` if
-    that change is finite, and dropped otherwise, so a non-finite change
-    never wins. Every -inf entry pops, and is fitted, before any finite
-    key, so no union is fitted twice and the first other entry to pop is
-    the least over every candidate, ties included. A heap holds at most
-    one entry per pair, so no two entries share ``(key, tie, a, b)`` and
-    the heap never compares two ``found``. Returns ``(a, b, fitted)``
-    with the winner as a ``_Fit``: its fit, or for a scored union its
-    members, no model and its score as ``ssr``. Returns None when no live
-    union with a finite change is left.
+    A union's SSR is its score when ``pool.scores``, called once for the
+    batch, gives one, and otherwise the SSR of ``pool.union_fit(a, b)``;
+    ``delta`` is the total-SSR change of merging by it.
     """
-    while heap:
-        _, tie, a, b, found = heapq.heappop(heap)
-        if a not in pool.regions or b not in pool.regions:
-            continue  # one side already merged away
-        if isinstance(found, _Fit):
-            return a, b, found
-        if found is not None:
-            return a, b, _Fit(pool.union_units(a, b), None, found)
-        fitted = pool.union_fit(a, b)
-        delta = pool.delta(a, b, fitted.ssr)
+    scores = pool.scores([(a, b) for _, a, b in candidates])
+    settled = []
+    for tie, a, b in candidates:
+        ssr = scores.get((a, b))
+        if ssr is None:
+            ssr = pool.union_fit(a, b).ssr
+        delta = pool.delta(a, b, ssr)
         if math.isfinite(delta):
-            heapq.heappush(heap, (delta, tie, a, b, fitted))
-    return None
+            settled.append((delta, tie, a, b, ssr))
+    return settled
 
 
 def kmodels_merge_stage(dataset: Dataset, graph: AdjacencyGraph,
@@ -359,21 +337,23 @@ def kmodels_merge_stage(dataset: Dataset, graph: AdjacencyGraph,
     regions remain, the neighboring pair whose merge increases the total
     SSR the least is fused, ties going to the smaller ids ``(a, b)``.
 
-    Both phases pick each merge with ``_pop_cheapest`` from a heap of
-    candidate unions: a fresh heap per undersized region, whose tie is
-    the neighbor's smallest member, and one fusion heap, whose tie is 0.
-    A union's SSR is scored, or fitted, by this rule:
+    Each candidate union is settled when it is proposed (``_settle``):
+    it gets its SSR, and its change ``ssr - ssr_a - ssr_b``, by this rule.
 
     - A union of more than m+1 units whose Gram, summed from its sides'
       cross-products, passes the Frobenius screen of ``fit_ols`` is
-      scored from that sum (``_RegionPool.scores``) and enters keyed by
-      its change, ``score - ssr_a - ssr_b``. If it wins, it is installed
-      with its members, its summed cross-products and its score as SSR,
-      and no model; it is never fitted.
+      scored from that sum (``_RegionPool.scores``, one call per batch)
+      and never fitted.
     - Any other union (at most m+1 units, an uncertified Gram, or a batch
-      holding an exactly singular Gram) enters keyed by -inf and is
-      fitted by ``fit_ols`` when it pops, before any scored union, and
-      re-enters keyed by its change. If it wins, its fit is installed.
+      holding an exactly singular Gram) is fitted by ``fit_ols``.
+
+    A union whose change is not finite is dropped, so it never wins. The
+    size repair takes the least ``(change, smallest member)`` over the
+    undersized region's neighbors. Fusion keeps one heap of
+    ``(change, 0, a, b)``: it starts from every neighboring pair, skips
+    entries whose side has merged away, and gains the pairs of each new
+    region. A winner is installed with its members, its summed
+    cross-products and its SSR, and no model.
 
     A score and a fit of the same rows agree to rounding. The tolerance
     is ``16 u (kappa_F + n) y'y``, with u the machine epsilon, kappa_F
@@ -383,8 +363,8 @@ def kmodels_merge_stage(dataset: Dataset, graph: AdjacencyGraph,
     unions of random designs and of three 20,000-point knn merge stages.
     So a merge differs from the one fitting every union would pick only
     when two candidates' changes lie within that tolerance of each
-    other. A non-finite SSR change never wins. Each of the final regions
-    is fitted once, so the returned models are fits of their members.
+    other. Each of the final regions is fitted once, so the returned
+    models are fits of their members.
 
     Returns ``(partition, models)`` with regions relabeled 0..p-1 by their
     smallest member. Raises MergeInfeasibleError if an undersized region
@@ -406,20 +386,19 @@ def kmodels_merge_stage(dataset: Dataset, graph: AdjacencyGraph,
         rid = heapq.heappop(repair)[2]
         if rid not in pool.regions:
             continue  # merged away since it was queued
-        heap: list[tuple] = []
-        _push_candidates(pool, heap, [(pool.smallest(nb), rid, nb)
-                                      for nb in pool.neighbor_regions(graph, rid)])
-        best = _pop_cheapest(pool, heap)
-        if best is None:
+        settled = _settle(pool, [(pool.smallest(nb), rid, nb)
+                                 for nb in pool.neighbor_regions(graph, rid)])
+        if not settled:
             raise MergeInfeasibleError(
                 f"undersized region (size {len(pool.regions[rid].units)}, smallest member "
                 f"{pool.smallest(rid)}) has no neighboring region with a finite SSR "
                 "change to merge into"
             )
-        _, nb, fitted = best
-        new = pool.merge(rid, nb, fitted)
-        if len(fitted.units) < config.min_obs:
-            heapq.heappush(repair, (len(fitted.units), pool.smallest(new), new))
+        _, _, _, nb, ssr = min(settled)
+        new = pool.merge(rid, nb, ssr)
+        size = len(pool.regions[new].units)
+        if size < config.min_obs:
+            heapq.heappush(repair, (size, pool.smallest(new), new))
 
     if len(pool.regions) < config.p:
         raise MergeInfeasibleError(
@@ -429,25 +408,27 @@ def kmodels_merge_stage(dataset: Dataset, graph: AdjacencyGraph,
 
     # fuse neighboring pairs with the smallest SSR increase until p remain
     adjacency = {rid: pool.neighbor_regions(graph, rid) for rid in pool.regions}
-    heap = []
-    _push_candidates(pool, heap, [(0, a, b) for a in sorted(pool.regions)
-                                  for b in sorted(adjacency[a]) if a < b])
+    heap = _settle(pool, [(0, a, b) for a in sorted(pool.regions)
+                          for b in sorted(adjacency[a]) if a < b])
+    heapq.heapify(heap)
     while len(pool.regions) > config.p:
-        best = _pop_cheapest(pool, heap)
-        if best is None:
+        while heap and not (heap[0][2] in pool.regions and heap[0][3] in pool.regions):
+            heapq.heappop(heap)  # one side already merged away
+        if not heap:
             raise MergeInfeasibleError(
                 f"{len(pool.regions)} regions remain but no neighboring pair has a finite "
                 f"SSR change to fuse, and p={config.p} were requested"
             )
-        a, b, fitted = best
-        new = pool.merge(a, b, fitted)
+        _, _, a, b, ssr = heapq.heappop(heap)
+        new = pool.merge(a, b, ssr)
         adjacency[new] = (adjacency.pop(a) | adjacency.pop(b)) - {a, b}
         for x in sorted(adjacency[new]):
             adjacency[x].discard(a)
             adjacency[x].discard(b)
             adjacency[x].add(new)
         # ids only grow, so the new region's id is the larger of each pair
-        _push_candidates(pool, heap, [(0, x, new) for x in sorted(adjacency[new])])
+        for entry in _settle(pool, [(0, x, new) for x in sorted(adjacency[new])]):
+            heapq.heappush(heap, entry)
 
     ordered = [_fit(dataset, pool.regions[rid].units)
                for rid in sorted(pool.regions, key=pool.smallest)]

@@ -242,7 +242,7 @@ class TestMergeStage:
     def test_region_without_finite_merge_raises_named_error(self, rng, monkeypatch):
         # a constant covariate makes every summed Gram exactly singular,
         # so the size repair scores no union: it fits the one candidate
-        # when it pops and finds its change nan
+        # when it is proposed and finds its change nan
         monkeypatch.setattr(
             solvers._RegionPool, "union_fit",
             lambda pool, a, b: solvers._Fit(pool.regions[a].units, None, float("nan")))
@@ -271,8 +271,8 @@ class TestMergeStage:
         # with every union fit nan, no pair may be fused. A constant
         # covariate (spread 0) makes every batch hold an exactly singular
         # Gram; a nearly constant one makes every Gram fail the Frobenius
-        # screen. Either way no union is scored, so every union enters
-        # keyed by -inf and is fitted when it pops
+        # screen. Either way no union is scored, so every union is fitted
+        # when it is proposed
         graph = build_grid_graph(4, 4)
         dataset = Dataset(X=1.0 + spread * rng.random((16, 1)), y=rng.random(16))
         nan_fit = lambda pool, a, b: solvers._Fit(pool.regions[a].units, None, float("nan"))
@@ -290,26 +290,31 @@ class TestMergeStage:
                                 SolverConfig(p=2, min_obs=4))
         assert scored == [{}]
 
-    def test_unbounded_unions_are_fitted_only_when_they_pop(self, rng):
+    def test_unscored_unions_are_fitted_once_when_proposed(self, rng):
         # four 4-unit rows, each already at min_obs, and no union scored:
-        # the three row pairs enter keyed by -inf and are fitted as they
-        # pop. The one fusion then reaches p=3, so the unions it pushes
-        # for the new region 4 never pop and are never fitted
+        # each batch's unions are fitted once, right after it is proposed.
+        # The three row pairs come first; rows 1 and 2 fuse into region 4
+        # and reach p=3, and its pairs with rows 0 and 3 are still fitted
         graph = build_grid_graph(4, 4)
         dataset = Dataset(X=rng.random((16, 1)), y=rng.random(16))
-        fitted = []
+        events = []
         union_fit = _RegionPool.union_fit
 
+        def proposing(pool, pairs):
+            events.append(list(pairs))
+            return {}
+
         def recording(pool, a, b):
-            fitted.append((a, b))
+            events.append((a, b))
             return union_fit(pool, a, b)
 
         with mock.patch.object(_RegionPool, "union_fit", recording), \
-                mock.patch.object(_RegionPool, "scores", lambda pool, pairs: {}):
+                mock.patch.object(_RegionPool, "scores", proposing):
             part, _ = kmodels_merge_stage(dataset, graph, Partition(np.repeat(np.arange(4), 4), 4),
                                           SolverConfig(p=3, min_obs=4))
-        assert part.p == 3
-        assert fitted == [(0, 1), (1, 2), (2, 3)]
+        assert part.assignment.tolist() == [0] * 4 + [1] * 8 + [2] * 4
+        assert events == [[(0, 1), (1, 2), (2, 3)], (0, 1), (1, 2), (2, 3),
+                          [(0, 4), (3, 4)], (0, 4), (3, 4)]
 
     def test_scored_unions_are_never_fitted(self):
         # m = 2 on a scattered 12x12 partition, so both unions of at most
@@ -348,10 +353,8 @@ class TestMergeStage:
         unscored = [pair for pairs, found in batches for pair in pairs if pair not in found]
         assert scored and small & set(fitted)
         assert not scored & (set(fitted) | small)
-        # every unscored union pops and is fitted once, except those the
-        # last fusion pushed after p regions were reached
-        last = len(batches[-1][0]) - len(batches[-1][1])
-        assert sorted(fitted) == sorted(unscored[:len(unscored) - last])
+        # every unscored union is fitted once, the last fusion's included
+        assert sorted(fitted) == sorted(unscored)
         # the final regions are fitted last, once each, and returned as fitted
         for j, (fit, model) in enumerate(zip(fits[-cfg.p:], models, strict=True)):
             assert fit is model and fit.n_obs == len(part.members(j))
@@ -468,7 +471,7 @@ class TestRegionPool:
             union = pool.union_fit(a, b)
             expected = np.sort(np.concatenate((pool.regions[a].units, pool.regions[b].units)))
             assert np.array_equal(union.units, expected)
-            pool.merge(a, b, union)
+            pool.merge(a, b, union.ssr)
 
 
     def test_cross_products_follow_merges_and_score_unions_above_m_plus_one(self, rng):
@@ -480,16 +483,15 @@ class TestRegionPool:
         for u in range(12):
             pool.add(_fit(dataset, np.array([u])))
         assert pool.scores([(0, 1)]) == {}
-        first = pool.merge(0, 1, pool.union_fit(0, 1))
-        second = pool.merge(2, 3, pool.union_fit(2, 3))
+        first = pool.merge(0, 1, pool.union_fit(0, 1).ssr)
+        second = pool.merge(2, 3, pool.union_fit(2, 3).ssr)
         pairs = [(first, 4), (first, second), (5, 6)]
         scores = pool.scores(pairs)
         assert list(scores) == [(first, second)]
         union = pool.union_fit(first, second)
         assert scores[first, second] == pytest.approx(union.ssr, rel=1e-9, abs=1e-12)
         # a scored union is installed with its score and no model
-        third = pool.merge(first, second, solvers._Fit(pool.union_units(first, second), None,
-                                                       scores[first, second]))
+        third = pool.merge(first, second, scores[first, second])
         assert pool.regions[third].ssr == scores[first, second]
         assert pool.regions[third].model is None
         assert np.array_equal(pool.regions[third].units, union.units)
@@ -557,7 +559,7 @@ def reference_merge_stage(dataset, graph, micro_partition, config, changes):
         if not live:
             raise MergeInfeasibleError("no finite merge")
         _, _, nb, fitted = min(live, key=lambda entry: entry[:2])
-        new = pool.merge(rid, nb, fitted)
+        new = pool.merge(rid, nb, fitted.ssr)
         if len(fitted.units) < config.min_obs:
             heapq.heappush(repair, (len(fitted.units), pool.smallest(new), new))
     if len(pool.regions) < config.p:
@@ -577,7 +579,7 @@ def reference_merge_stage(dataset, graph, micro_partition, config, changes):
         _, a, b, fitted = heapq.heappop(heap)
         if a not in pool.regions or b not in pool.regions:
             continue
-        new = pool.merge(a, b, fitted)
+        new = pool.merge(a, b, fitted.ssr)
         adjacency[new] = (adjacency.pop(a) | adjacency.pop(b)) - {a, b}
         for x in sorted(adjacency[new]):
             adjacency[x].discard(a)
@@ -592,12 +594,12 @@ def reference_merge_stage(dataset, graph, micro_partition, config, changes):
     return Partition(assignment, len(ordered)), [f.model for f in ordered]
 
 
-def assert_same_merge(dataset, graph, micro, cfg, changes):
+def assert_same_merge(dataset, graph, micro, cfg, changes, same_fits=True):
     """The merge stage equals the reference with ``changes`` bit for bit.
 
-    The stage must fit no union twice, and no union that the reference
-    did not fit. Returns how many union fits the stage made and the
-    reference made.
+    The stage must fit no union twice. It must fit the same unions as the
+    reference when ``same_fits``, and otherwise no union that the
+    reference did not fit (``fit_every_union`` fits scored unions too).
     """
     fits = {"stage": [], "reference": []}
     union_fit = _RegionPool.union_fit
@@ -617,12 +619,14 @@ def assert_same_merge(dataset, graph, micro, cfg, changes):
         assert got.beta.tobytes() == want.beta.tobytes()
         assert repr(got.ssr) == repr(want.ssr)
     assert len(fits["stage"]) == len(set(fits["stage"]))
-    assert set(fits["stage"]) <= set(fits["reference"])
-    return len(fits["stage"]), len(fits["reference"])
+    if same_fits:
+        assert set(fits["stage"]) == set(fits["reference"])
+    else:
+        assert set(fits["stage"]) <= set(fits["reference"])
 
 
 class TestMergeScreen:
-    """The merge stage's heap settles every merge as a plain loop over all candidates does."""
+    """The merge stage picks every merge as a plain loop over all candidates does."""
 
     @settings(max_examples=80, deadline=None)
     @given(merge_cases())
@@ -632,8 +636,8 @@ class TestMergeScreen:
     @settings(max_examples=40, deadline=None)
     @given(merge_cases())
     def test_matches_fit_every_union_oracle_without_scores(self, case):
-        # with no union scored, every union is fitted when it pops, and
-        # the stage is the one of fitting every union
+        # with no union scored, every union is fitted when it is proposed,
+        # and the stage is the one of fitting every union
         with mock.patch.object(_RegionPool, "scores", lambda pool, pairs: {}):
             assert_same_merge(*case, fit_every_union)
 
@@ -650,7 +654,7 @@ class TestMergeScreen:
         labels[:6] = np.arange(6)
         dataset = Dataset(X=rng.random((36, m)), y=np.zeros(36))
         assert_same_merge(dataset, graph, Partition(labels, 6),
-                          SolverConfig(p=p, min_obs=min_obs), fit_every_union)
+                          SolverConfig(p=p, min_obs=min_obs), fit_every_union, same_fits=False)
 
     def test_fusion_tie_goes_to_the_smaller_ids(self):
         # four 5-unit blocks along a path; blocks 0 and 2 hold the same
@@ -673,7 +677,7 @@ class TestMergeScreen:
         assert fitted[0] == fitted[1] < fitted[2]
         assert scored[0] == scored[1] == scored[2]
         assert_same_merge(dataset, graph, Partition(labels, 4), SolverConfig(p=3, min_obs=5),
-                          fit_every_union)
+                          fit_every_union, same_fits=False)
         part, _ = kmodels_merge_stage(dataset, graph, Partition(labels, 4),
                                       SolverConfig(p=3, min_obs=5))
         assert part.assignment.tolist() == [0] * 10 + [1] * 5 + [2] * 5
