@@ -13,6 +13,7 @@ concurrent solver runs.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -132,15 +133,19 @@ def build_grid_graph(rows: int, cols: int) -> AdjacencyGraph:
 def build_edge_list_graph(n: int, pairs) -> AdjacencyGraph:
     """Graph over ``n`` units from an iterable of index pairs.
 
-    Pairs are symmetrized and deduplicated. Raises IndexError for indices
-    outside ``[0, n)``, ValueError for self-loops, and
-    DisconnectedGraphError if the result is not connected.
+    Pairs are symmetrized and deduplicated. Indices must be integers
+    (Python or numpy). Raises ValueError for any other index, naming its
+    edge, IndexError for indices outside ``[0, n)``, ValueError for
+    self-loops, and DisconnectedGraphError if the result is not connected.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     ends: list[tuple[int, int]] = []
     for i, j in pairs:
-        i, j = int(i), int(j)
+        try:
+            i, j = operator.index(i), operator.index(j)
+        except TypeError:
+            raise ValueError(f"edge ({i!r}, {j!r}) has a non-integer index") from None
         if not (0 <= i < n and 0 <= j < n):
             raise IndexError(f"edge ({i}, {j}) out of range for n={n}")
         if i == j:

@@ -24,8 +24,8 @@ rows, the union's ``Z'Z`` is the sum of its two sides' (Chan, Golub &
 LeVeque 1983 on pooled sums of squares), and its SSR is
 ``y'y - xty' G^-1 xty`` from the blocks of that sum. ``union_ssr``
 scores a stack of unions so, one inverse for the whole stack, and gives
-no score to a union whose Gram fails the Frobenius screen of
-``fit_ols``. A score differs from ``fit_ols`` over the union's rows only
+no score to a union whose Gram is exactly singular or fails the
+Frobenius screen of ``fit_ols``. A score differs from ``fit_ols`` over the union's rows only
 by rounding, relative to the union's ``y'y``.
 """
 
@@ -170,8 +170,9 @@ class RegionModel:
     inverse: ``gram_inv`` is None for them and for models reloaded from
     files, and the rank-one functions reject such a model. ``ssr`` is
     the sum of squared residuals over the rows the model was fitted on,
-    equal bit for bit to ``region_ssr`` over them; it is set only by
-    ``fit_ols`` and is None for models reloaded from files or updated by
+    equal bit for bit to ``region_ssr`` over them. ``fit_ols`` sets it,
+    and a local-search solver's models carry the SSR their fit recorded;
+    it is None for models reloaded from files or updated by
     ``add_unit``/``remove_unit``.
     """
 
@@ -199,7 +200,8 @@ class ModelStack(NamedTuple):
 
     ``beta`` is ``(c, m+1)`` and ``gram_inv`` ``(c, m+1, m+1)``: row i of a
     ``(c, m)`` stack is scored against ``beta[i]`` and ``gram_inv[i]``.
-    Every model needs an inverse. ``add_unit`` and ``remove_unit`` update
+    With ``beta`` ``(m+1,)`` and ``gram_inv`` ``(m+1, m+1)`` it is one
+    model that scores every row. Every model needs an inverse. ``add_unit`` and ``remove_unit`` update
     one ``RegionModel`` and reject a stack.
     """
 
@@ -405,15 +407,20 @@ def union_ssr(cross) -> np.ndarray:
     ``Z = [1 X y]`` over its rows: the sum of its two sides'. With ``G``,
     ``xty`` and ``y'y`` the blocks of ``Z'Z``, the union's SSR is
     ``y'y - xty' G^-1 xty``. Returns one entry per union, nan where ``G``
-    fails the Frobenius screen of ``fit_ols``, so that only a union whose
-    fit would be certified non-degenerate gets a score. A union's score
-    does not depend on the other unions of its stack, but
-    ``np.linalg.inv`` raises LinAlgError for the whole stack when one
-    ``G`` is exactly singular.
+    is exactly singular or fails the Frobenius screen of ``fit_ols``, so
+    that only a union whose fit would be certified non-degenerate gets a
+    score. A union's score does not depend on the other unions of its
+    stack: when ``np.linalg.inv`` refuses a stack for an exactly
+    singular ``G``, each union of it is scored alone.
     """
     cross = np.asarray(cross, dtype=float)
     gram, xty, yy = cross[:, :-1, :-1], cross[:, :-1, -1], cross[:, -1, -1]
-    gram_inv = np.linalg.inv(gram)
+    try:
+        gram_inv = np.linalg.inv(gram)
+    except np.linalg.LinAlgError:
+        if len(cross) == 1:
+            return np.array([np.nan])
+        return np.concatenate([union_ssr(c[None]) for c in cross])
     ssr = yy - np.vecdot(xty, (gram_inv @ xty[..., None])[..., 0])
     certified = _frobenius_condition_sq(gram, gram_inv) < _CERTIFIED_CONDITION_SQ
     return np.where(certified, ssr, np.nan)

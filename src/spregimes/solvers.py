@@ -102,13 +102,13 @@ def _check_inputs(dataset: Dataset, graph: AdjacencyGraph, config: SolverConfig)
 
 
 class _Fit(NamedTuple):
-    """A region's regression state, shared by every solver.
+    """What a region fit returns; no region holder stores one.
 
     ``units`` are the members as an ascending int64 array, ``model`` their
     OLS fit (None when fewer than m+1 units leave it non-unique) and
     ``ssr`` the model's sum of squared residuals over them (0.0 without a
-    model). The merge stage's unions are the exception: they carry their
-    SSR and no model (``_RegionPool.merge``).
+    model). ``_LocalSearch`` and ``_RegionPool`` copy what they keep of a
+    fit into tables indexed by region id.
     """
 
     units: np.ndarray
@@ -209,56 +209,55 @@ def _partition_sweep(assign: np.ndarray, best: np.ndarray, k: int, stage_min: in
 
 
 class _RegionPool:
-    """Mutable region bookkeeping for the merge stage.
+    """The merge stage's regions: one table indexed by region id.
 
-    ``regions`` maps a live region id to its ``_Fit`` and ``region_of``
-    maps each unit to its region id. Member arrays are ascending, so a
-    union is one concatenate and a stable sort, which merges the two
-    ascending runs in linear time, and its first entry is the region's
-    smallest member. ``neighbor_regions`` reads ``region_of`` with one
-    gather over the region's CSR rows. ``union_fit`` is the only place a
-    candidate merge is fitted. ``merge`` installs a union as its members,
-    the SSR it is given (a score or a fit's) and no model, so only split
-    fragments carry models; ``kmodels_merge_stage`` fits the final
-    regions. Regions too small for a unique fit contribute no residuals
-    to merge comparisons; they only ever shrink in number. Region ids are
-    never reused: a merge retires both inputs and adds a new id.
+    ``units`` maps each live region id to its ascending member array;
+    ``ssr`` (a list) and ``cross`` (a ``(2F, m+2, m+2)`` array) hold each
+    id's SSR and ``Z'Z`` with ``Z = [1 X y]`` over its rows, for the F
+    fragments the pool starts from and every union merged since. A merge
+    retires two ids and adds one, so ids stay below 2F and are never
+    reused. ``region_of`` maps each unit to its region id, and
+    ``neighbor_regions`` reads it with one gather over a region's CSR
+    rows. A union of two member arrays is one concatenate and a stable
+    sort, which merges the two ascending runs in linear time, and a
+    region's first member is its smallest.
 
-    ``cross`` maps a live region id to ``Z'Z`` with ``Z = [1 X y]`` over
-    its rows. A split fragment's comes from its rows; a merged region's
-    is the sum of its two sides', with no gather. ``scores`` computes the
-    SSR of every union of more than m+1 units in a batch of candidates
-    from these sums, in one ``linreg.union_ssr`` call, without gathering
-    its rows.
+    A fragment's SSR comes from its fit and its ``cross`` from its rows.
+    ``merge`` installs a union with the SSR it is given (a score or a
+    fit's) and the sum of its sides' ``cross``, with no gather and no
+    model; ``kmodels_merge_stage`` fits the final regions. Regions too
+    small for a unique fit have SSR 0.0; they only ever shrink in number.
+    ``union_fit`` is the only place a candidate merge is fitted, and
+    ``scores`` computes the SSR of every union of more than m+1 units in a
+    batch of candidates from the summed ``cross``, in one
+    ``linreg.union_ssr`` call, without gathering its rows.
     """
 
-    def __init__(self, dataset: Dataset, n: int):
+    def __init__(self, dataset: Dataset, n: int, fragments: list[np.ndarray]):
         self.dataset = dataset
         self.rows = np.column_stack((dataset.augmented, dataset.y))
-        self.regions: dict[int, _Fit] = {}
-        self.cross: dict[int, np.ndarray] = {}
+        self.units: dict[int, np.ndarray] = {}
+        self.ssr: list[float] = []
+        self.cross = np.empty((2 * len(fragments), dataset.m + 2, dataset.m + 2))
         self.region_of = np.empty(n, dtype=np.int64)
-        self.next_id = 0
+        for units in fragments:
+            self.add(units, _fit(dataset, units).ssr)
 
-    def add(self, fitted: _Fit, cross: np.ndarray | None = None) -> int:
-        """Add the region ``fitted`` with ``cross`` its ``Z'Z``, computed from its rows if None."""
+    def add(self, units: np.ndarray, ssr: float, cross: np.ndarray | None = None) -> int:
+        """Add a region of SSR ``ssr`` and ``Z'Z`` ``cross``, computed from its rows if None."""
         if cross is None:
-            z = self.rows[fitted.units]
+            z = self.rows[units]
             cross = z.T @ z
-        rid = self.next_id
-        self.next_id += 1
-        self.regions[rid] = fitted
+        rid = len(self.ssr)
+        self.units[rid] = units
+        self.ssr.append(ssr)
         self.cross[rid] = cross
-        self.region_of[fitted.units] = rid
+        self.region_of[units] = rid
         return rid
-
-    def smallest(self, rid: int) -> int:
-        return int(self.regions[rid].units[0])
 
     def union_units(self, a: int, b: int) -> np.ndarray:
         """Ascending members of the union of regions ``a`` and ``b``."""
-        units = np.concatenate((self.regions[a].units, self.regions[b].units))
-        return np.sort(units, kind="stable")
+        return np.sort(np.concatenate((self.units[a], self.units[b])), kind="stable")
 
     def union_fit(self, a: int, b: int) -> _Fit:
         return _fit(self.dataset, self.union_units(a, b))
@@ -266,37 +265,29 @@ class _RegionPool:
     def merge(self, a: int, b: int, ssr: float) -> int:
         """Replace regions ``a`` and ``b`` by their union of SSR ``ssr``, summing their ``cross``."""
         units = self.union_units(a, b)
-        del self.regions[a], self.regions[b]
-        return self.add(_Fit(units, None, ssr), self.cross.pop(a) + self.cross.pop(b))
-
-    def delta(self, a: int, b: int, ssr: float) -> float:
-        """Total-SSR change of replacing regions ``a`` and ``b`` by a union of that SSR."""
-        return ssr - self.regions[a].ssr - self.regions[b].ssr
+        del self.units[a], self.units[b]
+        return self.add(units, ssr, self.cross[a] + self.cross[b])
 
     def scores(self, pairs: list[tuple[int, int]]) -> dict[tuple[int, int], float]:
         """SSR of each union of more than m+1 units, from its sides' ``cross``, keyed by pair.
 
-        One ``union_ssr`` call scores the whole batch. Pairs left out get
-        no score: unions of at most m+1 units, whose fits ``_fit``
-        computes as before; unions whose summed Gram fails the Frobenius
-        screen of ``fit_ols``, or whose score is not finite; and the whole
-        batch when one summed Gram is exactly singular. No score costs
-        more than O(m^3) per pair.
+        One ``union_ssr`` call scores the whole batch, and each union's
+        score is the one it would get alone. Pairs left out get no score:
+        unions of at most m+1 units, whose fits ``_fit`` computes as
+        before, and unions whose summed Gram is exactly singular or fails
+        the Frobenius screen of ``fit_ols``, or whose score is not finite.
+        No score costs more than O(m^3) per pair.
         """
-        regions, cross, least = self.regions, self.cross, self.dataset.m + 1
-        pairs = [(a, b) for a, b in pairs
-                 if len(regions[a].units) + len(regions[b].units) > least]
+        units, cross, least = self.units, self.cross, self.dataset.m + 1
+        pairs = [(a, b) for a, b in pairs if len(units[a]) + len(units[b]) > least]
         if not pairs:
             return {}
-        try:
-            ssr = union_ssr(np.array([cross[a] + cross[b] for a, b in pairs]))
-        except np.linalg.LinAlgError:
-            return {}
+        ssr = union_ssr(np.array([cross[a] + cross[b] for a, b in pairs]))
         return {pair: s for pair, s in zip(pairs, ssr.tolist()) if math.isfinite(s)}
 
     def neighbor_regions(self, graph: AdjacencyGraph, rid: int) -> set[int]:
         """Ids of the live regions other than ``rid`` that touch region ``rid``."""
-        units = self.regions[rid].units
+        units = self.units[rid]
         indices = graph.indices
         touched = np.concatenate([indices[a:b] for a, b in zip(graph.indptr[units].tolist(),
                                                                graph.indptr[units + 1].tolist())])
@@ -318,7 +309,7 @@ def _settle(pool: _RegionPool, candidates: list[tuple[int, int, int]]) -> list[t
         ssr = scores.get((a, b))
         if ssr is None:
             ssr = pool.union_fit(a, b).ssr
-        delta = pool.delta(a, b, ssr)
+        delta = ssr - pool.ssr[a] - pool.ssr[b]
         if math.isfinite(delta):
             settled.append((delta, tie, a, b, ssr))
     return settled
@@ -344,16 +335,18 @@ def kmodels_merge_stage(dataset: Dataset, graph: AdjacencyGraph,
       cross-products, passes the Frobenius screen of ``fit_ols`` is
       scored from that sum (``_RegionPool.scores``, one call per batch)
       and never fitted.
-    - Any other union (at most m+1 units, an uncertified Gram, or a batch
-      holding an exactly singular Gram) is fitted by ``fit_ols``.
+    - Any other union (at most m+1 units, or an exactly singular or
+      uncertified Gram) is fitted by ``fit_ols``. A union's score does
+      not depend on the other unions of its batch.
 
     A union whose change is not finite is dropped, so it never wins. The
     size repair takes the least ``(change, smallest member)`` over the
     undersized region's neighbors. Fusion keeps one heap of
     ``(change, 0, a, b)``: it starts from every neighboring pair, skips
     entries whose side has merged away, and gains the pairs of each new
-    region. A winner is installed with its members, its summed
-    cross-products and its SSR, and no model.
+    region. A winner is installed in the pool's table (``_RegionPool``)
+    with its members, its summed cross-products and its SSR, and no
+    model.
 
     A score and a fit of the same rows agree to rounding. The tolerance
     is ``16 u (kappa_F + n) y'y``, with u the machine epsilon, kappa_F
@@ -372,51 +365,49 @@ def kmodels_merge_stage(dataset: Dataset, graph: AdjacencyGraph,
     ``p`` regions remain after the size repair, or if fusion runs out of
     neighboring pairs with a finite SSR change before ``p`` remain.
     """
-    pool = _RegionPool(dataset, graph.n)
-    for j in range(micro_partition.p):
-        for comp in connected_components(graph, micro_partition.members(j)):
-            pool.add(_fit(dataset, np.asarray(comp, dtype=np.int64)))
+    fragments = [np.asarray(comp, dtype=np.int64) for j in range(micro_partition.p)
+                 for comp in connected_components(graph, micro_partition.members(j))]
+    pool = _RegionPool(dataset, graph.n, fragments)
+    units = pool.units
 
     # absorb undersized regions, smallest first; smallest members are
     # distinct, so (size, smallest) orders live regions without ties
-    repair = [(len(f.units), pool.smallest(rid), rid) for rid, f in pool.regions.items()
-              if len(f.units) < config.min_obs]
+    repair = [(len(u), int(u[0]), rid) for rid, u in units.items() if len(u) < config.min_obs]
     heapq.heapify(repair)
     while repair:
         rid = heapq.heappop(repair)[2]
-        if rid not in pool.regions:
+        if rid not in units:
             continue  # merged away since it was queued
-        settled = _settle(pool, [(pool.smallest(nb), rid, nb)
+        settled = _settle(pool, [(int(units[nb][0]), rid, nb)
                                  for nb in pool.neighbor_regions(graph, rid)])
         if not settled:
             raise MergeInfeasibleError(
-                f"undersized region (size {len(pool.regions[rid].units)}, smallest member "
-                f"{pool.smallest(rid)}) has no neighboring region with a finite SSR "
+                f"undersized region (size {len(units[rid])}, smallest member "
+                f"{units[rid][0]}) has no neighboring region with a finite SSR "
                 "change to merge into"
             )
         _, _, _, nb, ssr = min(settled)
         new = pool.merge(rid, nb, ssr)
-        size = len(pool.regions[new].units)
+        size = len(units[new])
         if size < config.min_obs:
-            heapq.heappush(repair, (size, pool.smallest(new), new))
+            heapq.heappush(repair, (size, int(units[new][0]), new))
 
-    if len(pool.regions) < config.p:
+    if len(units) < config.p:
         raise MergeInfeasibleError(
-            f"only {len(pool.regions)} regions remain after the size repair but "
+            f"only {len(units)} regions remain after the size repair but "
             f"p={config.p} were requested; lower min_obs or raise K"
         )
 
     # fuse neighboring pairs with the smallest SSR increase until p remain
-    adjacency = {rid: pool.neighbor_regions(graph, rid) for rid in pool.regions}
-    heap = _settle(pool, [(0, a, b) for a in sorted(pool.regions)
-                          for b in sorted(adjacency[a]) if a < b])
+    adjacency = {rid: pool.neighbor_regions(graph, rid) for rid in units}
+    heap = _settle(pool, [(0, a, b) for a in sorted(units) for b in sorted(adjacency[a]) if a < b])
     heapq.heapify(heap)
-    while len(pool.regions) > config.p:
-        while heap and not (heap[0][2] in pool.regions and heap[0][3] in pool.regions):
+    while len(units) > config.p:
+        while heap and not (heap[0][2] in units and heap[0][3] in units):
             heapq.heappop(heap)  # one side already merged away
         if not heap:
             raise MergeInfeasibleError(
-                f"{len(pool.regions)} regions remain but no neighboring pair has a finite "
+                f"{len(units)} regions remain but no neighboring pair has a finite "
                 f"SSR change to fuse, and p={config.p} were requested"
             )
         _, _, a, b, ssr = heapq.heappop(heap)
@@ -430,8 +421,7 @@ def kmodels_merge_stage(dataset: Dataset, graph: AdjacencyGraph,
         for entry in _settle(pool, [(0, x, new) for x in sorted(adjacency[new])]):
             heapq.heappush(heap, entry)
 
-    ordered = [_fit(dataset, pool.regions[rid].units)
-               for rid in sorted(pool.regions, key=pool.smallest)]
+    ordered = [_fit(dataset, u) for u in sorted(units.values(), key=lambda u: u[0])]
     assignment = np.empty(graph.n, dtype=np.int64)
     for label, f in enumerate(ordered):
         assignment[f.units] = label
@@ -560,34 +550,34 @@ class _LocalSearch:
     """Region state and loop shared by AZP and Regional-K-Models.
 
     It grows ``p`` connected regions, fits each one, and then keeps the
-    unit labels ``assign``, one ``_Fit`` per region in ``regions`` (its
-    ascending member array, model and SSR), and the trace of the total
-    SSR. A step policy proposes moves and ``move`` applies them; ``run``
-    calls the policy until a step moves nothing (``stop_reason``
-    ``"converged"``) or ``max_iter`` steps have run (``"max_iter"``), and
-    appends the total SSR to the trace after every step, so
+    unit labels ``assign``, a table of the regions' state indexed by
+    region (below), and the trace of the total SSR. A step policy
+    proposes moves and ``move`` applies them; ``run`` calls the policy
+    until a step moves nothing (``stop_reason`` ``"converged"``) or
+    ``max_iter`` steps have run (``"max_iter"``), and appends the total
+    SSR to the trace after every step, so
     ``iterations_used == len(trace) - 1``. ``touch[u, r]`` counts the
     units of u's closed neighborhood (u and its neighbors) in region r;
     it is built once (``_region_counts``) and only ``move`` updates it.
     Both step policies read their candidates from it with numpy
     (``_azp_candidates``, ``_rkm_candidates``).
 
-    A move inserts the unit into one member array and drops it from the
-    other, and refits both regions with ``_fit`` (``moved_fits``), unless
-    ``refit_delta`` already fitted them to score the move.
-
-    Four arrays indexed by region copy what the step policies read of
-    each ``_Fit``: ``sizes`` (member counts), ``beta`` (``(p, m+1)``
+    Region ``r``'s state is stored once, in ``units[r]`` (its ascending
+    member array), ``ssr[r]`` (its SSR, a Python float) and four arrays
+    indexed by region: ``sizes`` (member counts), ``beta`` (``(p, m+1)``
     coefficients), ``gram_inv`` (``(p, m+1, m+1)`` inverse Grams, nan
     where there is none) and ``usable`` (the model has an inverse, so the
-    rank-one identities apply). A fit changes only at start-up and in
-    ``move``, and both write the arrays (``_write``), so they always match
-    ``regions``.
+    rank-one identities apply). ``_write`` is their one writer: at
+    start-up for every region, and in ``move`` for the two regions a move
+    refits. A move inserts the unit into one member array and drops it
+    from the other and fits both (``moved_fits``), unless ``refit_delta``
+    already fitted them to score the move. ``run`` builds the returned
+    models from the table.
 
     ``screen`` scores moving each of a region's candidates into it with
     the rank-one identities, one add call against the region's model and
     one removal call against the stack of the candidates' donor models,
-    gathered from the arrays, and marks the candidates that only a full
+    both read from the arrays, and marks the candidates that only a full
     refit (``refit_delta``) can decide: every candidate a degenerate model
     scores, and every candidate when either call breaks down.
 
@@ -609,10 +599,9 @@ class _LocalSearch:
     a cut vertex.
 
     ``check_invariants`` asserts after every move that the unit touches
-    its new region, that ``labels`` and ``touch`` match ``assign``, that
-    the per-region arrays match every region's ``_Fit``, and that every
-    region is connected and at least ``min_obs`` units large (debug
-    instrumentation).
+    its new region, that ``labels``, ``touch`` and every member array
+    match ``assign``, and that every region is connected and at least
+    ``min_obs`` units large (debug instrumentation).
     """
 
     def __init__(self, dataset: Dataset, graph: AdjacencyGraph, config: SolverConfig,
@@ -627,25 +616,23 @@ class _LocalSearch:
         self.assign = initial.assignment.copy()
         self.labels = self.assign.tolist()
         self.touch = _region_counts(graph, self.assign, config.p)
-        self.regions = _fit_labels(dataset, self.assign, config.p)
-        self.index_regions()
-        self.trace = [_total(self.regions)]
-        self.cuts: list[set[int] | None] = [None] * config.p
-        self.charge = [0] * config.p
-
-    def index_regions(self):
-        """Build the per-region arrays from ``regions``."""
-        p, k = len(self.regions), self.dataset.m + 1
+        p, k = config.p, dataset.m + 1
+        self.units: list[np.ndarray] = [None] * p
+        self.ssr: list[float] = [0.0] * p
         self.sizes = np.empty(p, dtype=np.int64)
         self.beta = np.empty((p, k))
         self.gram_inv = np.empty((p, k, k))
         self.usable = np.empty(p, dtype=bool)
-        for r in range(p):
-            self._write(r)
+        for r, fit in enumerate(_fit_labels(dataset, self.assign, p)):
+            self._write(r, fit)
+        self.trace = [float(sum(self.ssr))]
+        self.cuts: list[set[int] | None] = [None] * p
+        self.charge = [0] * p
 
-    def _write(self, r: int):
-        """Copy region ``r``'s ``_Fit`` into the per-region arrays."""
-        units, model, _ = self.regions[r]
+    def _write(self, r: int, fit: _Fit):
+        """Store region ``r``'s ``fit`` in the table."""
+        units, model, ssr = fit
+        self.units[r], self.ssr[r] = units, ssr
         self.sizes[r] = len(units)
         self.beta[r] = model.beta
         self.usable[r] = model.gram_inv is not None
@@ -660,7 +647,7 @@ class _LocalSearch:
         starts = [w for w in self.graph.neighbors[v] if labels[w] == d]
         if len(starts) < 2:
             return False
-        if self.charge[d] >= CUT_SEARCH_SHARE * len(self.regions[d].units):
+        if self.charge[d] >= CUT_SEARCH_SHARE * len(self.units[d]):
             self.cuts[d] = _articulation_points(self.graph, labels, v)
             return v in self.cuts[d]
         cut, pops = _separates(self.graph.neighbors, labels, v, starts)
@@ -669,7 +656,7 @@ class _LocalSearch:
 
     def moved_fits(self, v: int, src: int, dst: int) -> tuple[_Fit, _Fit]:
         """Fits of regions ``src`` without unit ``v`` and ``dst`` with it."""
-        loss, gain = self.regions[src].units, self.regions[dst].units
+        loss, gain = self.units[src], self.units[dst]
         at = int(np.searchsorted(gain, v))
         return (_fit(self.dataset, loss[loss != v]),
                 _fit(self.dataset, np.concatenate((gain[:at], [v], gain[at:]))))
@@ -680,11 +667,11 @@ class _LocalSearch:
 
         Rank-one identities give the exact changes in O(m^2) per
         candidate, from two stacked calls over the candidates whose donor
-        has a usable model: ``ssr_increase_if_added`` against region
-        ``j``'s model, and ``ssr_decrease_if_removed`` against a
-        ``ModelStack`` of each candidate's donor, gathered from the
-        per-region arrays. Both score row by row, so a candidate's change
-        does not depend on which others are screened with it.
+        has a usable model, each on a ``ModelStack`` read from the table:
+        ``ssr_increase_if_added`` against region ``j``'s model, and
+        ``ssr_decrease_if_removed`` against each candidate's donor. Both
+        score row by row, so a candidate's change does not depend on which
+        others are screened with it.
         Returns ``(delta, refit)``; ``refit`` marks the candidates whose
         change only ``refit_delta`` can give, and their ``delta`` is nan.
         One rule decides them: a degenerate model leaves every candidate
@@ -701,7 +688,7 @@ class _LocalSearch:
             rows, owners = candidates[scored], donors[scored]
             x, y = self.dataset.X[rows], self.dataset.y[rows]
             try:
-                gain = ssr_increase_if_added(self.regions[j].model, x, y)
+                gain = ssr_increase_if_added(ModelStack(self.beta[j], self.gram_inv[j]), x, y)
                 loss = ssr_decrease_if_removed(
                     ModelStack(self.beta[owners], self.gram_inv[owners]), x, y)
             except NumericalBreakdownError:
@@ -716,7 +703,7 @@ class _LocalSearch:
         Also returns the two fits (``moved_fits``), for ``move`` to install.
         """
         fits = new_d, new_j = self.moved_fits(v, d, j)
-        return (new_j.ssr - self.regions[j].ssr) + (new_d.ssr - self.regions[d].ssr), fits
+        return (new_j.ssr - self.ssr[j]) + (new_d.ssr - self.ssr[d]), fits
 
     def move(self, v: int, src: int, dst: int, fits: tuple[_Fit, _Fit] | None = None):
         """Move unit ``v`` from region ``src`` into region ``dst`` and refit both.
@@ -726,9 +713,8 @@ class _LocalSearch:
         """
         if fits is None:
             fits = self.moved_fits(v, src, dst)
-        self.regions[src], self.regions[dst] = fits
-        self._write(src)
-        self._write(dst)
+        self._write(src, fits[0])
+        self._write(dst, fits[1])
         self.assign[v] = self.labels[v] = dst
         for w in (*self.graph.neighbors[v], v):
             self.touch[w, src] -= 1
@@ -742,13 +728,9 @@ class _LocalSearch:
             assert self.labels == self.assign.tolist(), "label list out of step with assign"
             counts = _region_counts(self.graph, self.assign, self.config.p)
             assert np.array_equal(self.touch, counts), "region-count table out of step"
-            for r, (units, model, _) in enumerate(self.regions):
-                assert self.sizes[r] == len(units), "size array out of step with regions"
-                assert np.array_equal(self.beta[r], model.beta), "beta array out of step"
-                assert self.usable[r] == (model.gram_inv is not None), "usable flag out of step"
-                if self.usable[r]:
-                    assert np.array_equal(self.gram_inv[r], model.gram_inv), \
-                        "inverse Gram array out of step"
+            for r, units in enumerate(self.units):
+                assert np.array_equal(units, np.flatnonzero(self.assign == r)), \
+                    "member array out of step with assign"
                 assert len(units) >= self.config.min_obs, "region dropped below the minimum size"
                 assert is_connected_subset(self.graph, units), "region lost connectivity"
 
@@ -756,14 +738,18 @@ class _LocalSearch:
         """Call ``step(self)`` until it moves nothing or ``max_iter`` times."""
         for _ in range(self.config.max_iter):
             moved = step(self)
-            self.trace.append(_total(self.regions))
+            self.trace.append(float(sum(self.ssr)))
             if not moved:
                 stop_reason = "converged"
                 break
         else:
             stop_reason = "max_iter"
+        models = [RegionModel(self.beta[r].copy(), self.gram_inv[r].copy() if usable else None,
+                              n_obs, degenerate=not usable, ssr=self.ssr[r])
+                  for r, (n_obs, usable) in enumerate(zip(self.sizes.tolist(),
+                                                          self.usable.tolist()))]
         return SolveResult(partition=Partition(self.assign, self.config.p),
-                           models=[f.model for f in self.regions], total_ssr=self.trace[-1],
+                           models=models, total_ssr=self.trace[-1],
                            iterations_used=len(self.trace) - 1, seed=self.config.seed,
                            wall_time=time.perf_counter() - self.start, trace=self.trace,
                            stop_reason=stop_reason)

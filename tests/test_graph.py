@@ -80,6 +80,16 @@ class TestEdgeListGraph:
         with pytest.raises(IndexError):
             build_edge_list_graph(2, [(0, 2)])
 
+    def test_non_integer_index_rejected(self):
+        # truncating 1.9 and 2.2 would build the path 0-1-2
+        with pytest.raises(ValueError, match=r"^edge \(0, 1\.9\) has a non-integer index$"):
+            build_edge_list_graph(3, [(0, 1.9), (1, 2.2)])
+        with pytest.raises(ValueError, match="non-integer index"):
+            build_edge_list_graph(3, [(0, 1), (np.float64(1.0), 2)])
+        # numpy integers are indices
+        path = build_edge_list_graph(3, [(np.int64(0), np.int32(1)), (np.uint8(1), 2)])
+        assert path == build_edge_list_graph(3, [(0, 1), (1, 2)])
+
     def test_equal_graphs_compare_and_hash_alike(self):
         graph = build_edge_list_graph(4, [(0, 1), (1, 2), (1, 3)])
         assert graph.neighbors == ((1,), (0, 2, 3), (1,), (1,))

@@ -580,8 +580,8 @@ def score_unions(ds, a, blocks, rng=None):
     cross_a = cross(ds, a, rng)
     crosses = np.array([cross_a + cross(ds, b, rng) for b in blocks])
     score = union_ssr(crosses)
-    gram = crosses[:, :-1, :-1]
-    screen = _frobenius_condition_sq(gram, np.linalg.inv(gram))
+    screen = np.array([_frobenius_condition_sq(g, inverse_or_nan(g))
+                       for g in crosses[:, :-1, :-1]])
     kappa = np.where(screen < _CERTIFIED_CONDITION_SQ, np.sqrt(screen), np.nan)
     n = np.array([len(a) + len(b) for b in blocks])
     err = SCORE_TOLERANCE * np.finfo(float).eps * (kappa + n) * crosses[:, -1, -1]
@@ -589,13 +589,18 @@ def score_unions(ds, a, blocks, rng=None):
     return score, err, np.array(exact)
 
 
+def inverse_or_nan(gram):
+    """The inverse of one matrix, or nan throughout when it is exactly singular."""
+    try:
+        return np.linalg.inv(gram)
+    except np.linalg.LinAlgError:
+        return np.full_like(gram, np.nan)
+
+
 def certified_union(ds, members):
     """Whether the Gram of ``members`` passes the Frobenius screen of ``fit_ols``."""
     gram = ds.augmented[members].T @ ds.augmented[members]
-    try:
-        return bool(_frobenius_condition_sq(gram, np.linalg.inv(gram)) < _CERTIFIED_CONDITION_SQ)
-    except np.linalg.LinAlgError:
-        return False
+    return bool(_frobenius_condition_sq(gram, inverse_or_nan(gram)) < _CERTIFIED_CONDITION_SQ)
 
 
 class TestMergeIdentities:
@@ -616,17 +621,32 @@ class TestMergeIdentities:
     def test_condition_designs(self, eps, size_a):
         ds = condition_design(eps)
         a, b = np.arange(size_a), np.arange(size_a, 40)
-        certified = certified_union(ds, np.arange(40))
-        try:
-            score, err, exact = score_unions(ds, a, [b])
-        except np.linalg.LinAlgError:
-            # the summed Gram is exactly singular; the batch gets no score
-            assert not certified
-            return
-        # a union whose fit fails the Frobenius screen gets no score
-        assert np.isfinite(score[0]) == certified
-        if certified:
+        score, err, exact = score_unions(ds, a, [b])
+        # a union whose summed Gram is exactly singular or fails the
+        # Frobenius screen of its fit gets no score
+        if certified_union(ds, np.arange(40)):
             assert abs(score[0] - exact[0]) <= err[0]
+        else:
+            assert np.isnan(score[0])
+
+    def test_an_exactly_singular_gram_is_scored_alone(self, rng):
+        # x1 = 1 on rows 0-9 repeats the intercept column there, so the
+        # first union's Gram is exactly singular. It gets nan, and the other
+        # union of its stack the score it gets alone, bit for bit
+        x = rng.normal(size=(30, 2))
+        x[:10, 0] = 1.0
+        ds = Dataset(X=x, y=rng.normal(size=30))
+        singular = cross(ds, np.arange(5)) + cross(ds, np.arange(5, 10))
+        regular = cross(ds, np.arange(10, 20)) + cross(ds, np.arange(20, 30))
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.inv(singular[:-1, :-1])
+        alone = union_ssr(regular[None])
+        assert np.isfinite(alone[0])
+        assert np.isnan(union_ssr(singular[None])).all()
+        for stack, at in (([singular, regular], 1), ([regular, singular], 0)):
+            score = union_ssr(np.array(stack))
+            assert np.isnan(score[1 - at])
+            assert score[at].tobytes() == alone[0].tobytes()
 
     @pytest.mark.parametrize("offset", [0.0, 1e2, 1e4, 1e6])
     @pytest.mark.parametrize("noise", [0.0, 1e-6, 1.0])

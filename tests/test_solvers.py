@@ -245,7 +245,7 @@ class TestMergeStage:
         # when it is proposed and finds its change nan
         monkeypatch.setattr(
             solvers._RegionPool, "union_fit",
-            lambda pool, a, b: solvers._Fit(pool.regions[a].units, None, float("nan")))
+            lambda pool, a, b: solvers._Fit(pool.units[a], None, float("nan")))
         scored = []
         scores = solvers._RegionPool.scores
 
@@ -275,7 +275,7 @@ class TestMergeStage:
         # when it is proposed
         graph = build_grid_graph(4, 4)
         dataset = Dataset(X=1.0 + spread * rng.random((16, 1)), y=rng.random(16))
-        nan_fit = lambda pool, a, b: solvers._Fit(pool.regions[a].units, None, float("nan"))
+        nan_fit = lambda pool, a, b: solvers._Fit(pool.units[a], None, float("nan"))
         scored = []
         scores = _RegionPool.scores
 
@@ -431,7 +431,7 @@ def merge_cases(draw):
 def neighbor_regions_loop(pool, graph, rid):
     """Reference scan: the per-neighbor loop that ``neighbor_regions`` replaced."""
     out = set()
-    for u in pool.regions[rid].units.tolist():
+    for u in pool.units[rid].tolist():
         for v in graph.neighbors[u]:
             w = int(pool.region_of[v])
             if w != rid:
@@ -457,11 +457,10 @@ class TestRegionPool:
     @given(pool_cases())
     def test_neighbor_regions_match_loop_through_merges(self, case):
         dataset, graph, labels, p, rng = case
-        pool = _RegionPool(dataset, graph.n)
-        for j in rng.permutation(p).tolist():
-            pool.add(_fit(dataset, np.flatnonzero(labels == j)))
+        pool = _RegionPool(dataset, graph.n,
+                           [np.flatnonzero(labels == j) for j in rng.permutation(p).tolist()])
         while True:
-            touching = {rid: pool.neighbor_regions(graph, rid) for rid in pool.regions}
+            touching = {rid: pool.neighbor_regions(graph, rid) for rid in pool.units}
             for rid, found in touching.items():
                 assert found == neighbor_regions_loop(pool, graph, rid)
             pairs = sorted((a, b) for a, nbs in touching.items() for b in nbs if a < b)
@@ -469,7 +468,7 @@ class TestRegionPool:
                 break
             a, b = pairs[rng.integers(len(pairs))]
             union = pool.union_fit(a, b)
-            expected = np.sort(np.concatenate((pool.regions[a].units, pool.regions[b].units)))
+            expected = np.sort(np.concatenate((pool.units[a], pool.units[b])))
             assert np.array_equal(union.units, expected)
             pool.merge(a, b, union.ssr)
 
@@ -479,9 +478,7 @@ class TestRegionPool:
         # union of four or more units is scored from its summed Z'Z
         graph = build_grid_graph(3, 4)
         dataset = Dataset(X=rng.random((12, 2)), y=rng.normal(size=12))
-        pool = _RegionPool(dataset, 12)
-        for u in range(12):
-            pool.add(_fit(dataset, np.array([u])))
+        pool = _RegionPool(dataset, 12, [np.array([u]) for u in range(12)])
         assert pool.scores([(0, 1)]) == {}
         first = pool.merge(0, 1, pool.union_fit(0, 1).ssr)
         second = pool.merge(2, 3, pool.union_fit(2, 3).ssr)
@@ -490,14 +487,15 @@ class TestRegionPool:
         assert list(scores) == [(first, second)]
         union = pool.union_fit(first, second)
         assert scores[first, second] == pytest.approx(union.ssr, rel=1e-9, abs=1e-12)
-        # a scored union is installed with its score and no model
+        # a scored union is installed with its score; ids stay below twice
+        # the fragment count
         third = pool.merge(first, second, scores[first, second])
-        assert pool.regions[third].ssr == scores[first, second]
-        assert pool.regions[third].model is None
-        assert np.array_equal(pool.regions[third].units, union.units)
+        assert pool.ssr[third] == scores[first, second]
+        assert np.array_equal(pool.units[third], union.units)
+        assert third == 14 and pool.cross.shape == (24, 4, 4)
         rows = np.column_stack((dataset.augmented, dataset.y))
-        for rid, f in pool.regions.items():
-            z = rows[f.units]
+        for rid, units in pool.units.items():
+            z = rows[units]
             assert np.allclose(pool.cross[rid], z.T @ z, rtol=1e-14, atol=1e-14)
 
 
@@ -506,31 +504,24 @@ def fit_every_union(pool, pairs):
     out = {}
     for a, b in pairs:
         fitted = pool.union_fit(a, b)
-        out[a, b] = (pool.delta(a, b, fitted.ssr), fitted)
+        out[a, b] = (fitted.ssr - pool.ssr[a] - pool.ssr[b], fitted)
     return out
 
 
 def score_by_rule(pool, pairs):
     """Each union's SSR change and ``_Fit`` by the merge stage's rule, one union at a time.
 
-    A union of more than m+1 units is scored from its sides' summed
+    A union of more than m+1 units is scored alone from its sides' summed
     ``Z'Z`` and taken as its members with that score and no model,
-    unless its score is not finite or any union of the batch has an
-    exactly singular Gram; every other union is fitted.
+    unless its score is not finite; every other union is fitted.
     """
-    try:
-        scores = {(a, b): float(union_ssr((pool.cross[a] + pool.cross[b])[None])[0])
-                  for a, b in pairs if len(pool.union_units(a, b)) > pool.dataset.m + 1}
-    except np.linalg.LinAlgError:
-        scores = {}
     out = {}
     for a, b in pairs:
-        score = scores.get((a, b), math.nan)
-        if math.isfinite(score):
-            fitted = solvers._Fit(pool.union_units(a, b), None, score)
-        else:
-            fitted = pool.union_fit(a, b)
-        out[a, b] = (pool.delta(a, b, fitted.ssr), fitted)
+        units, score = pool.union_units(a, b), math.nan
+        if len(units) > pool.dataset.m + 1:
+            score = float(union_ssr((pool.cross[a] + pool.cross[b])[None])[0])
+        fitted = solvers._Fit(units, None, score) if math.isfinite(score) else pool.union_fit(a, b)
+        out[a, b] = (fitted.ssr - pool.ssr[a] - pool.ssr[b], fitted)
     return out
 
 
@@ -542,29 +533,28 @@ def reference_merge_stage(dataset, graph, micro_partition, config, changes):
     the neighbors of each undersized region, then every neighboring pair,
     then the pairs of each fused region. The final regions are fitted.
     """
-    pool = _RegionPool(dataset, graph.n)
-    for j in range(micro_partition.p):
-        for comp in connected_components(graph, micro_partition.members(j)):
-            pool.add(_fit(dataset, np.asarray(comp, dtype=np.int64)))
-    repair = [(len(f.units), pool.smallest(rid), rid) for rid, f in pool.regions.items()
-              if len(f.units) < config.min_obs]
+    pool = _RegionPool(dataset, graph.n, [
+        np.asarray(comp, dtype=np.int64) for j in range(micro_partition.p)
+        for comp in connected_components(graph, micro_partition.members(j))])
+    units = pool.units
+    repair = [(len(u), int(u[0]), rid) for rid, u in units.items() if len(u) < config.min_obs]
     heapq.heapify(repair)
     while repair:
         rid = heapq.heappop(repair)[2]
-        if rid not in pool.regions:
+        if rid not in units:
             continue
         found = changes(pool, [(rid, nb) for nb in pool.neighbor_regions(graph, rid)])
-        live = [(delta, pool.smallest(nb), nb, fitted)
+        live = [(delta, int(units[nb][0]), nb, fitted)
                 for (_, nb), (delta, fitted) in found.items() if math.isfinite(delta)]
         if not live:
             raise MergeInfeasibleError("no finite merge")
         _, _, nb, fitted = min(live, key=lambda entry: entry[:2])
         new = pool.merge(rid, nb, fitted.ssr)
         if len(fitted.units) < config.min_obs:
-            heapq.heappush(repair, (len(fitted.units), pool.smallest(new), new))
-    if len(pool.regions) < config.p:
+            heapq.heappush(repair, (len(fitted.units), int(units[new][0]), new))
+    if len(units) < config.p:
         raise MergeInfeasibleError("too few regions")
-    adjacency = {rid: pool.neighbor_regions(graph, rid) for rid in pool.regions}
+    adjacency = {rid: pool.neighbor_regions(graph, rid) for rid in units}
     heap = []
 
     def push(pairs):
@@ -572,12 +562,12 @@ def reference_merge_stage(dataset, graph, micro_partition, config, changes):
             if math.isfinite(delta):
                 heapq.heappush(heap, (delta, a, b, fitted))
 
-    push([(a, b) for a in sorted(pool.regions) for b in sorted(adjacency[a]) if a < b])
-    while len(pool.regions) > config.p:
+    push([(a, b) for a in sorted(units) for b in sorted(adjacency[a]) if a < b])
+    while len(units) > config.p:
         if not heap:
             raise MergeInfeasibleError("no finite fusion")
         _, a, b, fitted = heapq.heappop(heap)
-        if a not in pool.regions or b not in pool.regions:
+        if a not in units or b not in units:
             continue
         new = pool.merge(a, b, fitted.ssr)
         adjacency[new] = (adjacency.pop(a) | adjacency.pop(b)) - {a, b}
@@ -586,8 +576,7 @@ def reference_merge_stage(dataset, graph, micro_partition, config, changes):
             adjacency[x].discard(b)
             adjacency[x].add(new)
         push([(x, new) for x in sorted(adjacency[new])])
-    ordered = [_fit(dataset, pool.regions[rid].units)
-               for rid in sorted(pool.regions, key=pool.smallest)]
+    ordered = [_fit(dataset, u) for u in sorted(units.values(), key=lambda u: u[0])]
     assignment = np.empty(graph.n, dtype=np.int64)
     for label, f in enumerate(ordered):
         assignment[f.units] = label
@@ -669,9 +658,7 @@ class TestMergeScreen:
             0.01 * rng.normal(size=10), 2)
         labels = np.repeat(np.arange(4), 5)
         dataset = Dataset(X=x, y=y)
-        pool = _RegionPool(dataset, 20)
-        for j in range(4):
-            pool.add(_fit(dataset, np.flatnonzero(labels == j)))
+        pool = _RegionPool(dataset, 20, [np.flatnonzero(labels == j) for j in range(4)])
         fitted, scored = ([changes(pool, [pair])[pair][0] for pair in [(0, 1), (2, 3), (1, 2)]]
                           for changes in (fit_every_union, score_by_rule))
         assert fitted[0] == fitted[1] < fitted[2]
@@ -825,12 +812,17 @@ class TestArticulationPoints:
 
 @st.composite
 def move_cases(draw):
-    """A grown search on a drawn graph and a seed for a sequence of moves."""
+    """A grown search on a drawn graph and a seed for a sequence of moves.
+
+    The covariate is sometimes a 0/1 column, so that small regions whose
+    units share one value have degenerate fits.
+    """
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     graph = draw_graph(draw, rng, (3, 8), (10, 60), 4)
     p = draw(st.integers(1, 4))
     assume(graph.n >= 2 * p)
-    dataset = Dataset(X=rng.random((graph.n, 1)), y=rng.normal(size=graph.n))
+    x = rng.integers(2, size=(graph.n, 1)) if draw(st.booleans()) else rng.random((graph.n, 1))
+    dataset = Dataset(X=x, y=rng.normal(size=graph.n))
     config = SolverConfig(p=p, min_obs=2, seed=draw(st.integers(0, 999)))
     try:
         search = _LocalSearch(dataset, graph, config, check_invariants=True)
@@ -848,7 +840,7 @@ def random_move(search, rng):
     graph, labels = search.graph, search.labels
     for v in rng.permutation(graph.n).tolist():
         src = labels[v]
-        members = set(search.regions[src].units.tolist())
+        members = set(search.units[src].tolist())
         if len(members) <= search.config.min_obs:
             continue
         if not is_connected_subset(graph, members - {v}):
@@ -887,7 +879,7 @@ class TestCutQueries:
             for _ in range(moves):
                 for v in rng.permutation(graph.n).tolist():
                     d = search.labels[v]
-                    members = search.regions[d].units.tolist()
+                    members = search.units[d].tolist()
                     walked = _articulation_points(graph, search.labels, members[0])
                     if nx is not None:
                         assert walked == set(nx.articulation_points(graph_of(graph, members)))
@@ -971,29 +963,28 @@ def move_delta_oracle(search, v, d, j, offered):
     unit in ``offered``, every candidate unit of region ``j``, from its
     own donor breaks down, unless that donor is degenerate.
     """
-    dataset, fj, fd = search.dataset, search.regions[j], search.regions[d]
+    dataset = search.dataset
+    fj, fd = fit_ols(dataset, search.units[j]), fit_ols(dataset, search.units[d])
     x, yv = dataset.X[v], float(dataset.y[v])
-    if fj.model.degenerate or fd.model.degenerate:
+    if fj.degenerate or fd.degenerate:
         return None
     for u in offered.tolist():
-        donor = search.regions[search.assign[u]].model
+        donor = fit_ols(dataset, search.units[search.assign[u]])
         if donor.degenerate:
             continue
         try:
             ssr_decrease_if_removed(donor, dataset.X[u], float(dataset.y[u]))
         except NumericalBreakdownError:
             return None
-    return ssr_increase_if_added(fj.model, x, yv), ssr_decrease_if_removed(fd.model, x, yv)
+    return ssr_increase_if_added(fj, x, yv), ssr_decrease_if_removed(fd, x, yv)
 
 
 def search_state(dataset, graph, labels, p):
-    """A ``_LocalSearch`` holding the given labels and their fits, grown by no one."""
-    search = object.__new__(_LocalSearch)
-    search.dataset, search.graph, search.assign = dataset, graph, labels
-    search.regions = solvers._fit_labels(dataset, labels, p)
-    search.index_regions()
-    search.touch = _region_counts(graph, labels, p)
-    return search
+    """A ``_LocalSearch`` started from the given labels instead of a grown partition."""
+    config = SolverConfig(p=p, min_obs=dataset.m + 1)
+    with mock.patch.object(solvers, "grow_initial_partition",
+                           lambda *args: Partition(labels, p)):
+        return _LocalSearch(dataset, graph, config, check_invariants=False)
 
 
 @st.composite
@@ -1044,8 +1035,9 @@ class TestSsrScreen:
                 else:
                     gain, loss = expected
                     v_x, v_y = dataset.X[v], float(dataset.y[v])
-                    bound = (rank_one_rounding(search.regions[j].model, v_x, v_y, 1.0)
-                             + rank_one_rounding(search.regions[d].model, v_x, v_y, -1.0))
+                    bound = (rank_one_rounding(fit_ols(dataset, search.units[j]), v_x, v_y, 1.0)
+                             + rank_one_rounding(fit_ols(dataset, search.units[d]), v_x, v_y,
+                                                 -1.0))
                     assert abs(delta[pos] - (gain - loss)) <= bound[0]
 
     def test_donor_breakdown_sends_all_its_candidates_to_refits(self, rng):
@@ -1063,9 +1055,10 @@ class TestSsrScreen:
         search = search_state(dataset, graph, labels, 2)
         candidates = _azp_candidates(search.touch, labels, 0)
         assert candidates.tolist() == [2, 6]
+        donor = fit_ols(dataset, search.units[1])
         with pytest.raises(NumericalBreakdownError):
-            ssr_decrease_if_removed(search.regions[1].model, x[[2, 6]], dataset.y[[2, 6]])
-        ssr_decrease_if_removed(search.regions[1].model, x[6], float(dataset.y[6]))
+            ssr_decrease_if_removed(donor, x[[2, 6]], dataset.y[[2, 6]])
+        ssr_decrease_if_removed(donor, x[6], float(dataset.y[6]))
         delta, refit = search.screen(candidates, labels[candidates], 0)
         assert refit.tolist() == [True, True]
         assert np.isnan(delta).all()
@@ -1110,10 +1103,11 @@ class TestSsrScreen:
         donors = labels[candidates]
         assert candidates.tolist() == [2, 8, 14, 20, 26, 32]
         assert donors.tolist() == [1, 2, 3, 1, 2, 3]
-        assert search.regions[2].model.degenerate
+        assert fit_ols(dataset, search.units[2]).degenerate
         assert search.usable.tolist() == [True, True, False, True]
         with pytest.raises(NumericalBreakdownError):
-            ssr_decrease_if_removed(search.regions[3].model, x[[14, 32]], dataset.y[[14, 32]])
+            ssr_decrease_if_removed(fit_ols(dataset, search.units[3]), x[[14, 32]],
+                                    dataset.y[[14, 32]])
         delta, refit = search.screen(candidates, donors, 0)
         assert refit.all() and np.isnan(delta).all()
         # without donor 3's candidates, only the degenerate donor's go to refits
@@ -1122,16 +1116,14 @@ class TestSsrScreen:
         assert refit.tolist() == [False, True, False, True]
         assert np.isfinite(delta[~refit]).all() and np.isnan(delta[refit]).all()
 
-    def test_move_checks_the_region_arrays(self, rect_sim, grid25):
+    def test_move_checks_the_member_arrays(self, rect_sim, grid25):
         search = _LocalSearch(rect_sim.dataset, grid25, SolverConfig(p=5, min_obs=10, seed=7),
                               check_invariants=True)
-        assert search.sizes.tolist() == [len(f.units) for f in search.regions]
-        assert np.array_equal(search.beta, [f.model.beta for f in search.regions])
-        assert np.array_equal(search.gram_inv, [f.model.gram_inv for f in search.regions])
-        assert search.usable.all()
-        # a move rewrites its two regions, so the other three stay stale
-        search.beta += 1.0
-        with pytest.raises(AssertionError, match="beta array"):
+        for r, units in enumerate(search.units):
+            assert np.array_equal(units, np.flatnonzero(search.assign == r))
+        # each region loses its last member from its array but not from assign
+        search.units = [units[:-1] for units in search.units]
+        with pytest.raises(AssertionError, match="member array"):
             random_move(search, np.random.default_rng(0))
 
     def test_move_checks_the_region_counts(self, rect_sim, grid25):
@@ -1165,7 +1157,7 @@ class TestSsrScreen:
         cfg = SolverConfig(p=5, min_obs=10, seed=7)
         search = _LocalSearch(rect_sim.dataset, grid25, cfg, check_invariants=False)
         search.run(_azp_pass)
-        sizes = np.array([len(f.units) for f in search.regions])
+        sizes = np.array([len(units) for units in search.units])
         improving = set()
         for j in range(cfg.p):
             candidates = _azp_candidates(search.touch, search.assign, j)
@@ -1279,6 +1271,40 @@ class TestCandidateScans:
                 break
         rebuilt = _region_counts(search.graph, search.assign, search.config.p)
         assert np.array_equal(search.touch, rebuilt)
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=move_cases())
+    def test_moves_keep_region_tables(self, case):
+        search, rng, moves = case
+        # the table is checked against fresh fits here, not by ``move``
+        search.check_invariants = False
+        dataset = search.dataset
+        for _ in range(moves):
+            moved = random_move(search, rng)
+            for r, units in enumerate(search.units):
+                fit = fit_ols(dataset, units)
+                assert np.array_equal(units, np.flatnonzero(search.assign == r))
+                assert search.sizes[r] == fit.n_obs
+                assert repr(search.ssr[r]) == repr(fit.ssr)
+                assert search.beta[r].tobytes() == fit.beta.tobytes()
+                assert search.usable[r] == (fit.gram_inv is not None)
+                if fit.gram_inv is None:
+                    assert np.isnan(search.gram_inv[r]).all()
+                else:
+                    assert search.gram_inv[r].tobytes() == fit.gram_inv.tobytes()
+            if not moved:
+                break
+        # the returned models are the fits of the final members
+        result = search.run(lambda state: False)
+        for r, model in enumerate(result.models):
+            fit = fit_ols(dataset, result.partition.members(r))
+            assert model.beta.tobytes() == fit.beta.tobytes()
+            assert (model.gram_inv is None) == (fit.gram_inv is None) == fit.degenerate
+            if fit.gram_inv is not None:
+                assert model.gram_inv.tobytes() == fit.gram_inv.tobytes()
+            assert repr(model.ssr) == repr(fit.ssr)
+            assert model.degenerate == fit.degenerate
+            assert model.n_obs == fit.n_obs
 
 
 class TestSolveKmodels:
@@ -1398,8 +1424,7 @@ class TestRkmResiduals:
 
         def checked(state):
             moved = step(state)
-            betas = np.array([f.model.beta for f in state.regions])
-            assert np.array_equal(step.resid, _abs_residuals(dataset, betas))
+            assert np.array_equal(step.resid, _abs_residuals(dataset, state.beta))
             return moved
 
         assert fingerprint(search.run(checked)) == pins
