@@ -468,16 +468,20 @@ def grow_initial_partition(graph: AdjacencyGraph, count: int, min_obs: int,
 class Partition:
     """Assignment of every unit to exactly one region label in ``0..p-1``.
 
-    Every label must be used by at least one unit.
+    Every label must be used by at least one unit. Labels of a non-integer
+    dtype (floats, say) raise ValueError instead of being truncated.
     """
 
     assignment: np.ndarray
     p: int = field(default=0)
 
     def __post_init__(self):
-        self.assignment = np.asarray(self.assignment, dtype=np.int64)
+        self.assignment = np.asarray(self.assignment)
         if self.assignment.ndim != 1 or len(self.assignment) == 0:
             raise ValueError("assignment must be a non-empty 1-D label array")
+        if not np.issubdtype(self.assignment.dtype, np.integer):
+            raise ValueError(f"labels must be integers, got dtype {self.assignment.dtype}")
+        self.assignment = self.assignment.astype(np.int64, copy=False)
         if self.assignment.min() < 0:
             raise ValueError(f"labels must be dense in 0..p-1, got {self.assignment.min()}")
         if self.p == 0:

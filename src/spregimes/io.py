@@ -12,6 +12,7 @@ import csv
 import datetime
 import hashlib
 import json
+import operator
 import re
 from contextlib import contextmanager
 from dataclasses import asdict, fields
@@ -352,7 +353,8 @@ def load_solve_result(path, unit_ids: list[str]) -> tuple[SolveResult, bool]:
     Reloaded models carry coefficients only (no cached inverse Gram
     matrix). Returns the result and whether the solve ran on standardized
     data. Raises ValueError naming the file for a missing key or a wrongly
-    typed field.
+    typed field, a non-integer label, size, iteration count or seed
+    included.
     """
     with open(path, "r", encoding="utf-8") as fh, _fields_of(path):
         payload = json.load(fh)
@@ -360,12 +362,12 @@ def load_solve_result(path, unit_ids: list[str]) -> tuple[SolveResult, bool]:
     if set(assignments) != set(unit_ids):
         raise ValueError(f"{path}: assignment unit ids do not match the dataset")
     with _fields_of(path):
-        labels = np.array([int(assignments[u]) for u in unit_ids], dtype=np.int64)
+        labels = np.array([operator.index(assignments[u]) for u in unit_ids], dtype=np.int64)
         models = [
             RegionModel(
                 beta=np.array([entry["intercept"], *entry["coefficients"]], dtype=float),
                 gram_inv=None,
-                n_obs=int(entry["size"]),
+                n_obs=operator.index(entry["size"]),
             )
             for entry in payload["regions"]
         ]
@@ -373,8 +375,8 @@ def load_solve_result(path, unit_ids: list[str]) -> tuple[SolveResult, bool]:
             partition=Partition(labels, len(models)),
             models=models,
             total_ssr=float(payload["total_ssr"]),
-            iterations_used=int(payload["iterations"]),
-            seed=int(payload["seed"]),
+            iterations_used=operator.index(payload["iterations"]),
+            seed=operator.index(payload["seed"]),
             wall_time=float(payload["wall_time_sec"]),
             trace=[float(v) for v in payload["trace"]],
         )

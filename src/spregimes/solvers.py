@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import operator
 import time
 from collections import deque
 from dataclasses import dataclass, replace
@@ -58,8 +59,11 @@ class SolverConfig:
     left unset. ``min_obs`` applies to final regions everywhere and to
     every intermediate state in AZP and Regional-K-Models; the K-Models
     partition stage always uses m+1 instead. Building a config, also by
-    ``dataclasses.replace``, raises ValueError for ``p`` or ``max_iter``
-    below 1 or an explicit ``K <= p``, whichever solver reads it.
+    ``dataclasses.replace``, raises ValueError naming the field for a
+    non-integer ``p``, ``min_obs``, ``K`` (when set), ``max_iter`` or
+    ``seed``, and for ``p`` or ``max_iter`` below 1 or an explicit
+    ``K <= p``, whichever solver reads it. Integer fields are stored as
+    Python ints.
     """
 
     p: int
@@ -69,6 +73,13 @@ class SolverConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("p", "min_obs", "K", "max_iter", "seed"):
+            value = getattr(self, name)
+            if value is not None or name != "K":
+                try:
+                    object.__setattr__(self, name, operator.index(value))
+                except TypeError:
+                    raise ValueError(f"{name} must be an integer, got {value!r}") from None
         if self.p < 1:
             raise ValueError(f"p must be >= 1, got {self.p}")
         if self.max_iter < 1:
@@ -152,7 +163,8 @@ def kmodels_partition_stage(dataset: Dataset, graph: AdjacencyGraph, config: Sol
 
     Each micro-cluster is fitted and scored from one member array
     (``_fit``), and the trace sums those SSRs in micro-cluster order. The
-    reassignment itself is one array sweep (``_partition_sweep``).
+    reassignment is one in-order loop over the units whose best
+    micro-cluster is not their own (``_partition_sweep``).
 
     Returns ``(partition, models, trace, stop_reason)``: ``trace[0]`` is
     the SSR of the initial solution, and ``stop_reason`` is as in
@@ -168,9 +180,7 @@ def kmodels_partition_stage(dataset: Dataset, graph: AdjacencyGraph, config: Sol
     trace = [_total(fits)]
     for _ in range(config.max_iter):
         best = np.argmin(_abs_residuals(dataset, np.array([f.model.beta for f in fits])), axis=1)
-        new = _partition_sweep(assign, best, k, stage_min)
-        moved = bool((new != assign).any())
-        assign = new
+        moved = _partition_sweep(assign, best, k, stage_min)
         fits = _fit_labels(dataset, assign, k)
         trace.append(_total(fits))
         if not moved:
@@ -181,31 +191,25 @@ def kmodels_partition_stage(dataset: Dataset, graph: AdjacencyGraph, config: Sol
     return Partition(assign, k), [f.model for f in fits], trace, stop_reason
 
 
-def _partition_sweep(assign: np.ndarray, best: np.ndarray, k: int, stage_min: int
-                     ) -> np.ndarray:
-    """Labels after one partition-stage sweep of the units in index order.
+def _partition_sweep(assign: np.ndarray, best: np.ndarray, k: int, stage_min: int) -> bool:
+    """One partition-stage sweep of the units in index order, in place; whether a unit moved.
 
     In index order, unit ``i`` moves from region ``d = assign[i]`` to
     ``best[i]`` unless ``d`` has no more than ``stage_min`` units at that
-    point. Arrivals only add units, so a region whose leavers number at
-    most ``size - stage_min`` loses all of them; call the others *tight*.
-    Only units that leave a tight region or move into one are visited in
-    a Python loop, in index order, and usually there are none.
+    point. Only the units with ``best[i] != assign[i]`` are visited, and a
+    unit's label changes only when it is visited, so their labels can be
+    read before the loop.
     """
-    sizes = np.bincount(assign, minlength=k)
-    leave = best != assign
-    tight = np.bincount(assign[leave], minlength=k) > sizes - stage_min
-    new = np.where(leave & ~tight[assign], best, assign)
-    contested = np.flatnonzero(leave & (tight[assign] | tight[best]))
-    if len(contested):
-        sizes, tight = sizes.tolist(), tight.tolist()
-        for i, d, r in zip(contested.tolist(), assign[contested].tolist(),
-                           best[contested].tolist()):
-            if not tight[d] or sizes[d] > stage_min:
-                new[i] = r
-                sizes[d] -= 1
-                sizes[r] += 1
-    return new
+    sizes = np.bincount(assign, minlength=k).tolist()
+    leavers = np.flatnonzero(best != assign)
+    moved = False
+    for i, d, r in zip(leavers.tolist(), assign[leavers].tolist(), best[leavers].tolist()):
+        if sizes[d] > stage_min:
+            assign[i] = r
+            sizes[d] -= 1
+            sizes[r] += 1
+            moved = True
+    return moved
 
 
 class _RegionPool:
@@ -551,14 +555,17 @@ class _LocalSearch:
 
     It grows ``p`` connected regions, fits each one, and then keeps the
     unit labels ``assign``, a table of the regions' state indexed by
-    region (below), and the trace of the total SSR. A step policy
-    proposes moves and ``move`` applies them; ``run`` calls the policy
-    until a step moves nothing (``stop_reason`` ``"converged"``) or
-    ``max_iter`` steps have run (``"max_iter"``), and appends the total
-    SSR to the trace after every step, so
-    ``iterations_used == len(trace) - 1``. ``touch[u, r]`` counts the
-    units of u's closed neighborhood (u and its neighbors) in region r;
-    it is built once (``_region_counts``) and only ``move`` updates it.
+    region (below), and the trace of the total SSR. A step policy draws
+    its proposals in shuffled order and hands them to ``move_first``, the
+    one move path of both policies: it refuses a proposal whose unit is a
+    cut vertex of its donor, and one marked exact whose refitted change
+    (``refit_delta``) is not below ``-SSR_TOLERANCE``, and moves the
+    first one left. ``run`` calls the policy until a step moves nothing
+    (``stop_reason`` ``"converged"``) or ``max_iter`` steps have run
+    (``"max_iter"``), and appends the total SSR to the trace after every
+    step, so ``iterations_used == len(trace) - 1``. ``touch[u, r]``
+    counts the units of u's closed neighborhood (u and its neighbors) in
+    region r; it is built once (``_region_counts``) and only ``move`` updates it.
     Both step policies read their candidates from it with numpy
     (``_azp_candidates``, ``_rkm_candidates``).
 
@@ -569,10 +576,10 @@ class _LocalSearch:
     where there is none) and ``usable`` (the model has an inverse, so the
     rank-one identities apply). ``_write`` is their one writer: at
     start-up for every region, and in ``move`` for the two regions a move
-    refits. A move inserts the unit into one member array and drops it
-    from the other and fits both (``moved_fits``), unless ``refit_delta``
-    already fitted them to score the move. ``run`` builds the returned
-    models from the table.
+    refits. ``move`` inserts the unit into one member array, drops it
+    from the other and fits both (``moved_fits``), also when
+    ``refit_delta`` fitted them to score the move. ``run`` builds the
+    returned models from the table.
 
     ``screen`` scores moving each of a region's candidates into it with
     the rank-one identities, one add call against the region's model and
@@ -697,22 +704,32 @@ class _LocalSearch:
                 delta[scored] = gain - loss
         return delta, ~scored
 
-    def refit_delta(self, v: int, d: int, j: int) -> tuple[float, tuple[_Fit, _Fit]]:
-        """Total-SSR change from moving unit v out of region d into region j, by refits.
+    def refit_delta(self, v: int, d: int, j: int) -> float:
+        """Total-SSR change from moving unit v out of region d into region j, by refits."""
+        new_d, new_j = self.moved_fits(v, d, j)
+        return (new_j.ssr - self.ssr[j]) + (new_d.ssr - self.ssr[d])
 
-        Also returns the two fits (``moved_fits``), for ``move`` to install.
+    def move_first(self, proposals) -> tuple[int, int] | None:
+        """Apply the first allowed ``(v, src, dst, exact)`` proposal and return its ``(src, dst)``.
+
+        Proposals are read in the order given, and none after the one
+        applied. A proposal is refused when ``v`` is a cut vertex of
+        ``src`` (``is_cut``) or, when ``exact``, unless its refitted change
+        (``refit_delta``) is below ``-SSR_TOLERANCE``. Returns None when
+        every proposal is refused.
         """
-        fits = new_d, new_j = self.moved_fits(v, d, j)
-        return (new_j.ssr - self.ssr[j]) + (new_d.ssr - self.ssr[d]), fits
+        for v, src, dst, exact in proposals:
+            if self.is_cut(v, src):
+                continue
+            if exact and not self.refit_delta(v, src, dst) < -SSR_TOLERANCE:
+                continue
+            self.move(v, src, dst)
+            return src, dst
+        return None
 
-    def move(self, v: int, src: int, dst: int, fits: tuple[_Fit, _Fit] | None = None):
-        """Move unit ``v`` from region ``src`` into region ``dst`` and refit both.
-
-        ``fits`` are the fits of ``moved_fits(v, src, dst)`` when the caller
-        already has them; otherwise both regions are fitted here.
-        """
-        if fits is None:
-            fits = self.moved_fits(v, src, dst)
+    def move(self, v: int, src: int, dst: int):
+        """Move unit ``v`` from region ``src`` into region ``dst`` and refit both."""
+        fits = self.moved_fits(v, src, dst)
         self._write(src, fits[0])
         self._write(dst, fits[1])
         self.assign[v] = self.labels[v] = dst
@@ -798,18 +815,8 @@ def _azp_pass(search: _LocalSearch) -> bool:
         # first valid unit of a uniformly shuffled scan is a uniform
         # draw from the full valid set, without evaluating all of it
         order = search.rng.permutation(len(candidates))
-        for pos in order[viable[order]].tolist():
-            v, d = int(candidates[pos]), int(donors[pos])
-            if search.is_cut(v, d):
-                continue
-            fits = None
-            if refit[pos]:
-                change, fits = search.refit_delta(v, d, j)
-                if not change < -SSR_TOLERANCE:
-                    continue
-            search.move(v, d, j, fits)
-            moved = True
-            break
+        moved |= search.move_first((int(candidates[pos]), int(donors[pos]), j, refit[pos])
+                                   for pos in order[viable[order]].tolist()) is not None
     return moved
 
 
@@ -843,14 +850,13 @@ class _RkmStep:
                                               search.sizes, search.config.min_obs)
         candidates, targets = candidates.tolist(), targets.tolist()
         # uniform draw from the valid set via a shuffled first-hit scan
-        for pos in search.rng.permutation(len(candidates)):
-            i = candidates[pos]
-            d, t = int(assign[i]), targets[pos]
-            if not search.is_cut(i, d):
-                search.move(i, d, t)
-                self.resid[:, [d, t]] = _abs_residuals(search.dataset, search.beta[[d, t]])
-                return True
-        return False
+        moved = search.move_first(
+            (candidates[pos], int(assign[candidates[pos]]), targets[pos], False)
+            for pos in search.rng.permutation(len(candidates)))
+        if moved is None:
+            return False
+        self.resid[:, list(moved)] = _abs_residuals(search.dataset, search.beta[list(moved)])
+        return True
 
 
 def solve_azp(dataset: Dataset, graph: AdjacencyGraph, config: SolverConfig,
@@ -867,13 +873,15 @@ def solve_azp(dataset: Dataset, graph: AdjacencyGraph, config: SolverConfig,
     donor model (``_LocalSearch.screen``). A degenerate model leaves every
     candidate it scores to full refits, and a call that breaks down (a
     candidate of leverage ~1 in its donor) leaves every candidate to
-    them; refits decide a candidate after check (c). Check (c) is
-    ``_LocalSearch.is_cut``: local searches from the unit's neighbors in
-    the donor, until they have popped ``CUT_SEARCH_SHARE`` times as many
-    units as the donor holds since it last changed, then a lookup in the
-    donor's cut vertices, walked once and cached. Every check is a pure
-    function of the current state, so the order does not change which
-    unit moves. Donor sizes come from ``_LocalSearch.sizes``.
+    them. The viable candidates go to ``_LocalSearch.move_first`` in
+    shuffled order, marked exact when only refits can decide them; it
+    runs check (c) and then, for an exact candidate, the refits. Check
+    (c) is ``_LocalSearch.is_cut``: local searches from the unit's
+    neighbors in the donor, until they have popped ``CUT_SEARCH_SHARE``
+    times as many units as the donor holds since it last changed, then a
+    lookup in the donor's cut vertices, walked once and cached. Every
+    check is a pure function of the current state, so the order does not
+    change which unit moves. Donor sizes come from ``_LocalSearch.sizes``.
     One uniformly random valid unit is moved per region per pass and both
     affected models are refit immediately, so later regions in the same
     pass see the updated state. Terminates when a full pass moves nothing
@@ -899,11 +907,13 @@ def solve_regional_kmodels(dataset: Dataset, graph: AdjacencyGraph, config: Solv
     its current one, whose donor stays above ``min_obs``, and whose donor
     stays connected without it. Exactly one uniformly random candidate is
     moved (simultaneous moves could break donor contiguity) and the two
-    affected models are refit. Terminates when no candidate exists or
-    after ``max_iter`` moves. The candidates come from one vectorised
-    scan of the residual matrix, masked to the regions of each unit's
-    closed neighborhood (``_LocalSearch.touch``, kept by ``move``;
-    ``_rkm_candidates``), in ascending unit order. The residual matrix
+    affected models are refit: the candidates go to
+    ``_LocalSearch.move_first`` in shuffled order, which skips the cut
+    vertices of their donors and moves the first one left. Terminates
+    when no candidate exists or after ``max_iter`` moves. The candidates
+    come from one vectorised scan of the residual matrix, masked to the
+    regions of each unit's closed neighborhood (``_LocalSearch.touch``,
+    kept by ``move``; ``_rkm_candidates``), in ascending unit order. The residual matrix
     is kept across moves, and a move recomputes only its two regions'
     columns, from the betas stored in ``_LocalSearch.beta`` (``_RkmStep``).
 

@@ -9,6 +9,7 @@ everywhere. Everything is a pure function of (spec, seed).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,7 +48,9 @@ class SimulationSpec:
     shuffled once per covariate so each region gets a unique (b1, b2)
     pair. Left unset it spans [-2, 2] evenly, which gives
     (-2, -1, 0, 1, 2) for five regions. The intercept is 0 in every
-    region.
+    region. A non-integer ``rows``, ``cols``, ``region_count``,
+    ``min_region_units`` or ``seed`` raises ValueError naming the field;
+    those fields are stored as Python ints.
     """
 
     rows: int = 25
@@ -60,6 +63,12 @@ class SimulationSpec:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("rows", "cols", "region_count", "min_region_units", "seed"):
+            value = getattr(self, name)
+            try:
+                object.__setattr__(self, name, operator.index(value))
+            except TypeError:
+                raise ValueError(f"{name} must be an integer, got {value!r}") from None
         if self.scheme not in SCHEME_KINDS:
             raise ValueError(f"scheme must be one of {SCHEME_KINDS}, got {self.scheme!r}")
         if self.rows < 1 or self.cols < 1:

@@ -301,7 +301,10 @@ class TestEvalCommand:
         lambda payload: payload.update(trace=5),
         lambda payload: payload.update(regions=[{"size": 10}]),
         lambda payload: payload.update(total_ssr="low"),
-    ], ids=["no-trace", "trace-not-a-list", "region-without-coefficients", "text-ssr"])
+        lambda payload: payload["assignments"].update({next(iter(payload["assignments"])): 1.7}),
+        lambda payload: payload.update(seed=0.9),
+    ], ids=["no-trace", "trace-not-a-list", "region-without-coefficients", "text-ssr",
+            "fractional-label", "fractional-seed"])
     def test_malformed_result_exits_two_naming_the_file(self, suite_dir, result_path, tmp_path,
                                                         capsys, edit):
         payload = json.loads(result_path.read_text())
@@ -364,6 +367,20 @@ class TestBenchmarkCommand:
         assert code == 2
         assert "['rkm']" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_non_integer_grid_size_in_a_manifest_exits_two(self, suite_dir, tmp_path, capsys):
+        suite = tmp_path / "suite"
+        shutil.copytree(suite_dir, suite)
+        path = suite / "sim_000" / "manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest["spec"]["rows"] = 10.0
+        path.write_text(json.dumps(manifest))
+        out = tmp_path / "x"
+        code = main(["benchmark", "--suite", str(suite), "--algorithms", "kmodels",
+                     "--p", "2", "--min-obs", "10", "--K", "6", "--output", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and "rows must be an integer" in err
 
     def test_infeasible_cells_exit_four(self, suite_dir, tmp_path):
         # two regions of 51 units cannot fit in a 100-cell grid

@@ -447,6 +447,22 @@ class TestPartition:
         with pytest.raises(ValueError):
             Partition(np.array([0, 2, 2]), 3)
 
+    @pytest.mark.parametrize("labels", [[0.7, 1.2, 1.9], np.array([0.0, 1.0, 1.0]),
+                                        np.array([False, True, True])])
+    def test_non_integer_labels_refused(self, labels):
+        with pytest.raises(ValueError, match="labels must be integers"):
+            Partition(labels)
+
+    def test_empty_input_checked_first(self):
+        with pytest.raises(ValueError, match="non-empty"):
+            Partition([])
+
+    def test_integer_labels_stored_as_int64(self):
+        labels = np.array([0, 1, 1], dtype=np.int32)
+        assert Partition(labels).assignment.dtype == np.int64
+        held = np.array([1, 0, 1])
+        assert Partition(held).assignment is held
+
     def test_members_and_sizes(self):
         part = Partition(np.array([0, 1, 0, 1, 1]), 2)
         assert list(part.members(0)) == [0, 2]

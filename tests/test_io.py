@@ -175,6 +175,20 @@ class TestSuiteLayout:
                 assert info["manifest"]["adjacency"] == {"type": "grid", "rows": 10, "cols": 10}
 
 
+    def test_non_integer_spec_size_rejected_naming_the_file(self, small_suite, tmp_path):
+        _, _, suite_dir = small_suite
+        sim_dir = tmp_path / "sim_000"
+        sim_dir.mkdir()
+        for name in ("data.csv", "true_partition.csv", "true_coefficients.csv"):
+            (sim_dir / name).write_bytes((suite_dir / "sim_000" / name).read_bytes())
+        manifest = json.loads((suite_dir / "sim_000" / "manifest.json").read_text())
+        manifest["spec"]["rows"] = 10.0
+        (sim_dir / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(ValueError, match="rows must be an integer") as info:
+            load_simulation(sim_dir)
+        assert str(sim_dir / "manifest.json") in str(info.value)
+
+
 class TestResultRoundTrip:
     def test_reloaded_result_evaluates_identically(self, small_suite, tmp_path):
         spec, truths, suite_dir = small_suite
@@ -204,3 +218,23 @@ class TestResultRoundTrip:
         write_solve_result(path, result, truth.dataset.unit_ids(), standardized=False)
         with pytest.raises(ValueError, match="unit ids"):
             load_solve_result(path, [f"other-{i}" for i in range(truth.dataset.n)])
+
+    @pytest.mark.parametrize("field", ["label", "size", "iterations", "seed"])
+    def test_non_integer_field_rejected_naming_the_file(self, small_suite, tmp_path, field):
+        spec, truths, _ = small_suite
+        truth = truths[0]
+        result = solve_kmodels(truth.dataset, build_grid_graph(spec.rows, spec.cols),
+                               SolverConfig(p=2, min_obs=10, K=6, seed=2))
+        path = tmp_path / "result.json"
+        write_solve_result(path, result, truth.dataset.unit_ids(), standardized=False)
+        payload = json.loads(path.read_text())
+        if field == "label":
+            payload["assignments"][next(iter(payload["assignments"]))] = 0.7
+        elif field == "size":
+            payload["regions"][0]["size"] = float(payload["regions"][0]["size"])
+        else:
+            payload[field] += 0.9
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match="malformed field") as info:
+            load_solve_result(path, truth.dataset.unit_ids())
+        assert str(path) in str(info.value)

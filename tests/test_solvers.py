@@ -1,5 +1,6 @@
 import heapq
 import math
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -150,7 +151,7 @@ class TestPartitionStage:
 
 
 def partition_sweep_loop(assign, best, k, stage_min):
-    """Reference sweep: the per-unit loop that ``_partition_sweep`` replaced."""
+    """Reference sweep: every unit in index order, on a list copy of the labels."""
     sizes = np.bincount(assign, minlength=k).tolist()
     labels, best = assign.tolist(), best.tolist()
     for i in range(len(labels)):
@@ -188,16 +189,23 @@ class TestPartitionSweep:
     def test_matches_per_unit_loop(self, case):
         assign, best, k, stage_min = case
         before = assign.copy()
-        new = _partition_sweep(assign, best, k, stage_min)
-        assert new.dtype == np.int64
-        assert new.tolist() == partition_sweep_loop(assign, best, k, stage_min)
-        assert np.array_equal(assign, before)
+        expected = partition_sweep_loop(assign, best, k, stage_min)
+        moved = _partition_sweep(assign, best, k, stage_min)
+        assert assign.dtype == np.int64
+        assert assign.tolist() == expected
+        assert moved == bool((assign != before).any())
 
     def test_arrival_makes_room_in_tight_region(self):
         # region 1 is tight (three leavers, room for one), but unit 0
         # arrives first and lets a second leaver go
         assign, best = np.array([0, 0, 0, 1, 1, 1]), np.array([1, 1, 1, 0, 0, 0])
-        assert _partition_sweep(assign, best, 2, 2).tolist() == [1, 0, 0, 0, 0, 1]
+        assert _partition_sweep(assign, best, 2, 2)
+        assert assign.tolist() == [1, 0, 0, 0, 0, 1]
+
+    def test_refused_leavers_move_nothing(self):
+        assign, best = np.array([0, 0, 1, 1]), np.array([1, 1, 0, 0])
+        assert not _partition_sweep(assign, best, 2, 2)
+        assert assign.tolist() == [0, 0, 1, 1]
 
 
 class TestMergeStage:
@@ -1189,10 +1197,62 @@ class TestSsrScreen:
 
         monkeypatch.setattr(solvers, "ssr_increase_if_added", breakdown)
         forced = solve_azp(dataset, graph, cfg)
-        # every move is decided by refits, and installs the fits that scored it
-        assert calls["moved_fits"] == calls["refit_delta"] > calls["move"] > 0
+        # every move is decided by refits, and move fits its two regions again
+        assert calls["moved_fits"] == calls["refit_delta"] + calls["move"]
+        assert calls["refit_delta"] > calls["move"] > 0
         assert forced.total_ssr == plain.total_ssr
         assert np.array_equal(forced.partition.assignment, plain.partition.assignment)
+
+
+class TestMoveFirst:
+    """``move_first`` on a 3x3 grid (units 0-2 top row, 6-8 bottom row).
+
+    Region 0 is the L of units 6, 3, 0, 1, 2 and region 1 the other four,
+    so units 0, 1 and 3 are cut vertices of region 0 and units 2 and 6
+    are not. The response is exactly linear in x, so every fit has SSR 0
+    to rounding and no move lowers the total SSR by more than
+    ``SSR_TOLERANCE``.
+    """
+
+    @staticmethod
+    def search(rng):
+        x = rng.random((9, 1))
+        labels = np.array([0, 0, 0, 0, 1, 1, 0, 1, 1])
+        return search_state(Dataset(X=x, y=1.0 + 2.0 * x[:, 0]), build_grid_graph(3, 3),
+                            labels, 2)
+
+    def test_first_allowed_proposal_moves_and_later_ones_are_not_read(self, rng):
+        search = self.search(rng)
+        calls = {"refit_delta": 0}
+        search.refit_delta = counted(search.refit_delta, calls, "refit_delta")
+        proposals = [(3, 0, 1, True), (1, 0, 1, False), (2, 0, 1, True), (6, 0, 1, False),
+                     (2, 0, 1, False)]
+        read = []
+
+        def feed():
+            for proposal in proposals:
+                read.append(proposal)
+                yield proposal
+
+        assert search.move_first(feed()) == (0, 1)
+        assert read == proposals[:4]
+        # the exact cut proposal is refused before its refits
+        assert calls["refit_delta"] == 1
+        assert search.assign.tolist() == [0, 0, 0, 0, 1, 1, 1, 1, 1]
+        assert search.units[1].tolist() == [4, 5, 6, 7, 8]
+
+    def test_an_exact_proposal_without_gain_is_refused(self, rng):
+        search = self.search(rng)
+        assert search.refit_delta(2, 0, 1) >= -SSR_TOLERANCE
+        assert search.move_first([(2, 0, 1, True)]) is None
+        assert search.move_first([(2, 0, 1, False)]) == (0, 1)
+
+    def test_none_when_every_proposal_is_refused(self, rng):
+        search = self.search(rng)
+        assert search.move_first([(0, 0, 1, False), (3, 0, 1, False), (1, 0, 1, True),
+                                  (6, 0, 1, True), (2, 0, 1, True)]) is None
+        assert search.move_first([]) is None
+        assert search.assign.tolist() == [0, 0, 0, 0, 1, 1, 0, 1, 1]
 
 
 def counted(fn, calls, name):
@@ -1455,10 +1515,25 @@ class TestDeterminismAndRestarts:
         ({"p": 0, "min_obs": 3}, "p must be >= 1, got 0"),
         ({"p": 2, "min_obs": 3, "max_iter": 0}, "max_iter must be >= 1"),
         ({"p": 5, "min_obs": 3, "K": 5}, "K must exceed p, got K=5, p=5"),
+        ({"p": 2.5, "min_obs": 10}, "p must be an integer, got 2.5"),
+        ({"p": None, "min_obs": 10}, "p must be an integer, got None"),
+        ({"p": 2, "min_obs": 10.5}, "min_obs must be an integer"),
+        ({"p": 2, "min_obs": 10.0}, "min_obs must be an integer"),
+        ({"p": 2, "min_obs": 10, "K": 8.0}, "K must be an integer"),
+        ({"p": 2, "min_obs": 10, "max_iter": "5"}, "max_iter must be an integer"),
+        ({"p": 2, "min_obs": 10, "seed": 0.9}, "seed must be an integer"),
     ])
     def test_invalid_settings_refused_when_built(self, fields, message):
         with pytest.raises(ValueError, match=message):
             SolverConfig(**fields)
+
+    def test_integer_settings_stored_as_python_ints(self):
+        cfg = SolverConfig(p=np.int64(2), min_obs=np.int32(10), K=np.int64(8), seed=np.uint8(3))
+        assert [type(v) for v in (cfg.p, cfg.min_obs, cfg.K, cfg.max_iter, cfg.seed)] == [int] * 5
+        assert (cfg.p, cfg.min_obs, cfg.K, cfg.seed) == (2, 10, 8, 3)
+        assert SolverConfig(p=2, min_obs=10).K is None
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            replace(cfg, seed=1.5)
 
     def test_config_validation(self, rect_sim, grid25):
         with pytest.raises(ValueError, match="min_obs"):

@@ -57,6 +57,20 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="min_region_units"):
             SimulationSpec(rows=2, cols=2, region_count=5, min_region_units=0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("rows", 10.0), ("cols", 2.5), ("region_count", 5.0), ("min_region_units", 10.5),
+        ("seed", 0.9), ("rows", "25"),
+    ])
+    def test_non_integer_sizes_refused_naming_the_field(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            SimulationSpec(**{field: value})
+
+    def test_integer_sizes_stored_as_python_ints(self):
+        spec = SimulationSpec(rows=np.int64(10), cols=np.int32(10), seed=np.int64(4))
+        assert [type(v) for v in (spec.rows, spec.cols, spec.region_count,
+                                  spec.min_region_units, spec.seed)] == [int] * 5
+        assert spec == SimulationSpec(rows=10, cols=10, seed=4)
+
 
 class TestSchemes:
     def test_rectangular_is_five_equal_stripes(self, rng):
